@@ -134,9 +134,6 @@ class Field:
             code = code * self.p + (c % self.p)
         return code
 
-    def elem(self, code: int) -> "FieldElement":
-        return FieldElement(self, code % self.q)
-
     def elements(self) -> range:
         return range(self.q)
 
@@ -398,91 +395,6 @@ def field_with_modulus(p: int, k: int, modulus) -> Field:
     return f
 
 
-class FieldElement:
-    """Thin operator wrapper around a field and an integer code."""
-
-    __slots__ = ("field", "code")
-
-    def __init__(self, field: Field, code: int):
-        self.field = field
-        self.code = code % field.q
-
-    @property
-    def rep(self) -> tuple[int, ...]:
-        return self.field.decode(self.code)
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise ValueError("mixed fields")
-            return other.code
-        if isinstance(other, int):
-            return other % self.field.p
-        return NotImplemented
-
-    def __add__(self, other):
-        c = self._coerce(other)
-        if c is NotImplemented:
-            return c
-        return FieldElement(self.field, self.field.add(self.code, c))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        c = self._coerce(other)
-        if c is NotImplemented:
-            return c
-        return FieldElement(self.field, self.field.sub(self.code, c))
-
-    def __rsub__(self, other):
-        c = self._coerce(other)
-        if c is NotImplemented:
-            return c
-        return FieldElement(self.field, self.field.sub(c, self.code))
-
-    def __mul__(self, other):
-        c = self._coerce(other)
-        if c is NotImplemented:
-            return c
-        return FieldElement(self.field, self.field.mul(self.code, c))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        c = self._coerce(other)
-        if c is NotImplemented:
-            return c
-        return FieldElement(self.field, self.field.div(self.code, c))
-
-    def __rtruediv__(self, other):
-        c = self._coerce(other)
-        if c is NotImplemented:
-            return c
-        return FieldElement(self.field, self.field.div(c, self.code))
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.code))
-
-    def __pow__(self, e: int):
-        return FieldElement(self.field, self.field.pow(self.code, e))
-
-    def __eq__(self, other):
-        if isinstance(other, FieldElement):
-            return self.field == other.field and self.code == other.code
-        if isinstance(other, int):
-            return self.code == other % self.field.p if other else self.code == 0
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.field, self.code))
-
-    def __bool__(self):
-        return self.code != 0
-
-    def __repr__(self):
-        return f"{self.rep}@{self.field!r}"
-
-
 class Polynomial:
     """Univariate polynomial with coefficient codes stored low-to-high."""
 
@@ -690,9 +602,6 @@ class Polynomial:
         for c in reversed(self.coeffs):
             acc = add(mul(acc, a), c)
         return acc
-
-    def map_coeffs(self, fn) -> "Polynomial":
-        return Polynomial(self.field, tuple(fn(c) for c in self.coeffs))
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:

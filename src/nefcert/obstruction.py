@@ -1,15 +1,19 @@
 """Non-splitting certificates for the conormal extension of an embedded curve.
 
 A genus-2 curve y^2 = f(x) maps to P^1 x P^1 by (s, x), where s spans a
-degree-3 pencil and x the hyperelliptic degree-2 one; the image is a smooth
-curve of bidegree (2,3) with normal bundle of degree 12.  The extension
+degree-3 pencil and x the hyperelliptic degree-2 one.  The map is an
+embedding by a degree argument alone (its degree onto the image divides
+gcd(3, 2) = 1, and a (2,3) curve of arithmetic genus 2 = g(C) is smooth), so
+no separation check runs.  The image has normal bundle of degree 12.  The
+extension
 
     0 -> TC -> TX|_C -> N -> 0
 
 has a class in H^1(C, Hom(N, TC)) computed here as an explicit residue
-functional on the 15-dimensional section space of 2K + N: local splittings
-v / v(F) for chart vector fields v differ by tangent-valued tails, and
-pairing those tails against sections is a finite sum of exact residues.
+functional beta on the 15-dimensional section space of 2K + N: local
+splittings v / v(F) for chart vector fields v differ by tangent-valued
+tails, and beta(psi) is one sum of exact residues of the tails against psi
+over the tail places.  Coefficients on a basis are computed only on demand.
 
 On top of the functional sits the search: an order-p class L with
 trivialization g, a section delta of N - L whose zero divisor consists of 12
@@ -137,37 +141,6 @@ class EmbeddingData:
         return (4, 6)
 
 
-def _separates_low_degree_places(curve: Curve, s_fn: FunctionElement) -> bool:
-    """The product map separates places of degree <= 2: places over distinct
-    x-polynomials differ in x, and conjugate pairs must differ in s."""
-    diff = s_fn - s_fn.conj()
-    if diff.is_zero:
-        return False
-    base = curve.field
-    from .curves import SPLIT
-    from .fields import is_irreducible
-
-    mons = [Polynomial(base, (base.neg(c), 1)) for c in range(base.q)]
-    for c1 in range(base.q):
-        for c0 in range(base.q):
-            u = Polynomial(base, (c0, c1, 1))
-            if is_irreducible(u):
-                mons.append(u)
-    for u in mons:
-        for pl in curve.places_above(u):
-            if pl.kind != SPLIT:
-                continue
-            vs = curve.valuation(s_fn, pl)
-            vc = curve.valuation(s_fn.conj(), pl)
-            if vs < 0 and vc < 0:
-                return False
-            if vs < 0 or vc < 0:
-                continue  # one value infinite, the other finite: separated
-            if curve.valuation(diff, pl) != 0:
-                return False
-    return True
-
-
 def embed_bidegree_2_3(curve: Curve, a_div: Divisor) -> EmbeddingData:
     """Embed the curve by (degree-3 pencil, hyperelliptic pencil).
 
@@ -180,10 +153,11 @@ def embed_bidegree_2_3(curve: Curve, a_div: Divisor) -> EmbeddingData:
     if rr_space(curve, a_div - kdiv).dim > 0:
         raise ValueError("excluded pencil")
     pencil = rr_space(curve, a_div)
-    assert pencil.dim == 2, "degree-3 pencil must be a net of two sections"
-    # base-point freeness follows from the excluded-shape test
-    for pl, _ in a_div.items:
-        assert rr_space(curve, a_div - Divisor([(pl, 1)])).dim == 1
+    if pencil.dim != 2:
+        raise ValueError("degenerate chart data")
+    # |A| is base-point free: for P in A, Riemann-Roch gives
+    # h0(A - P) = 1 + h0(K - A + P), and K - A + P has degree 0, so
+    # h0(A - P) = 2 would mean A ~ K + P, the shape rejected above.
     sig0, sig1 = pencil.basis
     s_fn = sig1 / sig0
 
@@ -201,7 +175,8 @@ def embed_bidegree_2_3(curve: Curve, a_div: Divisor) -> EmbeddingData:
     rows = tuple(rows)
     if rows[2].is_zero or max(r.degree for r in rows) != 3:
         raise ValueError("degenerate chart data")
-    assert _bi_eval(curve, rows, s_fn, curve.x()).is_zero
+    if not _bi_eval(curve, rows, s_fn, curve.x()).is_zero:
+        raise ValueError("degenerate chart data")
 
     # fiber-direction discriminant: squarefree image form
     disc = rows[1] * rows[1] - (rows[0] * rows[2]).scale(4 % base.p)
@@ -211,9 +186,12 @@ def embed_bidegree_2_3(curve: Curve, a_div: Divisor) -> EmbeddingData:
     s_polar = _polar(curve, s_fn)
     if s_polar.degree != 3:
         raise ValueError("degenerate chart data")
-    assert _polar(curve, curve.x()).degree == 2
-    if base.q <= 128:
-        assert _separates_low_degree_places(curve, s_fn)
+    if _polar(curve, curve.x()).degree != 2:
+        raise ValueError("degenerate chart data")
+    # (s, x) is an embedding.  Its degree onto the image divides the polar
+    # degrees 3 of s and 2 of x, hence gcd(3, 2) = 1: the map is birational
+    # onto a (2,3) curve.  That curve has arithmetic genus (2-1)(3-1) = 2 =
+    # g(C), so it is smooth and the birational map is an isomorphism.
 
     k_basis = tuple(rr_space(curve, kdiv).basis)
     return EmbeddingData(
@@ -253,35 +231,56 @@ def normal_bundle_divisor(E: EmbeddingData, rng: random.Random | None = None) ->
 @dataclass(frozen=True)
 class BetaFunctional:
     """The extension class of the normal bundle sequence, as the residue
-    functional it induces on the section space of 2K + N."""
+    functional it induces on the section space of 2K + N.
+
+    tails holds (place, phi / y) for each splitting tail phi; the functional
+    sends psi to the sum over those places of res(phi * psi * y^-1 dx).
+    """
 
     curve: Curve
     n_div: Divisor
     space_div: Divisor
-    coeffs: tuple
+    tails: tuple
 
     @property
     def dim(self) -> int:
-        return len(self.coeffs)
+        return rr_space(self.curve, self.space_div).dim
+
+    @property
+    def coeffs(self) -> tuple:
+        """Values on the basis of the section space, computed on first use."""
+        cached = self.__dict__.get("_coeffs")
+        if cached is None:
+            basis = rr_space(self.curve, self.space_div).basis
+            cached = tuple(self.value(phi) for phi in basis)
+            object.__setattr__(self, "_coeffs", cached)
+        return cached
 
     @property
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
     def value(self, psi: FunctionElement) -> int:
-        co = rr_space(self.curve, self.space_div).coords(psi)
-        if co is None:
+        if rr_space(self.curve, self.space_div).coords(psi) is None:
             raise ValueError("degree bookkeeping mismatch")
-        base = self.curve.field
+        curve = self.curve
         out = 0
-        for c, a in zip(self.coeffs, co):
-            out = base.add(out, base.mul(c, a))
+        for pl, tail in self.tails:
+            res = curve.residue(Differential(curve, tail * psi), pl)
+            out = curve.field.add(out, res)
         return out
 
     def restrict_nonzero(self, b_div: Divisor) -> bool:
         """Whether the functional stays nonzero on sections vanishing on b_div."""
-        sub = rr_space(self.curve, self.space_div - b_div)
-        return any(self.value(phi) != 0 for phi in sub.basis)
+        base = self.curve.field
+        full = rr_space(self.curve, self.space_div)
+        for phi in rr_space(self.curve, self.space_div - b_div).basis:
+            out = 0
+            for c, a in zip(self.coeffs, full.coords(phi)):
+                out = base.add(out, base.mul(c, a))
+            if out != 0:
+                return True
+        return False
 
 
 def _splitting_tails(E: EmbeddingData, choice: int):
@@ -349,28 +348,17 @@ def beta_functional(E: EmbeddingData, choice: int = 0) -> BetaFunctional:
 
     `choice` rotates among admissible local splittings; the resulting
     functional is independent of it (differences of admissible splittings
-    pair to zero against every section).
+    pair to zero against every section).  Only the tails are built here; no
+    residue is taken until the functional is evaluated.
     """
     curve = E.curve
-    base = curve.field
     n0 = normal_bundle_divisor(E)
     space_div = n0 + curve.canonical_divisor() * 2
-    sp = rr_space(curve, space_div)
-    assert sp.dim == 15
+    assert rr_space(curve, space_div).dim == 15
 
-    tails = _splitting_tails(E, choice)
     yinv = curve.y().inverse()
-    coeffs = []
-    for psi in sp.basis:
-        total = 0
-        for pl, phi in tails:
-            omega = Differential(curve, phi * psi * yinv)
-            total = base.add(total, curve.residue(omega, pl))
-        coeffs.append(total)
-    beta = BetaFunctional(curve, n0, space_div, tuple(coeffs))
-    if beta.is_zero:
-        raise ValueError("zero extension class")
-    return beta
+    tails = tuple((pl, phi * yinv) for pl, phi in _splitting_tails(E, choice))
+    return BetaFunctional(curve, n0, space_div, tails)
 
 
 # --- the section delta and the obstruction scalar ----------------------------

@@ -103,17 +103,6 @@ def test_frobenius_additive(fi, a, b):
     assert F.frob_inv(F.frob(a)) == a
 
 
-def test_element_wrapper():
-    F = field(3, 2)
-    x = F.elem(5)
-    assert x.rep == (2, 1)
-    assert (x + x - x) == x
-    assert (x * x / x) == x
-    assert (-x + x).code == 0
-    assert x**0 == F.elem(1)
-    assert x ** (F.q - 1) == F.elem(1)
-
-
 def test_sqrt_enumeration():
     for F in (field(3), field(7), field(3, 2), field(5, 2)):
         squares = sorted({F.mul(a, a) for a in range(F.q)})

@@ -1,8 +1,13 @@
 import copy
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import nefcert
 from nefcert import linalg, serialize
 from nefcert.cohomology import (
     cartier_class,
@@ -11,8 +16,8 @@ from nefcert.cohomology import (
     p_torsion_bundle,
     rr_space,
 )
-from nefcert.curves import Curve, Divisor
-from nefcert.fields import Polynomial, field
+from nefcert.curves import SPLIT, Curve, Divisor
+from nefcert.fields import Polynomial, field, is_irreducible
 from nefcert.jacobian import (
     class_order,
     divisor_class_to_mumford,
@@ -49,12 +54,61 @@ def setting(cert):
     return curve, emb, n0, bundle
 
 
+@pytest.fixture(scope="module")
+def cert25():
+    return certificate_build(5, seed=1)
+
+
+def _embedding(cert):
+    curve = Curve(field(cert.p, cert.k), cert.f)
+    return curve, embed_bidegree_2_3(curve, cert.a_div)
+
+
 def _random_effective(curve, rng, degree):
     pts = rational_places(curve)
     return Divisor((pl, 1) for pl in rng.sample(pts, degree))
 
 
+def _separates_low_degree_places(curve, s_fn):
+    """The product map separates places of degree <= 2: places over distinct
+    x-polynomials differ in x, and conjugate pairs must differ in s."""
+    diff = s_fn - s_fn.conj()
+    if diff.is_zero:
+        return False
+    base = curve.field
+    mons = [Polynomial(base, (base.neg(c), 1)) for c in range(base.q)]
+    for c1 in range(base.q):
+        for c0 in range(base.q):
+            u = Polynomial(base, (c0, c1, 1))
+            if is_irreducible(u):
+                mons.append(u)
+    for u in mons:
+        for pl in curve.places_above(u):
+            if pl.kind != SPLIT:
+                continue
+            vs = curve.valuation(s_fn, pl)
+            vc = curve.valuation(s_fn.conj(), pl)
+            if vs < 0 and vc < 0:
+                return False
+            if vs < 0 or vc < 0:
+                continue  # one value infinite, the other finite: separated
+            if curve.valuation(diff, pl) != 0:
+                return False
+    return True
+
+
 # --- embedding ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("which", ["cert", "cert25"])
+def test_built_embeddings_separate_places_and_are_base_point_free(request, which):
+    """Oracle for the degree argument in embed_bidegree_2_3: (s, x)
+    separates every place of degree <= 2, and the degree-3 pencil has no
+    base points."""
+    curve, emb = _embedding(request.getfixturevalue(which))
+    assert _separates_low_degree_places(curve, emb.s_fn)
+    for pl, _ in emb.a_div.items:
+        assert rr_space(curve, emb.a_div - Divisor([(pl, 1)])).dim == 1
 
 
 def test_embed_validates_the_pencil(setting):
@@ -185,6 +239,39 @@ def test_beta_restriction_survives_point_conditions(setting):
     for _ in range(50):
         b_div = _random_effective(curve, rng, 4)
         assert beta.restrict_nonzero(b_div)
+
+
+# obstruction scalars of the (3, 0) and (5, 1) certificates, as first
+# computed from all 15 coefficients of beta
+@pytest.mark.parametrize("which,scalar", [("cert", 7), ("cert25", 18)])
+def test_beta_value_is_the_coefficient_pairing(request, which, scalar):
+    """The direct residue sum agrees with the coefficients on the basis, on
+    the certificate's psi and on a seeded random section."""
+    cert = request.getfixturevalue(which)
+    curve, emb = _embedding(cert)
+    base = curve.field
+    beta = beta_functional(emb)
+    space = rr_space(curve, beta.space_div)
+
+    def paired(psi):
+        out = 0
+        for c, a in zip(beta.coeffs, space.coords(psi)):
+            out = base.add(out, base.mul(c, a))
+        return out
+
+    n0 = normal_bundle_divisor(emb)
+    l_rep = p_torsion_bundle(curve, cert.l_cls).rep
+    delta = curve.zero()
+    for c, phi in zip(cert.delta_coords, rr_space(curve, n0 - l_rep).basis):
+        delta = delta + phi.scale(c)
+    psi = delta * cert.alpha * (cert.gamma.w * curve.y())
+    assert beta.value(psi) == paired(psi) == cert.obstruction == scalar
+
+    rng = random.Random(41)
+    mix = curve.zero()
+    for phi in space.basis:
+        mix = mix + phi.scale(base.random(rng))
+    assert beta.value(mix) == paired(mix)
 
 
 def test_beta_value_rejects_foreign_sections(setting):
@@ -333,6 +420,28 @@ def test_certificate_mutations_fail_at_the_intended_check(cert, mutate, expect):
     assert not report.ok
     failed = [c.index for c in report.checks if not c.passed]
     assert expect in failed
+
+
+def test_verify_output_is_the_same_under_optimize(cert, tmp_path):
+    """No check lives in an assert: `python -O` verifies exactly alike."""
+    d = serialize.certificate_to_dict(cert)
+    good = tmp_path / "good.json"
+    good.write_bytes(serialize.canonical_bytes(d))
+    dd = copy.deepcopy(d)
+    dd["delta_coords"][0] = (dd["delta_coords"][0] + 1) % (cert.p**cert.k)
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(serialize.canonical_bytes(dd))
+    env = dict(os.environ, PYTHONPATH=str(Path(nefcert.__file__).parents[1]))
+
+    def run(flags, path):
+        cmd = [sys.executable, *flags, "-m", "nefcert.cli", "verify", str(path)]
+        out = subprocess.run(cmd, capture_output=True, env=env, timeout=600)
+        return out.returncode, out.stdout
+
+    for path, code in ((good, 0), (bad, 1)):
+        plain = run([], path)
+        assert plain[0] == code
+        assert run(["-O"], path) == plain
 
 
 def test_search_input_validation():
