@@ -1,10 +1,11 @@
 """Exact arithmetic over odd finite fields F_{p^k} and their polynomial rings.
 
 Elements are integer codes in range(p**k): the element sum(c_i * t^i), with t
-the class of x modulo the field modulus, has code sum(c_i * p**i).  Prime
-fields compute directly mod p; extensions build exp/log tables over a fixed
-generator (every field used here is tiny) and fall back to direct polynomial
-arithmetic above a size limit.
+the class of x modulo the field modulus, has code sum(c_i * p**i).  Each
+field type has one arithmetic kernel, for elements and for coefficient
+tuples (`poly_mul`, `poly_divmod`) alike: prime fields compute directly mod
+p; extensions build exp/log/Zech-log tables over a fixed generator (every
+field used here is tiny), so each operation is one or two table lookups.
 
 Also provides univariate polynomials over such fields (gcd, xgcd, factoring,
 irreducibility testing, modular square roots, Hensel lifting of square roots)
@@ -17,9 +18,6 @@ import random
 from typing import Iterator, Optional
 
 _FIELD_CACHE: dict[tuple, "Field"] = {}
-
-# largest q for which multiplicative exp/log tables are precomputed
-_TABLE_LIMIT = 1 << 13
 
 
 def _is_prime(n: int) -> bool:
@@ -96,25 +94,25 @@ class Field:
     def inv(self, a: int) -> int:
         raise NotImplementedError
 
+    def pow(self, a: int, e: int) -> int:
+        raise NotImplementedError
+
     def decode(self, a: int) -> tuple[int, ...]:
         """Coefficient vector over F_p, length k."""
+        raise NotImplementedError
+
+    def poly_mul(self, a, b) -> list[int]:
+        """Product of two nonempty coefficient sequences (low-to-high)."""
+        raise NotImplementedError
+
+    def poly_divmod(self, a, b) -> tuple[list[int], list[int]]:
+        """(quotient, remainder) of coefficient sequences; requires
+        len(a) >= len(b) and a nonzero leading coefficient b[-1]."""
         raise NotImplementedError
 
     # --- generic ------------------------------------------------------------
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
-
-    def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            a = self.inv(a)
-            e = -e
-        r = 1
-        while e:
-            if e & 1:
-                r = self.mul(r, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return r
 
     def frob(self, a: int) -> int:
         """Absolute Frobenius a -> a^p."""
@@ -218,9 +216,47 @@ class PrimeField(Field):
     def decode(self, a):
         return (a,)
 
+    def poly_mul(self, a, b):
+        p = self.p
+        out = [0] * (len(a) + len(b) - 1)
+        for i, ca in enumerate(a):
+            if ca:
+                for j, cb in enumerate(b):
+                    out[i + j] += ca * cb
+        return [c % p for c in out]
+
+    def poly_divmod(self, a, b):
+        p = self.p
+        db = len(b) - 1
+        inv = self.inv(b[-1])
+        # the step at rem[i] = c subtracts (c / lc) x^(i - db) b, that is
+        # rem[i - db + j] += c * (-b_j / lc)
+        nb = [(j, -c * inv) for j, c in enumerate(b[:db]) if c]
+        rem = list(a)
+        quot = [0] * (len(a) - db)
+        for i in range(len(a) - 1, db - 1, -1):
+            c = rem[i] % p
+            if c:
+                s = i - db
+                quot[s] = c * inv % p
+                for j, m in nb:
+                    rem[s + j] += c * m
+        return quot, [c % p for c in rem[:db]]
+
 
 class ExtensionField(Field):
-    __slots__ = ("_digits", "_exp", "_log")
+    """F_{p^k} by exp, log and Zech-log tables over a fixed generator g.
+
+    With n = q - 1: `_log[a]` is the discrete log of a nonzero code a;
+    `_exp[i]` = g^i and `_zech[i]` = log(1 + g^i) (-1 where 1 + g^i = 0)
+    are stored for i in range(2n), so a sum of two logs indexes `_exp`
+    without a `% n`, and a difference of logs in [-2n, 2n) indexes `_zech`
+    (negative indices wrap, which is the reduction mod n).  Every operation
+    indexes `_log` with its nonzero operands, so an out-of-range code raises
+    IndexError instead of reading a table silently.
+    """
+
+    __slots__ = ("_digits", "_exp", "_log", "_zech", "_half")
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...]):
         self.p = p
@@ -236,27 +272,26 @@ class ExtensionField(Field):
                 row.append(r)
             digits.append(tuple(row))
         self._digits = digits
-        self._exp = None
-        self._log = None
-        if q <= _TABLE_LIMIT:
-            self._build_tables()
-
-    def _build_tables(self) -> None:
-        q = self.q
-        primes = _factor_int(q - 1)
-        g = 2
-        while True:
-            if all(self._raw_pow(g, (q - 1) // r) != 1 for r in primes):
-                break
+        n = q - 1
+        g, exp = 1, [1]
+        while len(exp) < n:  # powers of the first g of multiplicative order n
             g += 1
-        exp = [1] * (q - 1)
-        for i in range(1, q - 1):
-            exp[i] = self._raw_mul(exp[i - 1], g)
+            exp, x = [1], g
+            while x != 1:
+                exp.append(x)
+                x = self._raw_mul(x, g)
         log = [0] * q
         for i, v in enumerate(exp):
             log[v] = i
-        self._exp = exp
+        zech = [-1] * n
+        for i, v in enumerate(exp):
+            w = v - v % p + (v + 1) % p  # 1 + g^i: only the constant digit moves
+            if w:
+                zech[i] = log[w]
+        self._exp = exp + exp
         self._log = log
+        self._zech = zech + zech
+        self._half = n // 2  # -1 = g^(n/2)
 
     def _raw_mul(self, a: int, b: int) -> int:
         # schoolbook product of digit vectors, reduced by the monic modulus
@@ -278,66 +313,94 @@ class ExtensionField(Field):
             code = code * p + prod[i] % p
         return code
 
-    def _raw_pow(self, a: int, e: int) -> int:
-        r = 1
-        while e:
-            if e & 1:
-                r = self._raw_mul(r, a)
-            a = self._raw_mul(a, a)
-            e >>= 1
-        return r
-
     def add(self, a, b):
-        p = self.p
-        da, db = self._digits[a], self._digits[b]
-        code = 0
-        for i in range(self.k - 1, -1, -1):
-            code = code * p + (da[i] + db[i]) % p
-        return code
+        log = self._log
+        la, lb = log[a], log[b]
+        if not a:
+            return b
+        if not b:
+            return a
+        z = self._zech[lb - la]
+        return self._exp[la + z] if z >= 0 else 0
 
     def sub(self, a, b):
-        p = self.p
-        da, db = self._digits[a], self._digits[b]
-        code = 0
-        for i in range(self.k - 1, -1, -1):
-            code = code * p + (da[i] - db[i]) % p
-        return code
+        log = self._log
+        la, lb = log[a], log[b]
+        if not b:
+            return a
+        lb += self._half
+        if not a:
+            return self._exp[lb]
+        z = self._zech[lb - la]
+        return self._exp[la + z] if z >= 0 else 0
 
     def neg(self, a):
-        p = self.p
-        da = self._digits[a]
-        code = 0
-        for i in range(self.k - 1, -1, -1):
-            code = code * p + (-da[i]) % p
-        return code
+        la = self._log[a]
+        return self._exp[la + self._half] if a else 0
 
     def mul(self, a, b):
         if a == 0 or b == 0:
             return 0
-        if self._exp is not None:
-            return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
-        return self._raw_mul(a, b)
+        return self._exp[self._log[a] + self._log[b]]
 
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        if self._exp is not None:
-            return self._exp[(self.q - 1 - self._log[a]) % (self.q - 1)]
-        return self._raw_pow(a, self.q - 2)
+        return self._exp[self.q - 1 - self._log[a]]
 
     def pow(self, a, e):
         if a == 0:
             if e < 0:
                 raise ZeroDivisionError("inverse of zero")
             return 0 if e else 1
-        if self._exp is not None:
-            return self._exp[(self._log[a] * e) % (self.q - 1)]
-        if e < 0:
-            return self._raw_pow(self.inv(a), -e)
-        return self._raw_pow(a, e % (self.q - 1))
+        return self._exp[self._log[a] * e % (self.q - 1)]
 
     def decode(self, a):
         return self._digits[a]
+
+    def poly_mul(self, a, b):
+        log, exp, zech = self._log, self._exp, self._zech
+        lb = [(j, log[c]) for j, c in enumerate(b) if c]
+        out = [0] * (len(a) + len(b) - 1)
+        for i, ca in enumerate(a):
+            if ca:
+                la = log[ca]
+                for j, l in lb:
+                    t = la + l  # log of the term
+                    r = out[i + j]
+                    if r:
+                        lr = log[r]
+                        z = zech[t - lr]
+                        out[i + j] = exp[lr + z] if z >= 0 else 0
+                    else:
+                        out[i + j] = exp[t]
+        return out
+
+    def poly_divmod(self, a, b):
+        log, exp, zech = self._log, self._exp, self._zech
+        n = self.q - 1
+        db = len(b) - 1
+        linv = n - log[b[-1]]  # log of 1 / lc
+        # logs of -b_j / lc, as in PrimeField.poly_divmod
+        nb = [(j, (log[c] + linv + self._half) % n) for j, c in enumerate(b[:db]) if c]
+        rem = list(a)
+        quot = [0] * (len(a) - db)
+        for i in range(len(a) - 1, db - 1, -1):
+            c = rem[i]
+            if c:
+                s = i - db
+                lq = log[c]
+                quot[s] = exp[lq + linv]
+                for j, l in nb:
+                    t = lq + l
+                    r = rem[s + j]
+                    if r:
+                        lr = log[r]
+                        z = zech[t - lr]
+                        rem[s + j] = exp[lr + z] if z >= 0 else 0
+                    else:
+                        rem[s + j] = exp[t]
+        return quot, rem[:db]
 
 
 def _find_modulus(p: int, k: int) -> tuple[int, ...]:
@@ -346,7 +409,7 @@ def _find_modulus(p: int, k: int) -> tuple[int, ...]:
     Candidates are scanned in increasing order of the code sum(c_i * p^i), so
     the choice is deterministic and reproducible.
     """
-    base = PrimeField(p)
+    base = field(p)
     for n in range(p**k):
         c, coeffs = n, []
         for _ in range(k):
@@ -385,7 +448,7 @@ def field_with_modulus(p: int, k: int, modulus) -> Field:
     key = (p, k, modulus)
     f = _FIELD_CACHE.get(key)
     if f is None:
-        base = PrimeField(p)
+        base = field(p)
         if len(modulus) != k + 1 or modulus[-1] != 1:
             raise ValueError("modulus must be monic of degree k")
         if not is_irreducible(Polynomial(base, modulus)):
@@ -453,8 +516,8 @@ class Polynomial:
     def __eq__(self, other):
         return (
             isinstance(other, Polynomial)
-            and self.field == other.field
             and self.coeffs == other.coeffs
+            and (self.field is other.field or self.field == other.field)
         )
 
     def __hash__(self):
@@ -473,7 +536,8 @@ class Polynomial:
         return "poly[" + " + ".join(terms) + "]"
 
     def _check(self, other: "Polynomial") -> None:
-        if self.field != other.field:
+        # fields are interned, so identity settles almost every call
+        if self.field is not other.field and self.field != other.field:
             raise ValueError("mixed fields")
 
     # --- arithmetic ---------------------------------------------------------
@@ -490,11 +554,14 @@ class Polynomial:
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
+        b = other.coeffs
         sub = self.field.sub
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial(
-            self.field, [sub(self[i], other[i]) for i in range(n)]
-        )
+        out = list(self.coeffs)
+        if len(out) < len(b):
+            out.extend([0] * (len(b) - len(out)))
+        for i, c in enumerate(b):
+            out[i] = sub(out[i], c)
+        return Polynomial(self.field, out)
 
     def __neg__(self) -> "Polynomial":
         neg = self.field.neg
@@ -502,25 +569,9 @@ class Polynomial:
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
+        if not self.coeffs or not other.coeffs:
             return Polynomial.zero(self.field)
-        f = self.field
-        if f.k == 1:
-            p = f.p
-            out = [0] * (len(a) + len(b) - 1)
-            for i, ca in enumerate(a):
-                if ca:
-                    for j, cb in enumerate(b):
-                        out[i + j] += ca * cb
-            return Polynomial(f, [c % p for c in out])
-        mul, add = f.mul, f.add
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] = add(out[i + j], mul(ca, cb))
-        return Polynomial(f, out)
+        return Polynomial(self.field, self.field.poly_mul(self.coeffs, other.coeffs))
 
     def scale(self, c: int) -> "Polynomial":
         if not c:
@@ -536,25 +587,14 @@ class Polynomial:
 
     def __divmod__(self, other: "Polynomial"):
         self._check(other)
-        if other.is_zero:
+        a, b = self.coeffs, other.coeffs
+        if not b:
             raise ZeroDivisionError("polynomial division by zero")
         f = self.field
-        rem = list(self.coeffs)
-        db = other.degree
-        if self.degree < db:
+        if len(a) < len(b):
             return Polynomial.zero(f), self
-        inv_lc = f.inv(other.coeffs[-1])
-        mul, sub = f.mul, f.sub
-        quot = [0] * (len(rem) - db)
-        bc = other.coeffs
-        for i in range(len(rem) - 1, db - 1, -1):
-            c = rem[i]
-            if c:
-                c = mul(c, inv_lc)
-                quot[i - db] = c
-                for j in range(db + 1):
-                    rem[i - db + j] = sub(rem[i - db + j], mul(c, bc[j]))
-        return Polynomial(f, quot), Polynomial(f, rem[:db])
+        quot, rem = f.poly_divmod(a, b)
+        return Polynomial(f, quot), Polynomial(f, rem)
 
     def __floordiv__(self, other: "Polynomial") -> "Polynomial":
         return divmod(self, other)[0]
@@ -606,7 +646,7 @@ class Polynomial:
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     """Monic gcd; gcd(0, 0) = 0."""
-    if a.field != b.field:
+    if a.field is not b.field and a.field != b.field:
         raise ValueError("mixed fields")
     while not b.is_zero:
         a, b = b, a % b
@@ -615,7 +655,7 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
 
 def poly_xgcd(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial, Polynomial]:
     """(g, s, t) with g = s*a + t*b, g monic (or zero)."""
-    if a.field != b.field:
+    if a.field is not b.field and a.field != b.field:
         raise ValueError("mixed fields")
     f = a.field
     r0, r1 = a, b
@@ -879,8 +919,9 @@ def kappa_sqrt(a: Polynomial, u: Polynomial) -> Optional[Polynomial]:
         while m % 2 == 0:
             s += 1
             m //= 2
+        # for even deg(u) every constant is a square in kappa: skip them
         z = None
-        for code in range(1, Q):
+        for code in range(field.q if u.degree % 2 == 0 else 1, Q):
             c, digits = code, []
             while c:
                 c, rdig = divmod(c, field.q)
@@ -934,7 +975,7 @@ class RationalFunction:
     def __init__(self, num: Polynomial, den: Polynomial, reduce: bool = True):
         if den.is_zero:
             raise ZeroDivisionError("zero denominator")
-        if num.field != den.field:
+        if num.field is not den.field and num.field != den.field:
             raise ValueError("mixed fields")
         if num.is_zero:
             num, den = num, Polynomial.one(num.field)

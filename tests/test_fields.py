@@ -116,6 +116,137 @@ def test_sqrt_enumeration():
                 assert r is None
 
 
+class _RefField:
+    """Arithmetic of F.p^F.k on digit vectors, from the modulus alone: a
+    reference independent of the field's exp/log/Zech tables."""
+
+    def __init__(self, F):
+        self.F, self.p, self.k, self.q = F, F.p, F.k, F.q
+
+    def digits(self, a):
+        return [a // self.p**i % self.p for i in range(self.k)]
+
+    def encode(self, digits):
+        return sum(c % self.p * self.p**i for i, c in enumerate(digits))
+
+    def add(self, a, b):
+        return self.encode([x + y for x, y in zip(self.digits(a), self.digits(b))])
+
+    def sub(self, a, b):
+        return self.encode([x - y for x, y in zip(self.digits(a), self.digits(b))])
+
+    def neg(self, a):
+        return self.encode([-x for x in self.digits(a)])
+
+    def mul(self, a, b):
+        k = self.k
+        prod = [0] * (2 * k - 1)
+        for i, x in enumerate(self.digits(a)):
+            for j, y in enumerate(self.digits(b)):
+                prod[i + j] += x * y
+        mod = self.F.modulus or (0, 1)  # x^k = -sum(mod[j] x^j)
+        for i in range(2 * k - 2, k - 1, -1):
+            for j in range(k):
+                prod[i - k + j] -= prod[i] * mod[j]
+        return self.encode(prod[:k])
+
+    def inv(self, a):
+        return next(x for x in range(1, self.q) if self.mul(a, x) == 1)
+
+    def poly_mul(self, a, b):
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] = self.add(out[i + j], self.mul(x, y))
+        return out
+
+    def poly_divmod(self, a, b):
+        rem, db = list(a), len(b) - 1
+        quot = [0] * max(len(a) - db, 0)
+        inv = self.inv(b[-1])
+        for i in range(len(a) - 1, db - 1, -1):
+            c = self.mul(rem[i], inv)
+            quot[i - db] = c
+            for j in range(db + 1):
+                rem[i - db + j] = self.sub(rem[i - db + j], self.mul(c, b[j]))
+        return quot, rem[:db]
+
+
+def _trim(coeffs):
+    coeffs = list(coeffs)
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+@pytest.mark.parametrize(
+    "p,k,exhaustive", [(3, 2, True), (5, 2, True), (3, 3, True), (7, 2, True), (7, 3, False)]
+)
+def test_table_kernels_match_digit_reference(p, k, exhaustive):
+    F = field(p, k)
+    R = _RefField(F)
+    assert all(tuple(R.digits(a)) == F.decode(a) for a in range(F.q))
+    if exhaustive:
+        pairs = [(a, b) for a in range(F.q) for b in range(F.q)]
+    else:
+        rng = random.Random(343)
+        pairs = [(a, b) for a in range(F.q) for b in (0, 1, F.neg(1), F.neg(a))]
+        pairs += [(rng.randrange(F.q), rng.randrange(F.q)) for _ in range(20000)]
+    for a, b in pairs:
+        assert F.add(a, b) == R.add(a, b), (a, b)
+        assert F.sub(a, b) == R.sub(a, b), (a, b)
+        assert F.mul(a, b) == R.mul(a, b), (a, b)
+    for a in range(F.q):
+        assert F.neg(a) == R.neg(a)
+        if a:
+            assert R.mul(a, F.inv(a)) == 1
+
+
+def test_table_kernels_reject_out_of_range_codes():
+    F = field(3, 2)
+    for op in (F.add, F.sub, F.mul):
+        with pytest.raises(IndexError):
+            op(1, F.q)
+    with pytest.raises(IndexError):
+        F.add(0, F.q)
+    with pytest.raises(IndexError):
+        F.neg(F.q)
+
+
+@pytest.mark.parametrize("p,k", [(5, 1), (3, 2), (3, 3), (7, 3)])
+def test_poly_kernels_match_schoolbook_reference(p, k):
+    F = field(p, k)
+    R = _RefField(F)
+    rng = random.Random(p * 10 + k)
+
+    def rand(n, lead=None):
+        if n == 0:
+            return ()
+        return tuple(rng.randrange(F.q) for _ in range(n - 1)) + (lead or rng.randrange(1, F.q),)
+
+    # zero operands, degree-0 divisors, a short dividend, non-monic and monic divisors
+    cases = [((), rand(3)), (rand(3), ()), (rand(1), rand(1)), (rand(5), rand(1))]
+    cases += [(rand(2), rand(4))]
+    cases += [(rand(7), rand(3, lead=2)), (rand(6), rand(6, lead=1)), (rand(4), rand(1, lead=1))]
+    for _ in range(60):
+        cases.append((rand(rng.randrange(0, 9)), rand(rng.randrange(0, 6))))
+    for a, b in cases:
+        pa, pb = Polynomial(F, a), Polynomial(F, b)
+        expect = _trim(R.poly_mul(a, b)) if a and b else ()
+        assert (pa * pb).coeffs == expect
+        if not b:
+            with pytest.raises(ZeroDivisionError):
+                divmod(pa, pb)
+            continue
+        q, r = divmod(pa, pb)
+        if len(a) >= len(b):
+            eq, er = R.poly_divmod(a, b)
+            assert q.coeffs == _trim(eq) and r.coeffs == _trim(er)
+        else:
+            assert q.is_zero and r == pa
+        assert q * pb + r == pa and r.degree < pb.degree
+
+
 # --- polynomials ----------------------------------------------------------
 
 
@@ -311,6 +442,27 @@ def test_kappa_sqrt(fi, seed, du):
             if not a.is_zero:
                 assert kappa_sqrt((sq * z) % u, u) is None
             break
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_kappa_sqrt_is_the_canonical_root_at_degree_two(p):
+    """Over F_{p^2} with deg(u) = 2, every constant is a square in kappa, so
+    the non-residue scan starts past them; the root must not depend on it."""
+    F = field(p, 2)
+    rng = random.Random(p)
+    u = poly_random_monic(F, 2, rng)
+    while not is_irreducible(u):
+        u = poly_random_monic(F, 2, rng)
+    elems = [Polynomial(F, (c0, c1)) for c1 in range(F.q) for c0 in range(F.q)]
+    roots = {}
+    for w in elems:
+        roots.setdefault(((w * w) % u).coeffs, []).append(w)
+    for a in elems:
+        got = kappa_sqrt(a, u)
+        if a.coeffs in roots:
+            assert got == min(roots[a.coeffs], key=lambda w: w.coeffs[::-1])
+        else:
+            assert got is None
 
 
 @settings(max_examples=40, deadline=None)

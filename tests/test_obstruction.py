@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import os
 import random
 import subprocess
@@ -381,6 +382,22 @@ def test_certificate_roundtrip_and_determinism(cert):
     report2 = certificate_verify(serialize.parse_certificate(raw))
     assert report2.ok
     assert [c.passed for c in report2.checks] == [True] * 7
+
+
+@pytest.mark.parametrize(
+    "which,digest",
+    [
+        ("cert", "d1a245d373c48c85eb7fe9d56b631313de0b2d38a67c163ded6fae631500f228"),
+        ("cert25", "d6c6c6195548ddc4c46977498a6a1e4176993f6f6fadf1de63d72a9e24bb448a"),
+    ],
+)
+def test_certificate_bytes_are_pinned(request, which, digest):
+    """The (3,0) and (5,1) certificates are rebuilt by the code under test, so
+    a change that is wrong in a consistent way (a field kernel, beta) still
+    round-trips; their canonical bytes are pinned instead."""
+    cert = request.getfixturevalue(which)
+    raw = serialize.canonical_bytes(serialize.certificate_to_dict(cert))
+    assert hashlib.sha256(raw).hexdigest() == digest
 
 
 def test_certificate_fields(cert):
