@@ -319,7 +319,7 @@ class Differential:
         return f"({self.w!r}) dx"
 
 
-def _retry(job, start: int = 16, cap: int = _PREC_CAP):
+def _retry(job, start: int, cap: int = _PREC_CAP):
     prec = start
     while True:
         try:
@@ -570,7 +570,10 @@ class Curve:
             ring, ser = self.expand_differential(omega, place, prec)
             return ring.trace(ser.coeff_at(-1))
 
-        return _retry(job)
+        # Start low: residues need few terms, and a series too short for the
+        # t^-1 coefficient raises PrecisionError, so the precision doubles
+        # instead of a wrong residue being read.
+        return _retry(job, start=4)
 
     def window(self, phi: FunctionElement, place: Place, lo: int, hi: int):
         """(ring, coefficients of phi on exponents [lo, hi)) at the place."""

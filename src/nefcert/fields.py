@@ -904,6 +904,9 @@ def kappa_sqrt(a: Polynomial, u: Polynomial) -> Optional[Polynomial]:
     a = a % u
     if a.is_zero:
         return a
+    if u.degree == 1:  # kappa is F_q itself
+        r = field.sqrt(a.coeffs[0])
+        return None if r is None else Polynomial(field, (r,))
     Q = field.q ** u.degree
     one = Polynomial.one(field)
 
@@ -1018,31 +1021,61 @@ class RationalFunction:
             raise ValueError("degree of zero function")
         return self.num.degree - self.den.degree
 
+    # Operands are in lowest terms with monic denominators, so a result needs
+    # only the gcds that can cancel (Henrici; Knuth, TAOCP vol. 2, 4.5.1), and
+    # it comes out in lowest terms with a monic denominator.
+
+    def _plus(self, c: Polynomial, d: Polynomial) -> "RationalFunction":
+        """self + c/d, for c/d in lowest terms with d monic."""
+        a, b = self.num, self.den
+        g = poly_gcd(b, d) if b.degree > 0 and d.degree > 0 else None
+        if g is None or g.degree == 0:  # coprime denominators: nothing cancels
+            return RationalFunction(a * d + c * b, b * d, reduce=False)
+        b = b // g
+        t = a * (d // g) + c * b
+        g = poly_gcd(t, g)
+        if g.degree > 0:
+            t, d = t // g, d // g
+        return RationalFunction(t, b * d, reduce=False)
+
+    def _times(self, c: Polynomial, d: Polynomial) -> "RationalFunction":
+        """self * c/d, for c/d in lowest terms with d monic."""
+        a, b = self.num, self.den
+        if a.is_zero or c.is_zero:
+            return RationalFunction(a * c, b, reduce=False)
+        if d.degree > 0:
+            g = poly_gcd(a, d)
+            if g.degree > 0:
+                a, d = a // g, d // g
+        if b.degree > 0:
+            g = poly_gcd(c, b)
+            if g.degree > 0:
+                c, b = c // g, b // g
+        return RationalFunction(a * c, b * d, reduce=False)
+
     def __add__(self, other: "RationalFunction") -> "RationalFunction":
-        return RationalFunction(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
+        return self._plus(other.num, other.den)
 
     def __sub__(self, other: "RationalFunction") -> "RationalFunction":
-        return RationalFunction(
-            self.num * other.den - other.num * self.den, self.den * other.den
-        )
+        return self._plus(-other.num, other.den)
 
     def __neg__(self) -> "RationalFunction":
         return RationalFunction(-self.num, self.den, reduce=False)
 
     def __mul__(self, other: "RationalFunction") -> "RationalFunction":
-        return RationalFunction(self.num * other.num, self.den * other.den)
+        return self._times(other.num, other.den)
 
     def __truediv__(self, other: "RationalFunction") -> "RationalFunction":
         if other.is_zero:
             raise ZeroDivisionError("division by zero function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
+        c = self.field.inv(other.num.lc())
+        return self._times(other.den.scale(c), other.num.scale(c))
 
     def inv(self) -> "RationalFunction":
         if self.is_zero:
             raise ZeroDivisionError("inverse of zero function")
-        return RationalFunction(self.den, self.num)
+        c = self.field.inv(self.num.lc())
+        return RationalFunction(self.den.scale(c), self.num.scale(c), reduce=False)
 
     def scale(self, c: int) -> "RationalFunction":
         return RationalFunction(self.num.scale(c), self.den, reduce=False)

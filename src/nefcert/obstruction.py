@@ -312,7 +312,9 @@ def _splitting_tails(E: EmbeddingData, choice: int):
             vx = one if b == 0 else -(x * x)
             dsig = _bi_eval(curve, _bi_partial_s(rows_ab), sig, ome)
             dome = _bi_eval(curve, _bi_partial_w(rows_ab), sig, ome)
-            charts.append((sig, ome, u_ab, vx, dsig, dome))
+            vfields = (dome if lam == 0 else dome + dsig.scale(lam) for lam in (0, 1, 2))
+            vfields = tuple(vf for vf in vfields if not vf.is_zero)
+            charts.append((sig, ome, u_ab, vx, dsig, vfields))
 
     fs_fn = charts[0][4]
     if fs_fn.is_zero:
@@ -322,24 +324,23 @@ def _splitting_tails(E: EmbeddingData, choice: int):
     bad.update(pl for pl, _ in curve.divisor(fs_fn).items)
     bad.update(curve.finite_ramified_places())
 
+    # options are (chart, field) descriptors; only the chosen one is built
     tails = []
     for pl in sorted(bad):
         opts = []
-        for sig, ome, u_ab, vx, dsig, dome in charts:
+        for chart in charts:
+            sig, ome, _, _, dsig, vfields = chart
             if curve.valuation(sig, pl) < 0 or curve.valuation(ome, pl) < 0:
                 continue
-            for lam in (0, 1, 2):
-                vf = dome if lam == 0 else dome + dsig.scale(lam)
-                if vf.is_zero or curve.valuation(vf, pl) != 0:
-                    continue
-                opts.append(-(vx * (u_ab * y * vf).inverse()))
+            opts.extend((chart, vf) for vf in vfields if curve.valuation(vf, pl) == 0)
             if not dsig.is_zero and curve.valuation(dsig, pl) == 0:
                 opts.append(None)  # the reference splitting itself works here
         if not opts:
             raise ValueError("degenerate chart data")
         pick = opts[choice % len(opts)]
         if pick is not None:
-            tails.append((pl, pick))
+            (_, _, u_ab, vx, _, _), vf = pick
+            tails.append((pl, -(vx * (u_ab * y * vf).inverse())))
     return tails
 
 
@@ -718,8 +719,18 @@ def certificate_verify(cert) -> VerifyReport:
     except (ValueError, AssertionError) as err:
         emb_err = f"embedding failed: {err}"
 
+    # checks 2, 4 and 7 share one decode; each raises its failure where it
+    # used to decode, so the precedence of its errors is unchanged
+    d_div = None
+    d_div_err = ""
     try:
         d_div = serialize.decode_divisor(curve, d["d_div"])
+    except ValueError as err:
+        d_div_err = str(err)
+
+    try:
+        if d_div is None:
+            raise ValueError(d_div_err)
         if n0 is None:
             raise ValueError(emb_err)
         cls = divisor_class_to_mumford(curve, n0 - d_div)
@@ -760,7 +771,8 @@ def certificate_verify(cert) -> VerifyReport:
         delta = curve.zero()
         for c, phi in zip(coords, dsp.basis):
             delta = delta + phi.scale(c)
-        d_div = serialize.decode_divisor(curve, d["d_div"])
+        if d_div is None:
+            raise ValueError(d_div_err)
         if delta.is_zero or curve.divisor(delta) != d_div - (n0 - l_rep):
             raise ValueError("delta does not vanish exactly on the stated points")
         beta = beta_functional(emb)
@@ -787,15 +799,14 @@ def certificate_verify(cert) -> VerifyReport:
     except ValueError as err:
         record(6, False, str(err))
 
-    try:
-        d_div = serialize.decode_divisor(curve, d["d_div"])
+    if d_div is None:
+        record(7, False, d_div_err)
+    else:
         ok7 = (
             d_div.degree == 12
             and len(d_div.items) == 12
             and all(m == 1 and pl.degree == 1 for pl, m in d_div.items)
         )
         record(7, ok7)
-    except ValueError as err:
-        record(7, False, str(err))
 
     return VerifyReport(tuple(results[i] for i in range(1, 8)))

@@ -465,6 +465,27 @@ def test_kappa_sqrt_is_the_canonical_root_at_degree_two(p):
             assert got is None
 
 
+@pytest.mark.parametrize("p,k,samples", [(3, 2, None), (5, 2, None), (7, 3, 6)])
+def test_kappa_sqrt_over_a_linear_modulus_is_the_canonical_root(p, k, samples):
+    """deg(u) = 1: kappa is F_q, and the root is the smaller code of +-r."""
+    F = field(p, k)
+    roots = {}
+    for r in F.elements():
+        roots.setdefault(F.mul(r, r), []).append(r)
+    rng = random.Random(F.q)
+    points = F.elements() if samples is None else rng.sample(F.elements(), samples)
+    for a in points:
+        u = P(F, F.neg(a), 1)
+        for c in F.elements():
+            # a representative of c mod u that is not already reduced
+            w = P(F, c) + u * poly_random(F, 2, rng)
+            got = kappa_sqrt(w, u)
+            if c in roots:
+                assert got == P(F, min(roots[c]))
+            else:
+                assert got is None
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**31), du=st.integers(1, 2), m=st.integers(2, 5))
 def test_hensel_sqrt(seed, du, m):
@@ -517,6 +538,66 @@ def test_rational_field_ops(fi, seed):
         assert a * a.inv() == RationalFunction.one(F)
     # derivative is a derivation
     assert (a * b).derivative() == a.derivative() * b + a * b.derivative()
+
+
+def _lowest_terms(num, den):
+    """Reference normal form: divide by the full gcd, make den monic."""
+    F = num.field
+    if num.is_zero:
+        return (), (1,)
+    g = poly_gcd(num, den)
+    num, den = num // g, den // g
+    c = F.inv(den.lc())
+    return num.scale(c).coeffs, den.scale(c).coeffs
+
+
+@pytest.mark.parametrize("p,k", [(3, 2), (7, 3)])
+def test_rational_ops_match_full_gcd_reference(p, k):
+    """+ - * / reduce only by the gcds that can cancel; the result must be
+    the full-gcd normal form, on operands sharing factors, on operands whose
+    result cancels to zero, and on constants."""
+    F = field(p, k)
+    rng = random.Random(p * 1000 + k)
+
+    def rand(deg):
+        return poly_random(F, deg, rng)
+
+    def nonzero(deg):
+        out = rand(deg)
+        while out.is_zero:
+            out = rand(deg)
+        return out
+
+    def pairs():
+        for _ in range(60):
+            h, e = nonzero(rng.randrange(1, 3)), nonzero(rng.randrange(1, 3))
+            n1, d1 = rand(rng.randrange(4)), nonzero(rng.randrange(3))
+            n2, d2 = rand(rng.randrange(4)), nonzero(rng.randrange(3))
+            # factors shared across the operands' numerators and denominators
+            yield (n1 * h, d1 * e), (n2 * e, d2 * h)
+            # denominators sharing a factor, as in Henrici's sum
+            yield (n1, d1 * h), (n2, d2 * h * h)
+            # unrelated operands
+            yield (n1, d1), (n2, d2)
+            # constants, and a constant against a fraction
+            c1, c2 = P(F, F.random(rng)), P(F, F.random(rng))
+            yield (c1, P(F, 1)), (c2, nonzero(0))
+            yield (c1, P(F, 1)), (n2, d2 * h)
+
+    for (n1, d1), (n2, d2) in pairs():
+        a, b = RationalFunction(n1, d1), RationalFunction(n2, d2)
+        cases = [
+            (a + b, n1 * d2 + n2 * d1, d1 * d2),
+            (a - b, n1 * d2 - n2 * d1, d1 * d2),
+            (a * b, n1 * n2, d1 * d2),
+            (a - a, P(F), P(F, 1)),
+            (a + (-a), P(F), P(F, 1)),
+        ]
+        if not b.is_zero:
+            cases.append((a / b, n1 * d2, d1 * n2))
+            cases.append((b / b, P(F, 1), P(F, 1)))
+        for got, num, den in cases:
+            assert (got.num.coeffs, got.den.coeffs) == _lowest_terms(num, den)
 
 
 def test_rational_ord():

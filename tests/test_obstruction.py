@@ -17,7 +17,7 @@ from nefcert.cohomology import (
     p_torsion_bundle,
     rr_space,
 )
-from nefcert.curves import SPLIT, Curve, Divisor
+from nefcert.curves import SPLIT, Curve, Differential, Divisor
 from nefcert.fields import Polynomial, field, is_irreducible
 from nefcert.jacobian import (
     class_order,
@@ -37,6 +37,7 @@ from nefcert.obstruction import (
     obstruction_scalar,
     rational_places,
 )
+from nefcert.series import PrecisionError
 
 
 @pytest.fixture(scope="module")
@@ -273,6 +274,43 @@ def test_beta_value_is_the_coefficient_pairing(request, which, scalar):
     for phi in space.basis:
         mix = mix + phi.scale(base.random(rng))
     assert beta.value(mix) == paired(mix)
+
+
+@pytest.mark.parametrize("which", ["cert", "cert25"])
+def test_residues_match_a_fixed_precision_expansion(request, which):
+    """Curve.residue starts at a low precision and doubles on PrecisionError;
+    every residue must equal the one read off a precision-32 expansion, both
+    for the beta pairings and for differentials whose poles of order >= 8
+    cannot be answered at the starting precision."""
+    cert = request.getfixturevalue(which)
+    curve, emb = _embedding(cert)
+    beta = beta_functional(emb)
+
+    def fixed(omega, pl):
+        ring, ser = curve.expand_differential(omega, pl, 32)
+        return ring.trace(ser.coeff_at(-1))
+
+    for pl, tail in beta.tails:
+        for psi in rr_space(curve, beta.space_div).basis:
+            omega = Differential(curve, tail * psi)
+            assert curve.residue(omega, pl) == fixed(omega, pl)
+
+    # poles of order >= 8, with nonzero residues on both certificates; the
+    # simple poles over x = -1 keep the residue at infinity from being forced
+    # to zero by the residue theorem
+    x, y = curve.x(), curve.y()
+    split = next(pl for pl, _ in beta.tails if pl.kind == SPLIT)
+    deep = [
+        (Differential(curve, (y + x) * curve.fn(split.u).inverse() ** 9), split),
+        (
+            Differential(curve, (y + x) * x**4 * (x + curve.one()).inverse()),
+            curve.infinite_place(),
+        ),
+    ]
+    for omega, pl in deep:
+        with pytest.raises(PrecisionError):
+            curve.expand_differential(omega, pl, 4)[1].coeff_at(-1)
+        assert curve.residue(omega, pl) == fixed(omega, pl)
 
 
 def test_beta_value_rejects_foreign_sections(setting):
