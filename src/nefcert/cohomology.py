@@ -552,7 +552,7 @@ def cartier_manin(curve: Curve) -> tuple:
 
 def cartier_nonsingular(curve: Curve) -> bool:
     m = cartier_manin(curve)
-    return linalg.det(curve.field, [list(r) for r in m]) != 0
+    return linalg.rank(curve.field, [list(r) for r in m]) == 2
 
 
 def p_rank(curve: Curve) -> int:

@@ -1012,9 +1012,6 @@ class RationalFunction:
     def is_zero(self) -> bool:
         return self.num.is_zero
 
-    def is_poly(self) -> bool:
-        return self.den.degree == 0
-
     def deg(self) -> int:
         """deg(num) - deg(den); the degree of the zero function is undefined."""
         if self.is_zero:

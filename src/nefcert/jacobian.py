@@ -13,6 +13,7 @@ import functools
 import random
 from dataclasses import dataclass
 
+from . import linalg
 from .curves import Curve, Divisor, INERT, INFINITE, RAMIFIED, SPLIT
 from .fields import Polynomial, _factor_int, field, poly_factor, poly_xgcd
 
@@ -151,34 +152,33 @@ def frobenius_data(curve: Curve) -> FrobeniusData:
     if k > 1 and all(c < p for c in curve.f.coeffs):
         # base change of a prime-field model: power the eigenvalues exactly
         # instead of counting points over huge extensions
-        sub = frobenius_data(Curve(field(p), curve.f.coeffs))
-        Ak = _int_mat_pow(sub.companion(), k)
-        t1 = sum(Ak[i][i] for i in range(4))
-        A2k = _int_mat_mul(Ak, Ak)
-        t2 = sum(A2k[i][i] for i in range(4))
-        assert (t1 * t1 - t2) % 2 == 0
-        order = _int_det([[(i == j) - Ak[i][j] for j in range(4)] for i in range(4)])
-        assert order > 0
-        return FrobeniusData(
-            q=q,
-            n1=q + 1 - t1,
-            n2=q * q + 1 - t2,
-            a1=t1,
-            a2=(t1 * t1 - t2) // 2,
-            order=order,
-        )
-    if q * q > 10**7:
-        raise ValueError("field too large")
-    n1 = curve.point_count(1)
-    n2 = curve.point_count(2)
-    a1 = q + 1 - n1
-    assert (n2 - q * q - 1 + a1 * a1) % 2 == 0
-    a2 = (n2 - q * q - 1 + a1 * a1) // 2
-    assert a1 * a1 <= 16 * q, "trace violates the Weil bound"
+        t1, t2 = _power_traces(frobenius_data(Curve(field(p), curve.f.coeffs)), k)
+    else:
+        if q * q > 10**7:
+            raise ValueError("field too large")
+        t1 = q + 1 - curve.point_count(1)
+        t2 = q * q + 1 - curve.point_count(2)
+    return _zeta_data(q, t1, t2)
+
+
+def _zeta_data(q: int, t1: int, t2: int) -> FrobeniusData:
+    """Zeta data over F_q from the Frobenius traces t1 = tr A, t2 = tr A^2."""
+    assert (t1 * t1 - t2) % 2 == 0
+    a2 = (t1 * t1 - t2) // 2
+    assert t1 * t1 <= 16 * q, "trace violates the Weil bound"
     assert abs(a2) <= 6 * q, "second trace term violates the Weil bound"
-    order = 1 + q * q - a1 * (1 + q) + a2
+    # the group order is P(1) = det(I - A) for the characteristic polynomial
+    # P(T) = T^4 - t1 T^3 + a2 T^2 - q t1 T + q^2
+    order = 1 + q * q - t1 * (1 + q) + a2
     assert order > 0
-    return FrobeniusData(q=q, n1=n1, n2=n2, a1=a1, a2=a2, order=order)
+    return FrobeniusData(q=q, n1=q + 1 - t1, n2=q * q + 1 - t2, a1=t1, a2=a2, order=order)
+
+
+def _power_traces(data: FrobeniusData, m: int) -> tuple[int, int]:
+    """(tr A^m, tr A^2m) for the Frobenius A of the zeta data."""
+    Am = _int_mat_pow(data.companion(), m)
+    A2m = _int_mat_mul(Am, Am)
+    return sum(Am[i][i] for i in range(4)), sum(A2m[i][i] for i in range(4))
 
 
 def jac_order(curve: Curve) -> int:
@@ -203,29 +203,10 @@ def _int_mat_pow(A, e: int):
     return R
 
 
-def _int_det(M) -> int:
-    n = len(M)
-    if n == 1:
-        return M[0][0]
-    out = 0
-    sign = 1
-    for j in range(n):
-        minor = [row[:j] + row[j + 1 :] for row in M[1:]]
-        if M[0][j]:
-            out += sign * M[0][j] * _int_det(minor)
-        sign = -sign
-    return out
-
-
 def jac_order_ext(curve: Curve, m: int) -> int:
     """Order of the group over the degree-m extension, from the zeta data."""
     data = frobenius_data(curve)
-    A = _int_mat_pow(data.companion(), m)
-    for i in range(4):
-        A[i][i] -= 1
-    det = _int_det(A)
-    assert det > 0
-    return det
+    return _zeta_data(data.q**m, *_power_traces(data, m)).order
 
 
 def is_ordinary(curve: Curve) -> bool:
@@ -246,23 +227,15 @@ def p_torsion_field_degree(curve: Curve) -> int:
     data = frobenius_data(curve)
     if data.a2 % p == 0:
         raise ValueError("expected ordinary")
-    a1, a2 = data.a1 % p, data.a2 % p
-    M = [[0, (-a2) % p], [1, a1 % p]]
-    A = [row[:] for row in M]
+    F = field(p)
+    M = [[0, -data.a2 % p], [1, data.a1 % p]]
+    A = M
     for m in range(1, p * p):
-        det = (A[0][0] - 1) * (A[1][1] - 1) - A[0][1] * A[1][0]
-        if det % p == 0:
+        # 1 is an eigenvalue of A = M^m: A - I is singular
+        (a, b), (c, d) = A
+        if linalg.rank(F, [[F.sub(a, 1), b], [c, F.sub(d, 1)]]) < 2:
             return m
-        A = [
-            [
-                (A[0][0] * M[0][0] + A[0][1] * M[1][0]) % p,
-                (A[0][0] * M[0][1] + A[0][1] * M[1][1]) % p,
-            ],
-            [
-                (A[1][0] * M[0][0] + A[1][1] * M[1][0]) % p,
-                (A[1][0] * M[0][1] + A[1][1] * M[1][1]) % p,
-            ],
-        ]
+        A = linalg.mat_mul(F, A, M)
     raise AssertionError("unit-root eigenvalues must have order dividing p^2 - 1")
 
 

@@ -3,18 +3,39 @@
 Blow-ups of P^1 x P^1 and of P^2 carry a hyperbolic intersection form on
 their divisor class lattice.  Everything here is integer or rational: the
 inertia of a symmetric form is computed by congruence diagonalization over
-the rationals, orthogonal complements by exact kernels, and the extremal
-counting arguments (sets of directions with pairwise non-positive inner
-products) by brute-force search over small rational grids.
+the rationals; orthogonal complements, coordinates and independence come
+from `linalg` over `QQ`, the rationals with Fraction entries; and the
+extremal counting arguments (sets of directions with pairwise non-positive
+inner products) by brute-force search over small rational grids.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import linalg
+
 P1XP1 = "p1xp1"
 P2 = "p2"
+
+
+class _Rationals:
+    """Q with the element interface `linalg` uses.  Entries are Fractions
+    or ints; `inv` returns a Fraction, so no step divides two ints."""
+
+    add = staticmethod(operator.add)
+    sub = staticmethod(operator.sub)
+    neg = staticmethod(operator.neg)
+    mul = staticmethod(operator.mul)
+
+    @staticmethod
+    def inv(a):
+        return 1 / Fraction(a)
+
+
+QQ = _Rationals()
 
 
 @dataclass(frozen=True)
@@ -167,46 +188,10 @@ def hodge_signature(lat: SurfaceLattice) -> tuple:
     return pos, neg
 
 
-def _rref_frac(rows):
-    m = [[Fraction(x) for x in row] for row in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [v * inv for v in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return m, pivots
-
-
 def _perp_basis(lat: SurfaceLattice, ref: LatticeClass):
     """Rational basis of the orthogonal complement of ref."""
-    row = [
-        sum(lat.gram[i][j] * ref.coords[i] for i in range(lat.rank))
-        for j in range(lat.rank)
-    ]
-    red, pivots = _rref_frac([row])
-    free = [c for c in range(lat.rank) if c not in pivots]
-    out = []
-    for fc in free:
-        v = [Fraction(0)] * lat.rank
-        v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -red[i][fc]
-        out.append(v)
-    return out
+    row = linalg.mat_vec(QQ, lat.gram, ref.coords)  # the gram matrix is symmetric
+    return linalg.kernel_basis(QQ, [row], lat.rank)
 
 
 def restricted_form(lat: SurfaceLattice, ref: LatticeClass):
@@ -221,21 +206,11 @@ def restricted_form(lat: SurfaceLattice, ref: LatticeClass):
     basis = _perp_basis(lat, ref)
     if intersect(lat, ref, ref) == 0:
         # drop one basis vector so the rest spans a complement of Q*ref
-        stacked = [list(map(Fraction, ref.coords))] + basis
-        _, pivots = _rref_frac([list(r) for r in zip(*stacked)])
+        _, pivots = linalg.rref(QQ, [list(r) for r in zip(ref.coords, *basis)])
         keep = [i - 1 for i in pivots if i > 0]
         basis = [basis[i] for i in keep]
-    grows = []
-    for v in basis:
-        gv = [
-            sum(lat.gram[i][j] * v[i] for i in range(lat.rank))
-            for j in range(lat.rank)
-        ]
-        grows.append(gv)
-    return tuple(
-        tuple(sum(w[j] * grows[i][j] for j in range(lat.rank)) for w in basis)
-        for i in range(len(basis))
-    ), basis
+    gram_basis = [linalg.mat_vec(QQ, lat.gram, v) for v in basis]
+    return tuple(tuple(linalg.mat_vec(QQ, gram_basis, w)) for w in basis), basis
 
 
 # --- Rankin-type counting ---------------------------------------------------
@@ -397,8 +372,7 @@ def exceptional_curves(
         bound = rho - 1
         if negative:
             coords = [_project(lat, basis, ref, a) for a in negative]
-            red, pivots = _rref_frac(coords)
-            if len(pivots) != len(negative):
+            if linalg.rank(QQ, [list(c) for c in coords]) != len(negative):
                 raise ValueError("supplied classes are linearly dependent")
             if len(negative) > bound:
                 raise ValueError("counting bound violated")
@@ -409,15 +383,11 @@ def _project(lat: SurfaceLattice, basis, ref: LatticeClass, a: LatticeClass):
     """Coordinates of a in the restricted-form basis (mod the ref ray)."""
     cols = list(basis)
     if intersect(lat, ref, ref) == 0:
-        cols = cols + [list(map(Fraction, ref.coords))]
+        cols.append(ref.coords)
     rows = [[col[i] for col in cols] for i in range(lat.rank)]
-    aug = [row + [Fraction(a.coords[i])] for i, row in enumerate(rows)]
-    red, pivots = _rref_frac(aug)
-    if pivots and pivots[-1] == len(cols):
+    sol = linalg.solve(QQ, rows, list(a.coords))
+    if sol is None:
         raise ValueError("class lies outside the orthogonal complement")
-    sol = [Fraction(0)] * len(cols)
-    for i, pc in enumerate(pivots):
-        sol[pc] = red[i][len(cols)]
     return tuple(sol[: len(basis)])
 
 

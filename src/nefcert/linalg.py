@@ -1,8 +1,11 @@
-"""Dense exact linear algebra over the finite fields of `fields`.
+"""Dense exact linear algebra over F_q and Q.
 
-Matrices are lists of rows; entries are integer field codes.  All sizes in
-this package are small, so plain cubic Gaussian elimination is used
-throughout; prime fields get a direct modular fast path.
+Matrices are lists of rows.  `field` is anything with the element
+operations `add`, `sub`, `neg`, `mul` and `inv`: a finite field of
+`fields`, whose entries are integer codes, or the rationals of `lattice`,
+whose entries are Fractions.  Zero must be the only falsy entry.  All sizes
+in this package are small, so `rref` is plain cubic Gaussian elimination;
+it is the package's one Gaussian elimination.
 """
 
 from __future__ import annotations
@@ -17,44 +20,23 @@ def rref(field: Field, rows: list[list[int]]) -> tuple[list[list[int]], list[int
     ncols = len(m[0]) if nrows else 0
     pivots: list[int] = []
     r = 0
-    if field.k == 1:
-        p = field.p
-        for c in range(ncols):
-            pr = next((i for i in range(r, nrows) if m[i][c] % p), None)
-            if pr is None:
-                continue
-            m[r], m[pr] = m[pr], m[r]
-            inv = pow(m[r][c], p - 2, p)
-            m[r] = [v * inv % p for v in m[r]]
-            row_r = m[r]
-            for i in range(nrows):
-                if i != r and m[i][c]:
-                    f = m[i][c]
-                    row_i = m[i]
-                    m[i] = [(a - f * b) % p for a, b in zip(row_i, row_r)]
-            pivots.append(c)
-            r += 1
-            if r == nrows:
-                break
-    else:
-        mul, sub, invf = field.mul, field.sub, field.inv
-        for c in range(ncols):
-            pr = next((i for i in range(r, nrows) if m[i][c]), None)
-            if pr is None:
-                continue
-            m[r], m[pr] = m[pr], m[r]
-            inv = invf(m[r][c])
-            m[r] = [mul(v, inv) for v in m[r]]
-            row_r = m[r]
-            for i in range(nrows):
-                if i != r and m[i][c]:
-                    f = m[i][c]
-                    row_i = m[i]
-                    m[i] = [sub(a, mul(f, b)) for a, b in zip(row_i, row_r)]
-            pivots.append(c)
-            r += 1
-            if r == nrows:
-                break
+    mul, sub, invf = field.mul, field.sub, field.inv
+    for c in range(ncols):
+        pr = next((i for i in range(r, nrows) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = invf(m[r][c])
+        m[r] = [mul(v, inv) for v in m[r]]
+        row_r = m[r]
+        for i in range(nrows):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [sub(a, mul(f, b)) for a, b in zip(m[i], row_r)]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
     return m, pivots
 
 
@@ -68,8 +50,6 @@ def kernel_basis(field: Field, rows: list[list[int]], ncols: int) -> list[list[i
     Each basis vector has a 1 in one free column and 0 in the others, so the
     output is deterministic given the row space.
     """
-    if not rows:
-        return [[1 if i == j else 0 for i in range(ncols)] for j in range(ncols)]
     m, pivots = rref(field, rows)
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
@@ -123,25 +103,3 @@ def mat_vec(field: Field, a: list[list[int]], v: list[int]) -> list[int]:
                 acc = add(acc, mul(c, x))
         out.append(acc)
     return out
-
-
-def det(field: Field, rows: list[list[int]]) -> int:
-    """Determinant by elimination (square matrix)."""
-    n = len(rows)
-    m = [list(r) for r in rows]
-    mul, sub, invf, neg = field.mul, field.sub, field.inv, field.neg
-    d = 1
-    for c in range(n):
-        pr = next((i for i in range(c, n) if m[i][c]), None)
-        if pr is None:
-            return 0
-        if pr != c:
-            m[c], m[pr] = m[pr], m[c]
-            d = neg(d)
-        d = mul(d, m[c][c])
-        inv = invf(m[c][c])
-        for i in range(c + 1, n):
-            if m[i][c]:
-                f = mul(m[i][c], inv)
-                m[i] = [sub(a, mul(f, b)) for a, b in zip(m[i], m[c])]
-    return d

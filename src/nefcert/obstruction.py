@@ -788,7 +788,7 @@ def certificate_verify(cert) -> VerifyReport:
             raise ValueError("no trivialization to transport with")
         frob = frobenius_h1(curve, -l_rep, g_fn)
         stored = serialize.decode_semilinear(curve.field, d["frob"])
-        record(5, frob.injective and frob.matrix == stored.matrix)
+        record(5, frob.injective and frob == stored)
     except (ValueError, ZeroDivisionError) as err:
         record(5, False, str(err))
 

@@ -101,6 +101,14 @@ def _is_int_list(v) -> bool:
     return isinstance(v, list) and all(type(c) is int for c in v)
 
 
+def _below_power(n: int, p: int, k: int) -> bool:
+    """n < p**k for n >= 0, without building p**k for an unchecked k."""
+    while n and k:
+        n //= p
+        k -= 1
+    return n == 0
+
+
 def _check_rational(v, key: str):
     _want(isinstance(v, dict), f"{key}: expected an object")
     _want(set(v) == {"num", "den"}, f"{key}: expected num/den")
@@ -179,6 +187,11 @@ def ensure_certificate_shape(d) -> dict:
     _check_fn(d["gamma"], "gamma")
     _check_fn(d["alpha"], "alpha")
     _want(_is_int_list(d["delta_coords"]), "delta_coords: expected integers")
+    _want(
+        all(c >= 0 for c in d["delta_coords"])
+        and _below_power(max(d["delta_coords"], default=0), d["p"], d["k"]),
+        "delta_coords: code outside the field of p^k elements",
+    )
     fr = d["frob"]
     _want(
         isinstance(fr, dict) and set(fr) == {"twist", "matrix", "source_dim", "target_dim"},

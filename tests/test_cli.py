@@ -43,6 +43,14 @@ def test_verify_exit_codes(tmp_path, capsys):
     assert code == 1
     assert "verdict: FAIL" in out
 
+    for code_outside_f9 in (9, -1):
+        d["delta_coords"][0] = code_outside_f9
+        bad.write_text(json.dumps(d))
+        code, out, err = run(capsys, ["verify", str(bad)])
+        assert code == 2
+        assert out == ""
+        assert "malformed certificate: delta_coords:" in err
+
     mangled = tmp_path / "mangled.json"
     mangled.write_text("{]")
     code, _, err = run(capsys, ["verify", str(mangled)])

@@ -47,8 +47,14 @@ def test_frobenius_data_and_group_order():
     assert d2.charpoly == (9, 0, 2, 0, 1)
 
 
+def base_change_f9(C: Curve) -> Curve:
+    emb = embedding(F3, field(3, 2))
+    return Curve(field(3, 2), tuple(emb(c) for c in C.f.coeffs))
+
+
 def test_enumeration_matches_charpoly_order():
-    for C in (curve35(), curve3x()):
+    # the F_9 base changes take the trace-formula branch of frobenius_data
+    for C in (curve35(), curve3x(), base_change_f9(curve35()), base_change_f9(curve3x())):
         classes = enumerate_classes(C)
         assert len(classes) == jac_order(C)
         assert len(set(classes)) == len(classes)

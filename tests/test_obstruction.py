@@ -453,6 +453,9 @@ def test_certificate_fields(cert):
         ("delta", 4),
         ("g", 3),
         ("d_div", 2),
+        ("frob.twist", 5),
+        ("frob.source_dim", 5),
+        ("frob.target_dim", 5),
     ],
 )
 def test_certificate_mutations_fail_at_the_intended_check(cert, mutate, expect):
@@ -469,8 +472,10 @@ def test_certificate_mutations_fail_at_the_intended_check(cert, mutate, expect):
         num = dd["g"]["a"]["num"] or [0]
         num[0] = (num[0] + 1) % q
         dd["g"]["a"]["num"] = num
-    else:
+    elif mutate == "d_div":
         dd["d_div"][0] = dd["d_div"][1]
+    else:
+        dd["frob"][mutate.removeprefix("frob.")] += 1
     report = certificate_verify(dd)
     assert not report.ok
     failed = [c.index for c in report.checks if not c.passed]
