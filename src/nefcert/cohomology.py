@@ -152,53 +152,26 @@ def rr_space(curve: Curve, divisor: Divisor) -> RRSpace:
                 m_req = e_u * w - divisor.mult(pl)
                 if m_req <= 0:
                     continue
+                # (modulus, start of the A residues, start of the B residues)
                 one = Polynomial.one(base)
                 if pl.kind == SPLIT:
-                    mod = u**m_req
-                    yy = hensel_sqrt(f, u, pl.v, m_req)
-                    cols = list(enumerate(_monomial_residues(base, na, mod, one)))
-                    cols += [
-                        (na + j, r)
-                        for j, r in enumerate(_monomial_residues(base, nb, mod, yy))
-                    ]
-                    _append_congruence(rows, mod, nun, cols)
+                    conds = [(u**m_req, one, hensel_sqrt(f, u, pl.v, m_req))]
                 elif pl.kind == RAMIFIED:
-                    mod_a = u ** ((m_req + 1) // 2)
-                    mod_b = u ** (m_req // 2)
-                    _append_congruence(
-                        rows,
-                        mod_a,
-                        nun,
-                        list(enumerate(_monomial_residues(base, na, mod_a, one))),
-                    )
-                    _append_congruence(
-                        rows,
-                        mod_b,
-                        nun,
-                        [
-                            (na + j, r)
-                            for j, r in enumerate(
-                                _monomial_residues(base, nb, mod_b, one)
-                            )
-                        ],
-                    )
+                    conds = [
+                        (u ** ((m_req + 1) // 2), one, None),
+                        (u ** (m_req // 2), None, one),
+                    ]
                 else:
                     mod = u**m_req
-                    _append_congruence(
-                        rows,
-                        mod,
-                        nun,
-                        list(enumerate(_monomial_residues(base, na, mod, one))),
-                    )
-                    _append_congruence(
-                        rows,
-                        mod,
-                        nun,
-                        [
-                            (na + j, r)
-                            for j, r in enumerate(_monomial_residues(base, nb, mod, one))
-                        ],
-                    )
+                    conds = [(mod, one, None), (mod, None, one)]
+                for mod, a0, b0 in conds:
+                    cols = [
+                        (off + j, r)
+                        for off, count, start in ((0, na, a0), (na, nb, b0))
+                        if start is not None
+                        for j, r in enumerate(_monomial_residues(base, count, mod, start))
+                    ]
+                    _append_congruence(rows, mod, nun, cols)
         vectors = linalg.kernel_basis(base, rows, nun)
     basis = []
     for vec in vectors:

@@ -35,10 +35,8 @@ from .series import (
     TruncSeries,
     poly_series,
     rf_series,
-    series_inert,
+    series_finite,
     series_infinite,
-    series_ramified,
-    series_split,
 )
 
 SPLIT = "split"
@@ -332,14 +330,14 @@ def _retry(job, start: int, cap: int = _PREC_CAP):
 
 @functools.lru_cache(maxsize=512)
 def _frames(curve: "Curve", place: Place, prec: int):
-    f = curve.f
+    ring = curve.residue_ring(place)
+    if place.kind == INFINITE:
+        return series_infinite(ring, curve.f, prec)
     if place.kind == SPLIT:
-        return series_split(f, place.u, place.v, prec)
-    if place.kind == INERT:
-        return series_inert(f, place.u, prec)
-    if place.kind == RAMIFIED:
-        return series_ramified(f, place.u, prec)
-    return series_infinite(f, prec)
+        y0 = ring.kappa(place.v)
+    else:
+        y0 = ring.root if place.kind == INERT else None
+    return series_finite(ring, curve.f, place.u, y0, prec)
 
 
 def _shifted_residue(r: RationalFunction, u: Polynomial, s: int) -> Polynomial:
@@ -424,14 +422,18 @@ class Curve:
     def residue_ring(self, place: Place):
         """Coefficient ring of local expansions at the place.
 
-        Matches the ring chosen by the series constructors, so ring elements
-        taken from expansions stay interoperable.
+        The only code that chooses a ring: the base field for places of
+        degree 1 (and at infinity), F_q[x]/(u) for split and ramified places
+        of higher degree, its quadratic extension by a root of f at inert
+        places.  The series constructors take the ring from here.
         """
+        if place.kind == INFINITE:
+            return BaseRing(self.field)
         if place.kind == INERT:
             return QuadModRing(self.field, place.u, self.f % place.u)
-        if place.kind != INFINITE and place.u.degree > 1:
+        if place.u.degree > 1:
             return PolyModRing(self.field, place.u)
-        return BaseRing(self.field)
+        return BaseRing(self.field, place.u)
 
     def places_above(self, u: Polynomial) -> list[Place]:
         """The places over the monic irreducible u, canonically ordered."""

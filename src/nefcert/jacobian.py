@@ -84,8 +84,9 @@ class MumfordClass:
         while n:
             if n & 1:
                 out = out + base
-            base = base + base
             n >>= 1
+            if n:
+                base = base + base
         return out
 
     __rmul__ = __mul__
@@ -134,16 +135,6 @@ class FrobeniusData:
         """T^4 - a1 T^3 + a2 T^2 - q a1 T + q^2, low degree first."""
         return (self.q**2, -self.q * self.a1, self.a2, -self.a1, 1)
 
-    def companion(self) -> list[list[int]]:
-        c = self.charpoly
-        n = 4
-        A = [[0] * n for _ in range(n)]
-        for i in range(1, n):
-            A[i][i - 1] = 1
-        for i in range(n):
-            A[i][n - 1] = -c[i]
-        return A
-
 
 @functools.lru_cache(maxsize=None)
 def frobenius_data(curve: Curve) -> FrobeniusData:
@@ -175,32 +166,22 @@ def _zeta_data(q: int, t1: int, t2: int) -> FrobeniusData:
 
 
 def _power_traces(data: FrobeniusData, m: int) -> tuple[int, int]:
-    """(tr A^m, tr A^2m) for the Frobenius A of the zeta data."""
-    Am = _int_mat_pow(data.companion(), m)
-    A2m = _int_mat_mul(Am, Am)
-    return sum(Am[i][i] for i in range(4)), sum(A2m[i][i] for i in range(4))
+    """(tr A^m, tr A^2m) for the Frobenius A of the zeta data.
+
+    The traces are the power sums s_k of the roots of the characteristic
+    polynomial, by Newton's identities: s_k = sum_i c_i s_(k-i) over
+    i = 1..min(k, 4), with k in place of s_0, where T^4 - sum_i c_i T^(4-i)
+    is the characteristic polynomial.
+    """
+    c = (data.a1, -data.a2, data.q * data.a1, -data.q * data.q)
+    s = [0]
+    for k in range(1, 2 * m + 1):
+        s.append(sum(c[i] * (s[k - 1 - i] if i < k - 1 else k) for i in range(min(k, 4))))
+    return s[m], s[2 * m]
 
 
 def jac_order(curve: Curve) -> int:
     return frobenius_data(curve).order
-
-
-def _int_mat_mul(A, B):
-    n = len(A)
-    return [
-        [sum(A[i][k] * B[k][j] for k in range(n)) for j in range(n)] for i in range(n)
-    ]
-
-
-def _int_mat_pow(A, e: int):
-    n = len(A)
-    R = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    while e:
-        if e & 1:
-            R = _int_mat_mul(R, A)
-        A = _int_mat_mul(A, A)
-        e >>= 1
-    return R
 
 
 def jac_order_ext(curve: Curve, m: int) -> int:

@@ -207,8 +207,9 @@ def normal_bundle_divisor(E: EmbeddingData, rng: random.Random | None = None) ->
     is intersected instead, giving another representative of the same class.
     """
     curve = E.curve
+    # effective of degree 2*3 + 3*2 = 12: embed_bidegree_2_3 checked both
+    # polar degrees
     n0 = E.s_polar * 2 + _polar(curve, curve.x()) * 3
-    assert n0.degree == 12 and n0.is_effective
     if rng is None:
         return n0
     for _ in range(64):
@@ -453,7 +454,9 @@ class SearchBudget:
 
     curve_tries: int = 64
     max_field_degree: int = 8
-    # group-order counting needs q^2 affine evaluations; keep q modest
+    # search curves are defined over F_p, so group orders come from point
+    # counts over F_p and F_{p^2}; max_q bounds the field F_q the search
+    # works in, whose own point count takes q evaluations
     max_q: int = 3000
     torsion_tries: int = 8
     pencil_tries: int = 12
@@ -716,7 +719,7 @@ def certificate_verify(cert) -> VerifyReport:
         a_div = serialize.decode_divisor(curve, d["a_div"])
         emb = embed_bidegree_2_3(curve, a_div)
         n0 = normal_bundle_divisor(emb)
-    except (ValueError, AssertionError) as err:
+    except ValueError as err:
         emb_err = f"embedding failed: {err}"
 
     # checks 2, 4 and 7 share one decode; each raises its failure where it

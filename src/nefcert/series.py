@@ -5,6 +5,9 @@ completed local ring, which is a power series ring over the residue field.
 The residue field is either the base field itself, a quotient F_q[x]/(u), or
 a quadratic extension of such a quotient.  Ring adapter classes give these
 three a uniform element interface so one series engine serves all of them.
+`Curve.residue_ring` is the only code that chooses the adapter of a place;
+`series_finite` builds the expansions at every finite place from it with one
+Newton solve, and `series_infinite` those at the place over infinity.
 
 Precision is tracked rigorously: a series knows the exponent range on which
 its coefficients are exact, operations propagate that range pessimistically,
@@ -24,12 +27,17 @@ class PrecisionError(Exception):
 
 
 class BaseRing:
-    """Coefficients in the finite field itself, stored as element codes."""
+    """Coefficients in the finite field itself, stored as element codes.
 
-    __slots__ = ("field",)
+    u is the linear polynomial of the place (None at infinity); it only
+    serves the residue map, so equality and hashing look at the field alone.
+    """
 
-    def __init__(self, field: Field):
+    __slots__ = ("field", "u")
+
+    def __init__(self, field: Field, u: Polynomial | None = None):
         self.field = field
+        self.u = u
 
     def __eq__(self, other):
         return type(other) is BaseRing and other.field == self.field
@@ -54,11 +62,11 @@ class BaseRing:
     def embed_int(self, n: int):
         return n % self.field.p
 
+    def kappa(self, a: Polynomial):
+        return (a % self.u)[0]
+
     def add(self, a, b):
         return self.field.add(a, b)
-
-    def sub(self, a, b):
-        return self.field.sub(a, b)
 
     def neg(self, a):
         return self.field.neg(a)
@@ -72,10 +80,6 @@ class BaseRing:
     def trace(self, a) -> int:
         return a
 
-    @property
-    def width(self) -> int:
-        return 1
-
     def is_zero(self, a) -> bool:
         return a == 0
 
@@ -84,9 +88,6 @@ class BaseRing:
 
     def to_codes(self, a) -> tuple:
         return (a,)
-
-    def from_codes(self, codes):
-        return codes[0]
 
 
 class PolyModRing:
@@ -121,11 +122,11 @@ class PolyModRing:
     def embed_int(self, n: int):
         return Polynomial.const(self.field, n % self.field.p)
 
+    def kappa(self, a: Polynomial):
+        return a % self.u
+
     def add(self, a, b):
         return a + b
-
-    def sub(self, a, b):
-        return a - b
 
     def neg(self, a):
         return -a
@@ -139,10 +140,6 @@ class PolyModRing:
     def trace(self, a) -> int:
         return kappa_trace(a, self.u)
 
-    @property
-    def width(self) -> int:
-        return self.u.degree
-
     def is_zero(self, a) -> bool:
         return a.is_zero
 
@@ -151,9 +148,6 @@ class PolyModRing:
 
     def to_codes(self, a) -> tuple:
         return tuple(a[i] for i in range(self.u.degree))
-
-    def from_codes(self, codes):
-        return Polynomial(self.field, codes)
 
 
 class QuadModRing:
@@ -199,14 +193,11 @@ class QuadModRing:
     def embed_int(self, n: int):
         return self.embed(n % self.field.p)
 
-    def embed_kappa(self, a: Polynomial):
+    def kappa(self, a: Polynomial):
         return (a % self.u, Polynomial.zero(self.field))
 
     def add(self, a, b):
         return (a[0] + b[0], a[1] + b[1])
-
-    def sub(self, a, b):
-        return (a[0] - b[0], a[1] - b[1])
 
     def neg(self, a):
         return (-a[0], -a[1])
@@ -229,10 +220,6 @@ class QuadModRing:
         # a + b*root to 2a.
         return kappa_trace(a[0] + a[0], self.u)
 
-    @property
-    def width(self) -> int:
-        return 2 * self.u.degree
-
     def is_zero(self, a) -> bool:
         return a[0].is_zero and a[1].is_zero
 
@@ -249,13 +236,6 @@ class QuadModRing:
     def to_codes(self, a) -> tuple:
         d = self.u.degree
         return tuple(a[0][i] for i in range(d)) + tuple(a[1][i] for i in range(d))
-
-    def from_codes(self, codes):
-        d = self.u.degree
-        return (
-            Polynomial(self.field, codes[:d]),
-            Polynomial(self.field, codes[d:]),
-        )
 
 
 class TruncSeries:
@@ -458,81 +438,36 @@ def _sqrt_series(ring, fs: TruncSeries, y0) -> TruncSeries:
     return _newton(TruncSeries.const(ring, y0, fs.prec), step)
 
 
-def series_split(f: Polynomial, u: Polynomial, v: Polynomial, prec: int):
-    """Local frames (ring, xs, ys) at a place over u with y congruent to v.
+def series_finite(ring, f: Polynomial, u: Polynomial, y0, prec: int):
+    """Local frames (ring, xs, ys) at a finite place over u.
 
-    The local parameter is u(x); xs solves u(xs) = t, ys is the square root
-    of f(xs) with constant term the residue of v.
+    y0 is the residue of y at the place, or None at the ramified place.
+    Otherwise the local parameter is u(x): xs solves u(xs) = t and ys is
+    the square root of f(xs) with constant term y0.  At the ramified place
+    the parameter is y itself: xs solves f(xs) = t^2 and ys = t.
     """
-    field = f.field
-    if u.degree == 1:
-        ring = BaseRing(field)
-        a = field.neg(u[0])
-        xs = TruncSeries.make(ring, 0, [a, 1], prec)
-        y0 = v.eval(a)
-    else:
-        ring = PolyModRing(field, u)
-        xbar = Polynomial.x(field) % u
-        t = TruncSeries.t_power(ring, 1, prec)
-        du = u.derivative()
-
-        def step(x: TruncSeries) -> TruncSeries:
-            return x - (poly_series(ring, u, x) - t) * poly_series(ring, du, x).invert()
-
-        xs = _newton(TruncSeries.const(ring, xbar, prec), step)
-        y0 = v % u
-    ys = _sqrt_series(ring, poly_series(ring, f, xs), y0)
-    return ring, xs, ys
-
-
-def series_inert(f: Polynomial, u: Polynomial, prec: int):
-    """Local frames at the unique place over u when f is a non-square mod u."""
-    field = f.field
-    ring = QuadModRing(field, u, f % u)
-    xbar = ring.embed_kappa(Polynomial.x(field))
-    t = TruncSeries.t_power(ring, 1, prec)
-    du = u.derivative()
+    g, e = (f, 2) if y0 is None else (u, 1)
+    te = TruncSeries.t_power(ring, e, prec)
+    dg = g.derivative()
 
     def step(x: TruncSeries) -> TruncSeries:
-        return x - (poly_series(ring, u, x) - t) * poly_series(ring, du, x).invert()
+        return x - (poly_series(ring, g, x) - te) * poly_series(ring, dg, x).invert()
 
-    xs = _newton(TruncSeries.const(ring, xbar, prec), step)
-    ys = _sqrt_series(ring, poly_series(ring, f, xs), ring.root)
-    return ring, xs, ys
-
-
-def series_ramified(f: Polynomial, u: Polynomial, prec: int):
-    """Local frames at the ramified place over u (u divides f).
-
-    The local parameter is y itself; xs solves f(xs) = t^2.
-    """
-    field = f.field
-    if u.degree == 1:
-        ring = BaseRing(field)
-        xbar = field.neg(u[0])
+    x0 = ring.kappa(Polynomial.x(f.field))
+    xs = _newton(TruncSeries.const(ring, x0, prec), step)
+    if y0 is None:
+        ys = TruncSeries.t_power(ring, 1, prec)
     else:
-        ring = PolyModRing(field, u)
-        xbar = Polynomial.x(field) % u
-    t2 = TruncSeries.t_power(ring, 2, prec)
-    df = f.derivative()
-
-    def step(x: TruncSeries) -> TruncSeries:
-        return x - (poly_series(ring, f, x) - t2) * poly_series(ring, df, x).invert()
-
-    xs = _newton(TruncSeries.const(ring, xbar, prec), step)
-    ys = TruncSeries.t_power(ring, 1, prec)
+        ys = _sqrt_series(ring, poly_series(ring, f, xs), y0)
     return ring, xs, ys
 
 
-def series_infinite(f: Polynomial, prec: int):
+def series_infinite(ring, f: Polynomial, prec: int):
     """Local frames at the place over x = infinity for y^2 = f, deg f = 5.
 
     With local parameter t = x^2/y one has x = s t^-2 and y = s^2 t^-5 where
     s is a unit series solving s^4 = sum_i f_i s^i t^(2(5-i)).
     """
-    field = f.field
-    ring = BaseRing(field)
-    lc = f[5]
 
     def g_val(s: TruncSeries) -> TruncSeries:
         acc = TruncSeries.zero_to(ring, prec)
@@ -562,8 +497,7 @@ def series_infinite(f: Polynomial, prec: int):
     def step(s: TruncSeries) -> TruncSeries:
         return s - g_val(s) * g_deriv(s).invert()
 
-    s0 = field.inv(lc)
-    s = _newton(TruncSeries.const(ring, s0, prec), step)
+    s = _newton(TruncSeries.const(ring, ring.inv(f[5]), prec), step)
     xs = (s).shift(-2)
     ys = (s * s).shift(-5)
     return ring, xs, ys

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nefcert.curves import INERT, INFINITE, RAMIFIED, SPLIT, Curve, Divisor, Place
+from nefcert.curves import INERT, INFINITE, RAMIFIED, SPLIT, Curve, Divisor
 from nefcert.fields import (
     Polynomial,
     RationalFunction,
@@ -12,6 +12,7 @@ from nefcert.fields import (
     field,
     is_irreducible,
 )
+from nefcert.series import TruncSeries
 
 F3 = field(3)
 F5 = field(5)
@@ -117,9 +118,9 @@ def test_divisor_algebra():
     assert (d + e).is_effective
 
 
-def _one_place_per_kind(C: Curve) -> list[Place]:
-    """A split, an inert, a ramified and the infinite place, small support."""
-    found: dict[str, Place] = {INFINITE: C.infinite_place()}
+def _one_place_per_model(C: Curve) -> dict:
+    """(kind, degree of the support) -> one such place, support degree <= 2."""
+    found: dict = {(INFINITE, 1): C.infinite_place()}
     for d in (1, 2):
         for code in range(C.field.q**d):
             cs, c = [], code
@@ -130,23 +131,39 @@ def _one_place_per_kind(C: Curve) -> list[Place]:
             if not is_irreducible(u):
                 continue
             for pl in C.places_above(u):
-                found.setdefault(pl.kind, pl)
-    assert set(found) == {SPLIT, INERT, RAMIFIED, INFINITE}
-    return sorted(found.values())
+                found.setdefault((pl.kind, d), pl)
+    return found
 
 
 def test_local_expansions_satisfy_curve_equation():
-    for C in (curve35(), Curve(F5, (1, 2, 0, 0, 0, 1))):
-        for pl in _one_place_per_kind(C):
-            _, sy = C.expand(C.y(), pl, 14)
+    # the third curve is (x^2 + 1)(x^3 + 2x + 1) over F_3: a ramified place
+    # of degree 2, whose ring is F_3[x]/(x^2 + 1)
+    covered = set()
+    for C in (curve35(), Curve(F5, (1, 2, 0, 0, 0, 1)), Curve(F3, (1, 2, 1, 0, 0, 1))):
+        for key, pl in _one_place_per_model(C).items():
+            covered.add(key)
+            ring, sy = C.expand(C.y(), pl, 14)
             _, sf = C.expand(C.fn(C.f), pl, 14)
+            assert ring == C.residue_ring(pl)
             assert (sy * sy - sf).is_zero
-            # t = x^2 / y is the parameter at infinity
             if pl.kind == INFINITE:
+                # t = x^2 / y is the parameter at infinity
                 _, ts = C.expand(C.x() * C.x() / C.y(), pl, 14)
-                assert ts.offset == 1
-                assert ts.coeffs[0] == 1
-                assert all(c == 0 for c in ts.coeffs[1:])
+            elif pl.kind == RAMIFIED:
+                # y is the parameter, and f(xs) = y^2 = t^2
+                ts = sy
+                assert sf == TruncSeries.t_power(ring, 2, sf.prec)
+            else:
+                # u(x) is the parameter, and ys(0) is the residue of y
+                _, ts = C.expand(C.fn(pl.u), pl, 14)
+                if pl.kind == SPLIT:
+                    _, dy = C.expand(C.y() - C.fn(pl.v), pl, 14)
+                    assert dy.offset >= 1
+                else:
+                    assert sy.coeff_at(0) == ring.root
+            assert ts == TruncSeries.t_power(ring, 1, ts.prec)
+    kinds = (SPLIT, INERT, RAMIFIED)
+    assert covered == {(INFINITE, 1)} | {(k, d) for k in kinds for d in (1, 2)}
 
 
 def test_residue_of_simple_pole():

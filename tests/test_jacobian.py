@@ -8,6 +8,7 @@ from nefcert.curves import Curve, Divisor
 from nefcert.fields import Polynomial, embedding, field
 from nefcert.jacobian import (
     MumfordClass,
+    _power_traces,
     affine_points,
     class_order,
     divisor_class_to_mumford,
@@ -45,6 +46,30 @@ def test_frobenius_data_and_group_order():
     assert (d2.a1, d2.a2) == (0, 2)
     assert d2.order == 12
     assert d2.charpoly == (9, 0, 2, 0, 1)
+
+
+def test_power_traces_match_point_counts():
+    # tr A^m = q^m + 1 - #C(F_{q^m}): Newton's identities against a count
+    for C in (curve35(), curve3x(), Curve(F3, (1, 2, 1, 0, 0, 1))):
+        data = frobenius_data(C)
+        traces = {m: 3**m + 1 - C.point_count(m) for m in range(1, 8)}
+        for m in range(1, 8):
+            tm, t2m = _power_traces(data, m)
+            assert tm == traces[m]
+            if 2 * m in traces:
+                assert t2m == traces[2 * m]
+
+
+def test_scalar_multiple_is_repeated_addition():
+    C = curve35()
+    classes = enumerate_classes(C)
+    for deg in (1, 2):
+        c = next(cl for cl in classes if cl.u.degree == deg)
+        for n in range(-3, 2 * 3 + 2):
+            acc = MumfordClass.zero(C)
+            for _ in range(abs(n)):
+                acc = acc + c
+            assert n * c == (acc if n >= 0 else -acc)
 
 
 def base_change_f9(C: Curve) -> Curve:
