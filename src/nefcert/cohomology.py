@@ -26,7 +26,6 @@ from .curves import (
     Differential,
     Divisor,
     FunctionElement,
-    Place,
 )
 from .fields import Field, Polynomial, RationalFunction, hensel_sqrt
 

@@ -21,7 +21,6 @@ from .fields import (
     field,
     is_irreducible,
     kappa_inv,
-    kappa_pow,
     kappa_sqrt,
     poly_factor,
     poly_gcd,
@@ -33,7 +32,6 @@ from .series import (
     PrecisionError,
     QuadModRing,
     TruncSeries,
-    poly_series,
     rf_series,
     series_finite,
     series_infinite,

@@ -15,7 +15,7 @@ and reduced rational functions.
 from __future__ import annotations
 
 import random
-from typing import Iterator, Optional
+from typing import Optional
 
 _FIELD_CACHE: dict[tuple, "Field"] = {}
 

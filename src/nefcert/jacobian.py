@@ -245,23 +245,42 @@ def random_class(curve: Curve, rng: random.Random) -> MumfordClass:
     """A random group element, by rejection sampling over reduced pairs.
 
     Degrees are drawn with weights q^2 : q : 1, so every class is reachable,
-    including the ones with no rational-point support.
+    including the ones with no rational-point support.  Each draw is tested
+    on the coefficient codes, with nothing built: u = x + a divides f - v0^2
+    when f(-a) = v0^2, and u = x^2 + b x + c divides f - v^2 when the
+    coefficients of f - v^2 reduce to zero by x^2 = -b x - c.  Only the
+    accepted pair becomes a MumfordClass.  The draws, and so the random
+    stream, are those of the test `(f - v * v) % u` on polynomials.
     """
     base = curve.field
     q = base.q
+    add, sub, mul = base.add, base.sub, base.mul
     f = curve.f
     for _ in range(4096):
         r = rng.randrange(q * q + q + 1)
         if r == 0:
             return MumfordClass.zero(curve)
         if r <= q:
-            u = Polynomial(base, (rng.randrange(q), 1))
-            v = Polynomial.const(base, rng.randrange(q))
-        else:
-            u = Polynomial(base, (rng.randrange(q), rng.randrange(q), 1))
-            v = Polynomial(base, (rng.randrange(q), rng.randrange(q)))
-        if ((f - v * v) % u).is_zero:
-            return MumfordClass(curve, u, v)
+            a = rng.randrange(q)
+            v0 = rng.randrange(q)
+            if f.eval(base.neg(a)) == mul(v0, v0):
+                return MumfordClass(curve, Polynomial(base, (a, 1)), Polynomial(base, (v0,)))
+            continue
+        c = rng.randrange(q)
+        b = rng.randrange(q)
+        v0 = rng.randrange(q)
+        v1 = rng.randrange(q)
+        # f - v^2 with v^2 = v0^2 + 2 v0 v1 x + v1^2 x^2, then reduced mod u
+        g = list(f.coeffs)
+        g[0] = sub(g[0], mul(v0, v0))
+        g[1] = sub(g[1], mul(add(v0, v0), v1))
+        g[2] = sub(g[2], mul(v1, v1))
+        for i in range(len(g) - 1, 1, -1):
+            if g[i]:
+                g[i - 1] = sub(g[i - 1], mul(b, g[i]))
+                g[i - 2] = sub(g[i - 2], mul(c, g[i]))
+        if not g[0] and not g[1]:
+            return MumfordClass(curve, Polynomial(base, (c, b, 1)), Polynomial(base, (v0, v1)))
     raise RuntimeError("class sampling failed")
 
 

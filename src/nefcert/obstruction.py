@@ -37,9 +37,8 @@ from .cohomology import (
     p_torsion_bundle,
     rr_space,
 )
-from .curves import Curve, Differential, Divisor, FunctionElement
+from .curves import INFINITE, Curve, Differential, Divisor, FunctionElement
 from .fields import (
-    Field,
     Polynomial,
     _is_prime,
     field,
@@ -221,7 +220,8 @@ def normal_bundle_divisor(E: EmbeddingData, rng: random.Random | None = None) ->
         if g_fn.is_zero:
             continue
         nd = curve.divisor(g_fn) + n0
-        assert nd.degree == 12 and nd.is_effective
+        if nd.degree != 12 or not nd.is_effective:
+            raise RuntimeError("auxiliary form gives no effective degree-12 divisor")
         return nd
     raise RuntimeError("auxiliary form sampling failed")
 
@@ -376,6 +376,32 @@ def rational_places(curve: Curve) -> tuple:
     return tuple(sorted(out))
 
 
+def _subtract_points(w_cls: MumfordClass, chosen, neg_cls: dict) -> MumfordClass:
+    """W - sum [P_i - oo] over distinct rational places P_i.
+
+    neg_cls maps each place to -[P - oo].  The points are taken in pairs.
+    With x1 != x2, [P1 + P2 - 2 oo] is the reduced pair (u1 u2, v) with v the
+    chord through both points, so one addition of (u1 u2, -v) subtracts
+    both; a pair with equal x, or with infinity, adds its two negated point
+    classes.
+    """
+    curve = w_cls.curve
+    F = curve.field
+    out = w_cls
+    for p1, p2 in zip(chosen[0::2], chosen[1::2]):
+        if p1.kind == INFINITE or p2.kind == INFINITE or p1.u == p2.u:
+            out = out + neg_cls[p1] + neg_cls[p2]
+            continue
+        x1, y1 = F.neg(p1.u[0]), p1.v[0]
+        x2, y2 = F.neg(p2.u[0]), p2.v[0]
+        slope = F.div(F.sub(y2, y1), F.sub(x2, x1))
+        chord = Polynomial(F, (F.sub(y1, F.mul(slope, x1)), slope))
+        out = out + MumfordClass(curve, p1.u * p2.u, -chord)
+    if len(chosen) % 2:
+        out = out + neg_cls[chosen[-1]]
+    return out
+
+
 def choose_delta(
     E: EmbeddingData,
     n_div: Divisor,
@@ -387,9 +413,14 @@ def choose_delta(
     degree-1 places, by seeded search over point configurations.
 
     Eleven points are drawn at random; the class condition pins the twelfth,
-    which is looked up in the group of rational points.  Raises
-    ExtendFieldError("extend field") when the field has too few points or
-    the budget runs out.
+    which is looked up in the group of rational points.  The class
+    W = [w_div - 12 oo] is reduced once per call.  A point class [P - oo] is
+    already reduced ((x - x0, y0), or zero at infinity), so each draw
+    computes W - sum [P_i - oo] by six additions (`_subtract_points`) where
+    reducing the whole divisor of the try would take a dozen or more.  The
+    random draws are unchanged and a class has one reduced pair, so the
+    result is too.  Raises ExtendFieldError("extend field") when the field
+    has too few points or the budget runs out.
     """
     curve = E.curve
     w_div = n_div - L.rep
@@ -400,16 +431,15 @@ def choose_delta(
     if len(pts) < 12:
         raise ExtendFieldError("extend field")
     inf = curve.infinite_place()
-    inf_div = Divisor([(inf, 1)])
-    lookup = {}
-    for pl in pts:
-        cls = divisor_class_to_mumford(curve, Divisor([(pl, 1)]) - inf_div)
-        lookup[(cls.u.coeffs, cls.v.coeffs)] = pl
+    w_cls = divisor_class_to_mumford(curve, w_div - Divisor([(inf, 12)]))
+    zero = MumfordClass.zero(curve)
+    point_cls = {pl: zero if pl == inf else MumfordClass(curve, pl.u, pl.v) for pl in pts}
+    lookup = {(cls.u.coeffs, cls.v.coeffs): pl for pl, cls in point_cls.items()}
+    neg_cls = {pl: -cls for pl, cls in point_cls.items()}
     rng = random.Random(seed)
     for _ in range(tries):
         chosen = rng.sample(pts, 11)
-        t_div = w_div - Divisor((pl, 1) for pl in chosen)
-        cls = divisor_class_to_mumford(curve, t_div - inf_div)
+        cls = _subtract_points(w_cls, chosen, neg_cls)
         last = lookup.get((cls.u.coeffs, cls.v.coeffs))
         if last is None or last in chosen:
             continue
@@ -418,7 +448,8 @@ def choose_delta(
         if dsp.dim != 1:
             continue
         delta = dsp.basis[0]
-        assert curve.divisor(delta) == d_div - w_div
+        if curve.divisor(delta) != d_div - w_div:
+            raise RuntimeError("section divisor differs from the point configuration")
         return delta, d_div
     raise ExtendFieldError("extend field")
 

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import nefcert
 from nefcert.cli import main
 
 
@@ -29,6 +34,20 @@ def test_search_writes_byte_identical_files(tmp_path, capsys):
     run(capsys, ["search", "--p", "3", "--seed", "4", "--out", str(b)])
     assert a.read_bytes() == b.read_bytes()
     assert a.read_bytes().endswith(b"\n")
+
+
+def test_search_output_is_the_same_under_optimize():
+    """No search step lives in an assert: `python -O` finds the same bytes."""
+    env = dict(os.environ, PYTHONPATH=str(Path(nefcert.__file__).parents[1]))
+
+    def run(flags):
+        cmd = [sys.executable, *flags, "-m", "nefcert.cli", "search", "--p", "3", "--seed", "6"]
+        out = subprocess.run(cmd, capture_output=True, env=env, timeout=600)
+        return out.returncode, out.stdout
+
+    plain = run([])
+    assert plain[0] == 0 and plain[1]
+    assert run(["-O"]) == plain
 
 
 def test_verify_exit_codes(tmp_path, capsys):

@@ -211,3 +211,46 @@ def test_scalar_multiplication_is_linear(i, j, m, n):
     assert m * (a + b) == m * a + m * b
     assert (m + n) * a == m * a + n * a
     assert (a + b) - b == a
+
+
+def _polynomial_random_class(curve: Curve, rng: random.Random) -> MumfordClass:
+    """Reference: the rejection loop of `random_class` on Polynomial objects."""
+    base = curve.field
+    q = base.q
+    f = curve.f
+    for _ in range(4096):
+        r = rng.randrange(q * q + q + 1)
+        if r == 0:
+            return MumfordClass.zero(curve)
+        if r <= q:
+            u = Polynomial(base, (rng.randrange(q), 1))
+            v = Polynomial.const(base, rng.randrange(q))
+        else:
+            u = Polynomial(base, (rng.randrange(q), rng.randrange(q), 1))
+            v = Polynomial(base, (rng.randrange(q), rng.randrange(q)))
+        if ((f - v * v) % u).is_zero:
+            return MumfordClass(curve, u, v)
+    raise RuntimeError("class sampling failed")
+
+
+@pytest.mark.parametrize("p,k", [(3, 2), (5, 2), (3, 3)])
+def test_random_class_matches_the_polynomial_rejection_loop(p, k):
+    """Same classes from the same seeds, and the same random stream after."""
+    F = field(p, k)
+    setup = random.Random(p * 10 + k)
+    curves = []
+    while len(curves) < 2:
+        try:
+            curves.append(Curve(F, tuple(F.random(setup) for _ in range(6))))
+        except ValueError:
+            continue
+    degrees = set()
+    for C in curves:
+        for seed in range(40):
+            fast, ref = random.Random(seed), random.Random(seed)
+            for _ in range(2):
+                cls = random_class(C, fast)
+                assert cls == _polynomial_random_class(C, ref)
+                degrees.add(cls.u.degree)
+            assert fast.getstate() == ref.getstate()
+    assert degrees >= {1, 2}

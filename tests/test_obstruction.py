@@ -17,7 +17,7 @@ from nefcert.cohomology import (
     p_torsion_bundle,
     rr_space,
 )
-from nefcert.curves import SPLIT, Curve, Differential, Divisor
+from nefcert.curves import RAMIFIED, SPLIT, Curve, Differential, Divisor
 from nefcert.fields import Polynomial, field, is_irreducible
 from nefcert.jacobian import (
     class_order,
@@ -26,6 +26,7 @@ from nefcert.jacobian import (
 )
 from nefcert.obstruction import (
     ExtendFieldError,
+    _subtract_points,
     SearchBudget,
     SearchExhausted,
     beta_functional,
@@ -357,6 +358,45 @@ def test_choose_delta_properties(setting):
     assert d2 == d_div and (delta - delta2).is_zero
 
 
+@pytest.mark.parametrize("which", ["cert", "cert25"])
+def test_point_subtraction_matches_divisor_reduction(request, which):
+    """W - sum [P_i - oo] by chord pairs equals the reduction of the whole
+    divisor w_div - sum P_i - oo, on seeded draws and on draws that pair
+    infinity, the ramified point and a point with its negative."""
+    cert = request.getfixturevalue(which)
+    curve, emb = _embedding(cert)
+    n0 = normal_bundle_divisor(emb)
+    w_div = n0 - p_torsion_bundle(curve, cert.l_cls).rep
+    inf = curve.infinite_place()
+    pts = rational_places(curve)
+    w_cls = divisor_class_to_mumford(curve, w_div - Divisor([(inf, 12)]))
+    neg_cls = {
+        pl: -divisor_class_to_mumford(curve, Divisor([(pl, 1), (inf, -1)])) for pl in pts
+    }
+    (ram,) = [pl for pl in pts if pl.kind == RAMIFIED]
+    split = [pl for pl in pts if pl.kind == SPLIT]
+    pos, neg = split[0], next(pl for pl in split[1:] if pl.u == split[0].u)
+    rest = [pl for pl in pts if pl not in (inf, ram, pos, neg)]
+    rng = random.Random(11)
+    draws = [rng.sample(pts, 11) for _ in range(30)]
+    # pairs are positions (0,1), (2,3), ..., and position 10 is alone: oo and
+    # the ramified point fall in a pair together, with a split point, and
+    # alone; P and -P share a pair
+    for _ in range(5):
+        others = rng.sample(rest, 7)
+        draws.append([inf, ram, pos, neg] + others)
+        draws.append([ram, pos, inf, neg] + others)
+        draws.append(others[:5] + [neg, pos] + others[5:] + [inf, ram])
+        draws.append(others + [pos, neg, ram, inf])
+    assert any(inf in d for d in draws[:30]) and any(ram in d for d in draws[:30])
+    for chosen in draws:
+        assert len(set(chosen)) == 11
+        expect = divisor_class_to_mumford(
+            curve, w_div - Divisor((pl, 1) for pl in chosen) - Divisor([(inf, 1)])
+        )
+        assert _subtract_points(w_cls, chosen, neg_cls) == expect
+
+
 def test_choose_delta_needs_rational_points():
     # over F_3 no genus-2 curve has the 12 rational points a configuration needs
     curve = Curve(field(3), (0, 1, 0, 0, 0, 1))
@@ -422,17 +462,31 @@ def test_certificate_roundtrip_and_determinism(cert):
     assert [c.passed for c in report2.checks] == [True] * 7
 
 
+@pytest.fixture(scope="module")
+def cert_p3_s6():
+    return certificate_build(3, seed=6)
+
+
+@pytest.fixture(scope="module")
+def cert_p7_s4():
+    return certificate_build(7, seed=4)
+
+
 @pytest.mark.parametrize(
     "which,digest",
     [
         ("cert", "d1a245d373c48c85eb7fe9d56b631313de0b2d38a67c163ded6fae631500f228"),
         ("cert25", "d6c6c6195548ddc4c46977498a6a1e4176993f6f6fadf1de63d72a9e24bb448a"),
+        ("cert_p3_s6", "2dc13209716e02594f602f020ccae05f5aaa30134d61270563c3ff1c04791d7e"),
+        ("cert_p7_s4", "3a34c7d4cc86fd4b164423c30a6771a777a719eeb9263a7ea72f1d86349331ff"),
     ],
 )
 def test_certificate_bytes_are_pinned(request, which, digest):
-    """The (3,0) and (5,1) certificates are rebuilt by the code under test, so
-    a change that is wrong in a consistent way (a field kernel, beta) still
-    round-trips; their canonical bytes are pinned instead."""
+    """The certificates are rebuilt by the code under test, so a change that
+    is wrong in a consistent way (a field kernel, beta) still round-trips;
+    their canonical bytes are pinned instead.  (3,6) and (7,4) reach theirs
+    only after retries: three `choose_delta` calls each, after pencils or
+    point configurations that fail."""
     cert = request.getfixturevalue(which)
     raw = serialize.canonical_bytes(serialize.certificate_to_dict(cert))
     assert hashlib.sha256(raw).hexdigest() == digest
