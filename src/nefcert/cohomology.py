@@ -426,7 +426,8 @@ class H1Space:
                     rhs += list(ring.to_codes(d.get(e, ring.zero)))
             rows = [[col[i] for col in cols] for i in range(len(rhs))]
             sol = linalg.solve(base, rows, rhs)
-            assert sol is not None, "finite tails not matchable by sections"
+            if sol is None:
+                raise RuntimeError("finite tails not matchable by sections")
             hfn = curve.zero()
             for cj, phi in zip(sol, space.basis):
                 if cj:
@@ -436,7 +437,8 @@ class H1Space:
                     ring, wind = curve.window(hfn, pl, lo_p, cap)
                     d = data[pl]
                     for k, c in enumerate(wind):
-                        assert c == d.get(lo_p + k, ring.zero), "stage-1 mismatch"
+                        if c != d.get(lo_p + k, ring.zero):
+                            raise RuntimeError("stage-1 mismatch")
                 vh = curve.valuation(hfn, inf)
                 hi = -self.n_inf
                 if vh < hi:
@@ -458,7 +460,8 @@ class H1Space:
                     row = red[i]
                     vec = [base.sub(a, base.mul(c, b)) for a, b in zip(vec, row)]
             inf_tail = {lo + i: c for i, c in enumerate(vec) if c}
-            assert set(inf_tail) <= set(self.gaps), "non-gap exponent after reduction"
+            if not set(inf_tail) <= set(self.gaps):
+                raise RuntimeError("non-gap exponent after reduction")
         return TailClass(curve, self.bundle, {inf: inf_tail} if inf_tail else {})
 
     def coords(self, tc: TailClass) -> tuple:
@@ -615,7 +618,8 @@ def torsion_trivialization(
     if sp.dim == 0:
         raise ValueError("class is not killed by the stated order")
     g = sp.basis[0]
-    assert curve.divisor(g) == rep * order
+    if curve.divisor(g) != rep * order:
+        raise RuntimeError("trivialization divisor differs from order * rep")
     return g
 
 

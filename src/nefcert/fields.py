@@ -1012,12 +1012,6 @@ class RationalFunction:
     def is_zero(self) -> bool:
         return self.num.is_zero
 
-    def deg(self) -> int:
-        """deg(num) - deg(den); the degree of the zero function is undefined."""
-        if self.is_zero:
-            raise ValueError("degree of zero function")
-        return self.num.degree - self.den.degree
-
     # Operands are in lowest terms with monic denominators, so a result needs
     # only the gcds that can cancel (Henrici; Knuth, TAOCP vol. 2, 4.5.1), and
     # it comes out in lowest terms with a monic denominator.

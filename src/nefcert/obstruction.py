@@ -50,6 +50,7 @@ from .jacobian import (
     class_order,
     divisor_class_to_mumford,
     find_p_torsion,
+    mumford_to_divisor,
     p_torsion_field_degree,
 )
 
@@ -89,20 +90,6 @@ def _bi_partial_s(rows):
 
 def _bi_partial_w(rows):
     return tuple(row.derivative() for row in rows)
-
-
-def _reverse_poly(poly: Polynomial, top: int) -> Polynomial:
-    co = list(poly.coeffs) + [0] * (top + 1 - len(poly.coeffs))
-    return Polynomial(poly.field, co[::-1])
-
-
-def _chart_rows(rows, a: int, b: int):
-    """Dehomogenization of the form to the chart with coordinates
-    (s or 1/s, w or 1/w)."""
-    out = rows[::-1] if a else rows
-    if b:
-        out = tuple(_reverse_poly(r, 3) for r in out)
-    return tuple(out)
 
 
 def _polar(curve: Curve, phi: FunctionElement) -> Divisor:
@@ -284,7 +271,33 @@ class BetaFunctional:
         return False
 
 
-def _splitting_tails(E: EmbeddingData, choice: int):
+def _charts(E: EmbeddingData) -> tuple:
+    """The four charts (s or 1/s, x or 1/x) of P^1 x P^1 along the curve.
+
+    Each is (sigma, omega, u, vx, F_sigma, F_omega): the chart coordinates,
+    the factor u with F = u * (chart form), the x-component vx of d/domega,
+    and the partials of the chart form at (sigma, omega).  F_s and F_w are
+    evaluated once, at (s, x).  The chart forms are sigma^2 F(1/sigma, w) and
+    omega^3 F(s, 1/omega), so where F(s, x) = 0 (checked by
+    `embed_bidegree_2_3`) the chain rule gives the partials (-F_s, F_w / s^2)
+    with sigma = 1/s and (F_s / x^3, -F_w / x) with omega = 1/x.
+    """
+    curve = E.curve
+    s, x, one = E.s_fn, curve.x(), curve.one()
+    fs = _bi_eval(curve, _bi_partial_s(E.rows), s, x)
+    fw = _bi_eval(curve, _bi_partial_w(E.rows), s, x)
+    if fs.is_zero:
+        raise ValueError("degenerate chart data")
+    s2, x3, vx = s * s, x * x * x, -(x * x)
+    return (
+        (s, x, one, one, fs, fw),
+        (s, x.inverse(), x3, vx, fs / x3, -(fw / x)),
+        (s.inverse(), x, s2, one, -fs, fw / s2),
+        (s.inverse(), x.inverse(), s2 * x3, vx, -(fs / x3), -(fw / (s2 * x))),
+    )
+
+
+def _splitting_tails(E: EmbeddingData, n_div: Divisor, choice: int):
     """One tangent-valued tail function per bad place.
 
     The global reference splitting projects along the degree-3 pencil fibers
@@ -292,37 +305,19 @@ def _splitting_tails(E: EmbeddingData, choice: int):
     degenerates, an admissible chart field is selected; the difference of
     the two splittings, applied to the coordinate trivialization of N and
     written against the tangent frame y d/dx, is the returned function.
+    n_div is the coordinate divisor of N, whose support is bad.
     """
     curve = E.curve
-    x = curve.x()
     y = curve.y()
-    s = E.s_fn
-    one = curve.one()
-
     charts = []
-    for a in (0, 1):
-        for b in (0, 1):
-            rows_ab = _chart_rows(E.rows, a, b)
-            sig = s if a == 0 else s.inverse()
-            ome = x if b == 0 else x.inverse()
-            u_ab = one
-            if a:
-                u_ab = u_ab * s * s
-            if b:
-                u_ab = u_ab * x * x * x
-            vx = one if b == 0 else -(x * x)
-            dsig = _bi_eval(curve, _bi_partial_s(rows_ab), sig, ome)
-            dome = _bi_eval(curve, _bi_partial_w(rows_ab), sig, ome)
-            vfields = (dome if lam == 0 else dome + dsig.scale(lam) for lam in (0, 1, 2))
-            vfields = tuple(vf for vf in vfields if not vf.is_zero)
-            charts.append((sig, ome, u_ab, vx, dsig, vfields))
+    for sig, ome, u_ab, vx, dsig, dome in _charts(E):
+        vfields = (dome if lam == 0 else dome + dsig.scale(lam) for lam in (0, 1, 2))
+        vfields = tuple(vf for vf in vfields if not vf.is_zero)
+        charts.append((sig, ome, u_ab, vx, dsig, vfields))
 
-    fs_fn = charts[0][4]
-    if fs_fn.is_zero:
-        raise ValueError("degenerate chart data")
-    bad = set(pl for pl, _ in (E.s_polar * 2 + _polar(curve, x) * 3).items)
+    bad = set(pl for pl, _ in n_div.items)
     bad.add(curve.infinite_place())
-    bad.update(pl for pl, _ in curve.divisor(fs_fn).items)
+    bad.update(pl for pl, _ in curve.divisor(charts[0][4]).items)  # zeros of F_s
     bad.update(curve.finite_ramified_places())
 
     # options are (chart, field) descriptors; only the chosen one is built
@@ -359,7 +354,7 @@ def beta_functional(E: EmbeddingData, choice: int = 0) -> BetaFunctional:
     assert rr_space(curve, space_div).dim == 15
 
     yinv = curve.y().inverse()
-    tails = tuple((pl, phi * yinv) for pl, phi in _splitting_tails(E, choice))
+    tails = tuple((pl, phi * yinv) for pl, phi in _splitting_tails(E, n0, choice))
     return BetaFunctional(curve, n0, space_div, tails)
 
 
@@ -484,7 +479,6 @@ class SearchBudget:
     """Stage iteration limits for the certificate search."""
 
     curve_tries: int = 64
-    max_field_degree: int = 8
     # search curves are defined over F_p, so group orders come from point
     # counts over F_p and F_{p^2}; max_q bounds the field F_q the search
     # works in, whose own point count takes q evaluations
@@ -553,7 +547,6 @@ def certificate_build(p: int, seed: int, budget: SearchBudget = SearchBudget()) 
         "obstruction_zero": 0,
     }
     base = field(p)
-    q_cap = min(budget.max_q, p ** budget.max_field_degree)
     for _ in range(budget.curve_tries):
         stats["curves_sampled"] += 1
         coeffs = tuple(rng.randrange(p) for _ in range(5)) + (1,)
@@ -568,7 +561,7 @@ def certificate_build(p: int, seed: int, budget: SearchBudget = SearchBudget()) 
         m = p_torsion_field_degree(c0)
         k = m
         curve = None
-        while p ** k <= q_cap:
+        while p ** k <= budget.max_q:
             cand = Curve(field(p, k), coeffs)
             if cand.point_count(1) >= budget.min_points:
                 curve = cand
@@ -596,10 +589,11 @@ def certificate_build(p: int, seed: int, budget: SearchBudget = SearchBudget()) 
                 stats["frobenius_rejections"] += 1
                 continue
             gamma = Differential(curve, bundle.g.derivative() * bundle.g.inverse())
-            assert not gamma.is_zero
-            assert curve.divisor_of_differential(gamma).is_effective
+            if gamma.is_zero or not curve.divisor_of_differential(gamma).is_effective:
+                raise RuntimeError("dg/g is not a nonzero regular differential")
             alpha_sp = rr_space(curve, curve.canonical_divisor() + bundle.rep)
-            assert alpha_sp.dim == 1
+            if alpha_sp.dim != 1:
+                raise RuntimeError("K + L has no unique section")
             alpha = alpha_sp.basis[0]
 
             pts = rational_places(curve)
@@ -690,13 +684,23 @@ CHECK_NAMES = (
 )
 
 
+def _stage(compute, prefix: str = "") -> tuple:
+    """(value, None), or (None, reason) when compute fails."""
+    try:
+        return compute(), None
+    except (ValueError, ZeroDivisionError) as err:
+        return None, prefix + str(err)
+
+
 def certificate_verify(cert) -> VerifyReport:
     """Recompute the seven certificate hypotheses from scratch.
 
     Accepts a Certificate or its dict form.  Structurally malformed dicts
     raise CertificateFormatError; mathematical failures become failed checks.
-    Checks that depend on data an earlier stage could not reconstruct fail
-    with the reason carried over.
+    The stages the checks share (the torsion divisor L, the embedding with
+    its normal divisor N, and the decoded D, g and gamma) are computed once.
+    A check asks for its stages in the order it uses them, and fails with
+    the reason of the first one that failed.
     """
     from . import serialize
 
@@ -705,142 +709,92 @@ def certificate_verify(cert) -> VerifyReport:
     else:
         d = serialize.ensure_certificate_shape(cert)
 
-    results: dict[int, CheckResult] = {}
-
-    def record(i: int, passed: bool, detail: str = ""):
-        results[i] = CheckResult(i, CHECK_NAMES[i - 1], bool(passed), detail)
-
     p = d["p"]
-    curve = None
     try:
         if not _is_prime(p):
             raise ValueError("not prime")
-        if d["k"] == 1:
-            base = field(p)
-        else:
-            base = field_with_modulus(p, d["k"], tuple(d["modulus"]))
-        curve = Curve(base, tuple(d["f"]))
-        record(1, True)
+        base = field_with_modulus(p, d["k"], d["modulus"])
+        curve = Curve(base, serialize.decode_poly(base, d["f"]))
     except (ValueError, TypeError) as err:
-        record(1, False, str(err))
+        details = [str(err)] + ["no curve to check against"] * 6
+        checks = [CheckResult(i, CHECK_NAMES[i - 1], False, details[i - 1]) for i in range(1, 8)]
+        return VerifyReport(tuple(checks))
 
-    if curve is None:
-        for i in range(2, 8):
-            record(i, False, "no curve to check against")
-        return VerifyReport(tuple(results[i] for i in range(1, 8)))
-
-    # shared stages; failures surface at every check that needs the result
-    from .jacobian import mumford_to_divisor
-
-    l_rep = None
-    l_err = "torsion class unavailable"
-    g_fn = None
-    try:
+    def torsion_divisor():
         l_cls = serialize.decode_mumford(curve, d["l_cls"])
         if class_order(l_cls) != p:
             raise ValueError("torsion class order differs from p")
-        l_rep = mumford_to_divisor(l_cls)
-    except ValueError as err:
-        l_err = str(err)
+        return mumford_to_divisor(l_cls)
 
-    emb = None
-    n0 = None
-    emb_err = "embedding unavailable"
-    try:
-        a_div = serialize.decode_divisor(curve, d["a_div"])
-        emb = embed_bidegree_2_3(curve, a_div)
-        n0 = normal_bundle_divisor(emb)
-    except ValueError as err:
-        emb_err = f"embedding failed: {err}"
+    def embedding():
+        emb = embed_bidegree_2_3(curve, serialize.decode_divisor(curve, d["a_div"]))
+        return emb, normal_bundle_divisor(emb)
 
-    # checks 2, 4 and 7 share one decode; each raises its failure where it
-    # used to decode, so the precedence of its errors is unchanged
-    d_div = None
-    d_div_err = ""
-    try:
-        d_div = serialize.decode_divisor(curve, d["d_div"])
-    except ValueError as err:
-        d_div_err = str(err)
+    stages = {
+        "L": _stage(torsion_divisor),
+        "embedding": _stage(embedding, "embedding failed: "),
+        "D": _stage(lambda: serialize.decode_divisor(curve, d["d_div"])),
+        "g": _stage(lambda: serialize.decode_fn(curve, d["g"])),
+        "gamma": _stage(lambda: serialize.decode_differential(curve, d["gamma"])),
+    }
 
-    try:
-        if d_div is None:
-            raise ValueError(d_div_err)
-        if n0 is None:
-            raise ValueError(emb_err)
-        cls = divisor_class_to_mumford(curve, n0 - d_div)
-        record(2, class_order(cls) == p)
-    except ValueError as err:
-        record(2, False, str(err))
+    def need(name: str, reason: str = ""):
+        value, err = stages[name]
+        if err is not None:
+            raise ValueError(reason or err)
+        return value
 
-    try:
-        g_fn = serialize.decode_fn(curve, d["g"])
-        gamma = serialize.decode_differential(curve, d["gamma"])
-        if l_rep is None:
-            raise ValueError(l_err)
+    def n_minus_d():
+        d_div, (_, n0) = need("D"), need("embedding")
+        return class_order(divisor_class_to_mumford(curve, n0 - d_div)) == p
+
+    def trivialization():
+        g_fn, gamma, l_rep = need("g"), need("gamma"), need("L")
         if g_fn.is_zero:
             raise ValueError("zero trivialization")
         ok = curve.divisor(g_fn) == l_rep * p
-        recomputed = Differential(curve, g_fn.derivative() * g_fn.inverse())
-        ok = ok and not recomputed.is_zero
-        ok = ok and curve.divisor_of_differential(recomputed).is_effective
-        ok = ok and recomputed == gamma
-        record(3, ok)
-    except (ValueError, ZeroDivisionError) as err:
-        record(3, False, str(err))
+        dlog = Differential(curve, g_fn.derivative() * g_fn.inverse())
+        ok = ok and not dlog.is_zero and curve.divisor_of_differential(dlog).is_effective
+        return ok and dlog == gamma
 
-    try:
-        if emb is None:
-            raise ValueError(emb_err)
-        if l_rep is None:
-            raise ValueError(l_err)
-        gamma = serialize.decode_differential(curve, d["gamma"])
+    def obstruction():
+        (emb, n0), l_rep, gamma = need("embedding"), need("L"), need("gamma")
         alpha = serialize.decode_fn(curve, d["alpha"])
         alpha_sp = rr_space(curve, curve.canonical_divisor() + l_rep)
         if alpha_sp.dim != 1 or alpha.is_zero or alpha_sp.coords(alpha) is None:
             raise ValueError("alpha is not the adjoint torsion section")
         dsp = rr_space(curve, n0 - l_rep)
-        coords = tuple(d["delta_coords"])
-        if dsp.dim != len(coords):
+        if dsp.dim != len(d["delta_coords"]):
             raise ValueError("delta coordinate length mismatch")
         delta = curve.zero()
-        for c, phi in zip(coords, dsp.basis):
+        for c, phi in zip(d["delta_coords"], dsp.basis):
             delta = delta + phi.scale(c)
-        if d_div is None:
-            raise ValueError(d_div_err)
+        d_div = need("D")
         if delta.is_zero or curve.divisor(delta) != d_div - (n0 - l_rep):
             raise ValueError("delta does not vanish exactly on the stated points")
-        beta = beta_functional(emb)
-        value = obstruction_scalar(beta, delta, gamma, alpha)
-        record(4, value == d["obstruction"] and value != 0)
-    except (ValueError, ZeroDivisionError) as err:
-        record(4, False, str(err))
+        value = obstruction_scalar(beta_functional(emb), delta, gamma, alpha)
+        return value == d["obstruction"] and value != 0
 
-    try:
-        if l_rep is None:
-            raise ValueError(l_err)
-        if g_fn is None:
-            raise ValueError("no trivialization to transport with")
-        frob = frobenius_h1(curve, -l_rep, g_fn)
-        stored = serialize.decode_semilinear(curve.field, d["frob"])
-        record(5, frob.injective and frob == stored)
-    except (ValueError, ZeroDivisionError) as err:
-        record(5, False, str(err))
+    def frobenius():
+        l_rep = need("L")
+        frob = frobenius_h1(curve, -l_rep, need("g", "no trivialization to transport with"))
+        return frob.injective and frob == serialize.decode_semilinear(base, d["frob"])
 
-    try:
-        cm = cartier_manin(curve)
-        stored_cm = tuple(tuple(row) for row in d["cartier"])
-        record(6, cm == stored_cm and cartier_nonsingular(curve))
-    except ValueError as err:
-        record(6, False, str(err))
+    def cartier():
+        stored = tuple(tuple(row) for row in d["cartier"])
+        return cartier_manin(curve) == stored and cartier_nonsingular(curve)
 
-    if d_div is None:
-        record(7, False, d_div_err)
-    else:
-        ok7 = (
-            d_div.degree == 12
-            and len(d_div.items) == 12
-            and all(m == 1 and pl.degree == 1 for pl, m in d_div.items)
-        )
-        record(7, ok7)
+    def points():
+        d_div = need("D")
+        simple = all(m == 1 and pl.degree == 1 for pl, m in d_div.items)
+        return d_div.degree == 12 and len(d_div.items) == 12 and simple
 
-    return VerifyReport(tuple(results[i] for i in range(1, 8)))
+    # checks 2-7, in CHECK_NAMES order
+    steps = (n_minus_d, trivialization, obstruction, frobenius, cartier, points)
+    checks = [CheckResult(1, CHECK_NAMES[0], True)]
+    for i, step in enumerate(steps, start=2):
+        try:
+            checks.append(CheckResult(i, CHECK_NAMES[i - 1], bool(step())))
+        except (ValueError, ZeroDivisionError) as err:
+            checks.append(CheckResult(i, CHECK_NAMES[i - 1], False, str(err)))
+    return VerifyReport(tuple(checks))

@@ -17,7 +17,7 @@ from .cohomology import SemilinearMap
 from .curves import INFINITE, Curve, Differential, Divisor, FunctionElement, Place
 from .fields import Field, Polynomial, RationalFunction
 from .jacobian import MumfordClass
-from .obstruction import SCHEMA_VERSION, Certificate
+from .obstruction import SCHEMA_VERSION, Certificate, SearchBudget
 
 
 class CertificateFormatError(ValueError):
@@ -170,6 +170,11 @@ def ensure_certificate_shape(d) -> dict:
     for key in ("p", "k", "obstruction", "seed"):
         _want(type(d[key]) is int, f"{key}: expected an integer")
     _want(d["p"] >= 2 and d["k"] >= 1, "bad field parameters")
+    # no search builds a field above max_q, and verify work grows with q
+    _want(
+        not _below_power(SearchBudget.max_q, d["p"], d["k"]),
+        f"field too large: p^k > {SearchBudget.max_q}",
+    )
     _want(
         d["modulus"] is None or _is_int_list(d["modulus"]),
         "modulus: expected null or coefficients",

@@ -80,6 +80,22 @@ def test_verify_exit_codes(tmp_path, capsys):
     assert code == 2
 
 
+def test_verify_rejects_a_field_beyond_the_search_bound(tmp_path, capsys):
+    """k = 20 on an F_9 certificate is refused by its shape, before any field
+    of 3^20 elements is searched for or tabulated."""
+    path = tmp_path / "cert.json"
+    run(capsys, ["search", "--p", "3", "--seed", "0", "--out", str(path)])
+    d = json.loads(path.read_text())
+    d["k"] = 20
+    path.write_text(json.dumps(d))
+    env = dict(os.environ, PYTHONPATH=str(Path(nefcert.__file__).parents[1]))
+    cmd = [sys.executable, "-m", "nefcert.cli", "verify", str(path)]
+    out = subprocess.run(cmd, capture_output=True, env=env, timeout=10)
+    assert out.returncode == 2
+    assert out.stdout == b""
+    assert b"malformed certificate: field too large" in out.stderr
+
+
 def test_verify_json_format(tmp_path, capsys):
     path = tmp_path / "cert.json"
     run(capsys, ["search", "--p", "3", "--seed", "0", "--out", str(path)])

@@ -26,6 +26,10 @@ from nefcert.jacobian import (
 )
 from nefcert.obstruction import (
     ExtendFieldError,
+    _bi_eval,
+    _bi_partial_s,
+    _bi_partial_w,
+    _charts,
     _subtract_points,
     SearchBudget,
     SearchExhausted,
@@ -144,6 +148,42 @@ def test_embedding_shape(setting):
         acc = acc * s + val
     assert acc.is_zero
     assert len(emb.k_basis) == 2 and len(emb.a_basis) == 2
+
+
+def _old_chart_partials(E):
+    """Reference chart partials: each chart form dehomogenized from the rows,
+    then differentiated and evaluated at the chart coordinates."""
+
+    def reverse(poly, top):
+        co = list(poly.coeffs) + [0] * (top + 1 - len(poly.coeffs))
+        return Polynomial(poly.field, co[::-1])
+
+    curve, x, s = E.curve, E.curve.x(), E.s_fn
+    out = []
+    for a in (0, 1):
+        for b in (0, 1):
+            rows = E.rows[::-1] if a else E.rows
+            if b:
+                rows = tuple(reverse(r, 3) for r in rows)
+            sig = s.inverse() if a else s
+            ome = x.inverse() if b else x
+            out.append(
+                (
+                    _bi_eval(curve, _bi_partial_s(rows), sig, ome),
+                    _bi_eval(curve, _bi_partial_w(rows), sig, ome),
+                )
+            )
+    return out
+
+
+@pytest.mark.parametrize("which", ["cert", "cert25"])
+def test_chart_partials_follow_from_two_derivatives(request, which):
+    """All eight chart partials, taken by the chain rule from F_s and F_w at
+    (s, x), equal the partials of the dehomogenized chart forms."""
+    cert = request.getfixturevalue(which)
+    _, emb = _embedding(cert)
+    charts = _charts(emb)
+    assert [(c[4], c[5]) for c in charts] == _old_chart_partials(emb)
 
 
 def test_normal_bundle_divisor_representatives(setting):
@@ -534,6 +574,43 @@ def test_certificate_mutations_fail_at_the_intended_check(cert, mutate, expect):
     assert not report.ok
     failed = [c.index for c in report.checks if not c.passed]
     assert expect in failed
+
+
+def _int_leaves(node, path=()):
+    if isinstance(node, dict):
+        for key in sorted(node):
+            yield from _int_leaves(node[key], path + (key,))
+    elif isinstance(node, list):
+        for i, item in enumerate(node):
+            yield from _int_leaves(item, path + (i,))
+    elif type(node) is int:
+        yield path, node
+
+
+def test_verify_is_total_on_single_leaf_mutations(cert):
+    """Every single-leaf mutation of the q = 9 certificate ends in a report or
+    a format error.  f coefficients outside F_9 (1000, -1) fail check 1 with
+    a reason instead of indexing the field tables out of range."""
+    d = serialize.certificate_to_dict(cert)
+    leaves = [path for path, _ in _int_leaves(d) if path[0] not in ("p", "k", "modulus")]
+    cases = [(path, value) for path in leaves for value in ("+1", 0, 1000, -1)]
+    sample = random.Random(10).sample(cases, 40)
+    sample += [(("f", i), value) for i in (0, 3, 5) for value in (1000, -1)]
+    for path, value in sample:
+        dd = copy.deepcopy(d)
+        node = dd
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = node[path[-1]] + 1 if value == "+1" else value
+        try:
+            report = certificate_verify(dd)
+        except serialize.CertificateFormatError:
+            continue
+        assert len(report.checks) == 7, path
+        if path[0] == "f" and value in (1000, -1):
+            first = report.checks[0]
+            assert not first.passed and first.detail == "coefficient out of field range"
+            assert all(c.detail == "no curve to check against" for c in report.checks[1:])
 
 
 def test_verify_output_is_the_same_under_optimize(cert, tmp_path):

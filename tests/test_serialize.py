@@ -45,6 +45,8 @@ def test_shape_validation_catches_each_field(cert_dict):
         (lambda d: d.update(p="3"), "expected an integer"),
         (lambda d: d.update(schema="bogus/9"), "unsupported schema"),
         (lambda d: d.update(modulus=None), "modulus inconsistent"),
+        (lambda d: d.update(k=20), "field too large"),
+        (lambda d: d.update(p=3001, k=1, modulus=None), "field too large"),
         (lambda d: d.update(f="101"), "f: expected coefficients"),
         (lambda d: d.update(extra=1), "key set"),
         (lambda d: d.update(a_div=[["oops", 1]]), "bad place"),
