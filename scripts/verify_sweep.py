@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """Verify every single-leaf integer mutation of stored certificates.
 
-    python3 scripts/verify_sweep.py CERT.json [CERT.json ...] [--timeout S]
+    python3 scripts/verify_sweep.py CERT.json [CERT.json ...]
 
 For every integer leaf of each certificate except p, k and the modulus,
 four mutations are applied one at a time: +1, and the values 0, 1000 and
--1.  Each mutated dict goes through `certificate_verify` under a timeout,
-and one JSON line (sorted keys) is printed per case:
+-1.  Each mutated dict goes through `certificate_verify` under a timeout
+of TIMEOUT seconds, and one JSON line (sorted keys) is printed per case:
 
 - kind "report": the verify report, one [index, passed, detail] per check;
 - kind "format": the CertificateFormatError message;
@@ -29,6 +29,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from nefcert.obstruction import certificate_verify
 from nefcert.serialize import CertificateFormatError, parse_certificate
 
+TIMEOUT = 20  # seconds per case
 SKIPPED = ("p", "k", "modulus")
 MUTATIONS = (
     ("+1", lambda v: v + 1),
@@ -58,11 +59,24 @@ def int_leaves(node, path=()):
         yield path, node
 
 
-def _set(d: dict, path: tuple, value: int):
-    node = d
+def cases(d: dict) -> list:
+    """(path, op, change) for every mutated leaf and mutation, in order."""
+    return [
+        (path, op, change)
+        for path, _ in int_leaves(d)
+        if path[0] not in SKIPPED
+        for op, change in MUTATIONS
+    ]
+
+
+def mutated(d: dict, path: tuple, change) -> dict:
+    """A copy of d with the leaf at path replaced by change(leaf)."""
+    out = copy.deepcopy(d)
+    node = out
     for key in path[:-1]:
         node = node[key]
-    node[path[-1]] = value
+    node[path[-1]] = change(node[path[-1]])
+    return out
 
 
 def _label(path: tuple) -> str:
@@ -72,8 +86,8 @@ def _label(path: tuple) -> str:
     return out
 
 
-def run_case(d: dict, timeout: int) -> dict:
-    signal.alarm(timeout)
+def run_case(d: dict) -> dict:
+    signal.alarm(TIMEOUT)
     try:
         report = certificate_verify(d)
     except CaseTimeout:
@@ -90,7 +104,6 @@ def run_case(d: dict, timeout: int) -> dict:
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("certs", nargs="+", help="certificate files")
-    ap.add_argument("--timeout", type=int, default=20, help="seconds per case (default 20)")
     args = ap.parse_args()
     signal.signal(signal.SIGALRM, _alarm)
     for name in args.certs:
@@ -99,15 +112,10 @@ def main() -> int:
         except (OSError, CertificateFormatError) as err:
             print(f"error: {name}: {err}", file=sys.stderr)
             return 1
-        for path, value in int_leaves(base):
-            if path[0] in SKIPPED:
-                continue
-            for op, mutate in MUTATIONS:
-                d = copy.deepcopy(base)
-                _set(d, path, mutate(value))
-                out = run_case(d, args.timeout)
-                out["case"] = f"{Path(name).stem}:{_label(path)}:{op}"
-                print(json.dumps(out, sort_keys=True), flush=True)
+        for path, op, change in cases(base):
+            out = run_case(mutated(base, path, change))
+            out["case"] = f"{Path(name).stem}:{_label(path)}:{op}"
+            print(json.dumps(out, sort_keys=True), flush=True)
     return 0
 
 

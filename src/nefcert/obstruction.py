@@ -272,9 +272,10 @@ class BetaFunctional:
 
 
 def _charts(E: EmbeddingData) -> tuple:
-    """The four charts (s or 1/s, x or 1/x) of P^1 x P^1 along the curve.
+    """F_s at (s, x), and the four charts (s or 1/s, x or 1/x) of P^1 x P^1
+    along the curve.
 
-    Each is (sigma, omega, u, vx, F_sigma, F_omega): the chart coordinates,
+    Each chart is (sigma, omega, u, vx, F_sigma, F_omega): the chart coordinates,
     the factor u with F = u * (chart form), the x-component vx of d/domega,
     and the partials of the chart form at (sigma, omega).  F_s and F_w are
     evaluated once, at (s, x).  The chart forms are sigma^2 F(1/sigma, w) and
@@ -289,7 +290,7 @@ def _charts(E: EmbeddingData) -> tuple:
     if fs.is_zero:
         raise ValueError("degenerate chart data")
     s2, x3, vx = s * s, x * x * x, -(x * x)
-    return (
+    return fs, (
         (s, x, one, one, fs, fw),
         (s, x.inverse(), x3, vx, fs / x3, -(fw / x)),
         (s.inverse(), x, s2, one, -fs, fw / s2),
@@ -309,33 +310,32 @@ def _splitting_tails(E: EmbeddingData, n_div: Divisor, choice: int):
     """
     curve = E.curve
     y = curve.y()
-    charts = []
-    for sig, ome, u_ab, vx, dsig, dome in _charts(E):
-        vfields = (dome if lam == 0 else dome + dsig.scale(lam) for lam in (0, 1, 2))
-        vfields = tuple(vf for vf in vfields if not vf.is_zero)
-        charts.append((sig, ome, u_ab, vx, dsig, vfields))
+    fs, charts = _charts(E)
+    vfields = []  # per chart, the nonzero F_omega + lam * F_sigma, lam = 0, 1, 2
+    for *_, dsig, dome in charts:
+        fields = (dome if lam == 0 else dome + dsig.scale(lam) for lam in (0, 1, 2))
+        vfields.append(tuple(vf for vf in fields if not vf.is_zero))
 
     bad = set(pl for pl, _ in n_div.items)
     bad.add(curve.infinite_place())
-    bad.update(pl for pl, _ in curve.divisor(charts[0][4]).items)  # zeros of F_s
+    bad.update(pl for pl, _ in curve.divisor(fs).items)
     bad.update(curve.finite_ramified_places())
 
-    # options are (chart, field) descriptors; only the chosen one is built
+    # options are (u, vx, field) descriptors; only the chosen one is built
     tails = []
     for pl in sorted(bad):
         opts = []
-        for chart in charts:
-            sig, ome, _, _, dsig, vfields = chart
+        for (sig, ome, u_ab, vx, dsig, _), vfs in zip(charts, vfields):
             if curve.valuation(sig, pl) < 0 or curve.valuation(ome, pl) < 0:
                 continue
-            opts.extend((chart, vf) for vf in vfields if curve.valuation(vf, pl) == 0)
+            opts.extend((u_ab, vx, vf) for vf in vfs if curve.valuation(vf, pl) == 0)
             if not dsig.is_zero and curve.valuation(dsig, pl) == 0:
                 opts.append(None)  # the reference splitting itself works here
         if not opts:
             raise ValueError("degenerate chart data")
         pick = opts[choice % len(opts)]
         if pick is not None:
-            (_, _, u_ab, vx, _, _), vf = pick
+            u_ab, vx, vf = pick
             tails.append((pl, -(vx * (u_ab * y * vf).inverse())))
     return tails
 

@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import importlib.util
 import os
 import random
 import subprocess
@@ -182,7 +183,7 @@ def test_chart_partials_follow_from_two_derivatives(request, which):
     (s, x), equal the partials of the dehomogenized chart forms."""
     cert = request.getfixturevalue(which)
     _, emb = _embedding(cert)
-    charts = _charts(emb)
+    _, charts = _charts(emb)
     assert [(c[4], c[5]) for c in charts] == _old_chart_partials(emb)
 
 
@@ -576,38 +577,31 @@ def test_certificate_mutations_fail_at_the_intended_check(cert, mutate, expect):
     assert expect in failed
 
 
-def _int_leaves(node, path=()):
-    if isinstance(node, dict):
-        for key in sorted(node):
-            yield from _int_leaves(node[key], path + (key,))
-    elif isinstance(node, list):
-        for i, item in enumerate(node):
-            yield from _int_leaves(item, path + (i,))
-    elif type(node) is int:
-        yield path, node
+def _sweep():
+    """scripts/verify_sweep.py as a module: its mutation cases are the test's."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "verify_sweep.py"
+    spec = importlib.util.spec_from_file_location("verify_sweep", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_verify_is_total_on_single_leaf_mutations(cert):
     """Every single-leaf mutation of the q = 9 certificate ends in a report or
     a format error.  f coefficients outside F_9 (1000, -1) fail check 1 with
     a reason instead of indexing the field tables out of range."""
+    sweep = _sweep()
     d = serialize.certificate_to_dict(cert)
-    leaves = [path for path, _ in _int_leaves(d) if path[0] not in ("p", "k", "modulus")]
-    cases = [(path, value) for path in leaves for value in ("+1", 0, 1000, -1)]
+    cases = sweep.cases(d)
     sample = random.Random(10).sample(cases, 40)
-    sample += [(("f", i), value) for i in (0, 3, 5) for value in (1000, -1)]
-    for path, value in sample:
-        dd = copy.deepcopy(d)
-        node = dd
-        for key in path[:-1]:
-            node = node[key]
-        node[path[-1]] = node[path[-1]] + 1 if value == "+1" else value
+    sample += [c for c in cases if c[0] in (("f", 0), ("f", 3), ("f", 5)) and c[1] in ("1000", "-1")]
+    for path, op, change in sample:
         try:
-            report = certificate_verify(dd)
+            report = certificate_verify(sweep.mutated(d, path, change))
         except serialize.CertificateFormatError:
             continue
         assert len(report.checks) == 7, path
-        if path[0] == "f" and value in (1000, -1):
+        if path[0] == "f" and op in ("1000", "-1"):
             first = report.checks[0]
             assert not first.passed and first.detail == "coefficient out of field range"
             assert all(c.detail == "no curve to check against" for c in report.checks[1:])
