@@ -1,10 +1,17 @@
 """Jacobian arithmetic for the genus-2 curves, in Mumford coordinates.
 
 A degree-zero class is represented by a reduced pair (u, v): u monic of
-degree at most 2, deg v < deg u, and u dividing f - v^2.  Group law by
-Cantor composition and reduction.  Global invariants (order of the group,
-characteristic polynomial of Frobenius, order over extensions) come from
-point counts over the base field and its quadratic extension.
+degree at most 2, deg v < deg u, and u dividing f - v^2.  The group law
+works on coefficient codes through the field's polynomial kernels: a closed
+form composes coprime u's, or doubles a class, and reduces in one step
+(`_sum_codes`).  Pairs whose u's share a root without being equal or
+opposite, and doublings where 2 v vanishes at a root of u, take Cantor's
+general composition and reduction, which also serve the tests as the
+oracle.  Sums and negations are built without re-validation; pairs read
+from outside (`MumfordClass(...)`, `from_point`, `random_class`) are
+checked.  Global invariants (order of the group, characteristic polynomial
+of Frobenius, order over extensions) come from point counts over the base
+field and its quadratic extension.
 """
 
 from __future__ import annotations
@@ -34,8 +41,18 @@ class MumfordClass:
         self.v = v
 
     @classmethod
+    def _reduced(cls, curve: Curve, u: Polynomial, v: Polynomial) -> "MumfordClass":
+        """A pair already known to be reduced, such as a result of the group
+        law: the slots are filled without the checks of the constructor."""
+        out = object.__new__(cls)
+        out.curve = curve
+        out.u = u
+        out.v = v
+        return out
+
+    @classmethod
     def zero(cls, curve: Curve) -> "MumfordClass":
-        return cls(curve, Polynomial.one(curve.field), Polynomial.zero(curve.field))
+        return cls._reduced(curve, Polynomial.one(curve.field), Polynomial.zero(curve.field))
 
     @classmethod
     def from_point(cls, curve: Curve, x0: int, y0: int) -> "MumfordClass":
@@ -64,14 +81,27 @@ class MumfordClass:
         return f"jac[u={self.u}, v={self.v}]"
 
     def __neg__(self) -> "MumfordClass":
-        return MumfordClass(self.curve, self.u, (-self.v) % self.u if self.u.degree else self.v)
+        # deg v < deg u, so -v is already reduced
+        return MumfordClass._reduced(self.curve, self.u, -self.v)
 
     def __add__(self, other: "MumfordClass") -> "MumfordClass":
-        if self.curve != other.curve:
+        curve = self.curve
+        if curve is not other.curve and curve != other.curve:
             raise ValueError("classes on different curves")
-        u, v = _cantor_compose(self.curve.f, (self.u, self.v), (other.u, other.v))
-        u, v = _cantor_reduce(self.curve.f, u, v)
-        return MumfordClass(self.curve, u, v)
+        if self.is_zero:
+            return other
+        if other.is_zero:
+            return self
+        F = curve.field
+        uv = _sum_codes(
+            F, curve.f.coeffs, self.u.coeffs, self.v.coeffs, other.u.coeffs, other.v.coeffs
+        )
+        if uv is None:
+            u, v = _cantor_compose(curve.f, (self.u, self.v), (other.u, other.v))
+            u, v = _cantor_reduce(curve.f, u, v)
+        else:
+            u, v = Polynomial(F, uv[0]), Polynomial(F, uv[1])
+        return MumfordClass._reduced(curve, u, v)
 
     def __sub__(self, other: "MumfordClass") -> "MumfordClass":
         return self + (-other)
@@ -90,6 +120,95 @@ class MumfordClass:
         return out
 
     __rmul__ = __mul__
+
+
+# --- the group law on coefficient codes ----------------------------------------
+#
+# Lists hold coefficient codes low-to-high and may carry zeros at the top (the
+# Polynomial built from a result drops them); the u's are monic of degree 1 or
+# 2, and deg v < deg u.
+
+
+def _sum_codes(F, f, u1, v1, u2, v2):
+    """(u, v) codes of the reduced sum of two nonzero reduced pairs, or None
+    where the closed form does not apply and Cantor's general steps must.
+
+    With u1, u2 coprime the composition is (u1 u2, l) for l = v1 + s u1 and
+    s = (v2 - v1) / u1 mod u2, so that l = v2 mod u2.  Doubling takes
+    s = ((f - v^2) / u) / (2 v) mod u and l = v + s u, the tangent that meets
+    the curve twice at each point of u.  A composition of degree 3 or 4 is
+    reduced in one step, u3 = monic((f - l^2) / (u1 u2)) and v3 = -l mod u3:
+    deg l < deg(u1 u2) and deg(f - l^2) is 5 or 6, so deg u3 is 1 or 2.
+    None is returned when u1 and u2 share a root and the pairs are neither
+    equal nor opposite, or when 2 v vanishes at a root of u.
+    """
+    if u1 == u2:
+        if len(v1) == len(v2) and all(F.add(a, b) == 0 for a, b in zip(v1, v2)):
+            return (1,), ()  # P + (-P)
+        if v1 != v2:
+            return None
+        w = _inv_mod(F, [F.add(c, c) for c in v1], u1)
+        if w is None:
+            return None
+        k, _ = F.poly_divmod(_sub(F, f, _mul(F, v1, v1)), u1)
+        s = _rem(F, _mul(F, k, w), u1)
+        uu = F.poly_mul(u1, u1)
+    else:
+        w = _inv_mod(F, _rem(F, u1, u2), u2)
+        if w is None:
+            return None
+        s = _rem(F, _mul(F, _sub(F, v2, v1), w), u2)
+        uu = F.poly_mul(u1, u2)
+    l = _add(F, v1, _mul(F, s, u1))
+    if len(uu) == 3:
+        return uu, l
+    u3, _ = F.poly_divmod(_sub(F, f, _mul(F, l, l)), uu)
+    while not u3[-1]:
+        u3.pop()
+    lc = F.inv(u3[-1])
+    u3 = [F.mul(c, lc) for c in u3]
+    return u3, [F.neg(c) for c in _rem(F, l, u3)]
+
+
+def _inv_mod(F, w, u):
+    """Inverse of w mod the monic u of degree 1 or 2, or None when w and u
+    share a root.  For u = x^2 + c1 x + c0 the inverse of a x + b is
+    (-a x + b - a c1) / r with r = b^2 - a b c1 + a^2 c0."""
+    b = w[0]
+    if len(u) == 2:
+        return [F.inv(b)] if b else None
+    a = w[1] if len(w) > 1 else 0
+    c0, c1 = u[0], u[1]
+    mul, sub = F.mul, F.sub
+    r = F.add(sub(mul(b, b), mul(mul(a, b), c1)), mul(mul(a, a), c0))
+    if not r:
+        return None
+    ri = F.inv(r)
+    return [mul(sub(b, mul(a, c1)), ri), F.neg(mul(a, ri))]
+
+
+def _mul(F, a, b):
+    return F.poly_mul(a, b) if a and b else []
+
+
+def _rem(F, a, u):
+    return F.poly_divmod(a, u)[1] if len(a) >= len(u) else list(a)
+
+
+def _add(F, a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] = F.add(out[i], c)
+    return out
+
+
+def _sub(F, a, b):
+    out = list(a) + [0] * (len(b) - len(a))
+    for i, c in enumerate(b):
+        out[i] = F.sub(out[i], c)
+    return out
 
 
 def _cantor_compose(f: Polynomial, c1, c2):

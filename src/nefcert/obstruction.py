@@ -377,8 +377,9 @@ def _subtract_points(w_cls: MumfordClass, chosen, neg_cls: dict) -> MumfordClass
     neg_cls maps each place to -[P - oo].  The points are taken in pairs.
     With x1 != x2, [P1 + P2 - 2 oo] is the reduced pair (u1 u2, v) with v the
     chord through both points, so one addition of (u1 u2, -v) subtracts
-    both; a pair with equal x, or with infinity, adds its two negated point
-    classes.
+    both; that pair is reduced by construction and skips the checks of the
+    constructor.  A pair with equal x, or with infinity, adds its two
+    negated point classes.
     """
     curve = w_cls.curve
     F = curve.field
@@ -391,7 +392,7 @@ def _subtract_points(w_cls: MumfordClass, chosen, neg_cls: dict) -> MumfordClass
         x2, y2 = F.neg(p2.u[0]), p2.v[0]
         slope = F.div(F.sub(y2, y1), F.sub(x2, x1))
         chord = Polynomial(F, (F.sub(y1, F.mul(slope, x1)), slope))
-        out = out + MumfordClass(curve, p1.u * p2.u, -chord)
+        out = out + MumfordClass._reduced(curve, p1.u * p2.u, -chord)
     if len(chosen) % 2:
         out = out + neg_cls[chosen[-1]]
     return out

@@ -101,6 +101,13 @@ def _is_int_list(v) -> bool:
     return isinstance(v, list) and all(type(c) is int for c in v)
 
 
+def _check_poly(v, key: str, msg: str = "bad coefficients"):
+    """Integer coefficients, low to high, with no zero on top: the one
+    encoding of each polynomial, so a padded copy cannot verify."""
+    _want(_is_int_list(v), f"{key}: {msg}")
+    _want(not v or v[-1] != 0, f"{key}: zero top coefficient")
+
+
 def _below_power(n: int, p: int, k: int) -> bool:
     """n < p**k for n >= 0, without building p**k for an unchecked k."""
     while n and k:
@@ -112,7 +119,8 @@ def _below_power(n: int, p: int, k: int) -> bool:
 def _check_rational(v, key: str):
     _want(isinstance(v, dict), f"{key}: expected an object")
     _want(set(v) == {"num", "den"}, f"{key}: expected num/den")
-    _want(_is_int_list(v["num"]) and _is_int_list(v["den"]), f"{key}: bad coefficients")
+    _check_poly(v["num"], key + ".num")
+    _check_poly(v["den"], key + ".den")
 
 
 def _check_fn(v, key: str):
@@ -136,10 +144,8 @@ def _check_divisor(v, key: str):
         )
         _want(isinstance(pl["kind"], str), f"{key}[{i}]: bad place kind")
         for part in ("u", "v"):
-            _want(
-                pl[part] is None or _is_int_list(pl[part]),
-                f"{key}[{i}]: bad place polynomial",
-            )
+            if pl[part] is not None:
+                _check_poly(pl[part], f"{key}[{i}].{part}", "bad place polynomial")
 
 
 _CERT_KEYS = {
@@ -180,14 +186,20 @@ def ensure_certificate_shape(d) -> dict:
         "modulus: expected null or coefficients",
     )
     _want((d["k"] == 1) == (d["modulus"] is None), "modulus inconsistent with k")
-    _want(_is_int_list(d["f"]), "f: expected coefficients")
+    if d["modulus"] is not None:
+        # field_with_modulus reads the codes as they are, so no other
+        # spelling of the modulus may reach it
+        m = d["modulus"]
+        _want(
+            len(m) == d["k"] + 1 and all(0 <= c < d["p"] for c in m) and m[-1] == 1,
+            "modulus: expected k + 1 codes below p, ending in 1",
+        )
+    _check_poly(d["f"], "f", "expected coefficients")
     _check_divisor(d["a_div"], "a_div")
     _check_divisor(d["d_div"], "d_div")
     _want(isinstance(d["l_cls"], dict) and set(d["l_cls"]) == {"u", "v"}, "l_cls: bad pair")
-    _want(
-        _is_int_list(d["l_cls"]["u"]) and _is_int_list(d["l_cls"]["v"]),
-        "l_cls: bad coefficients",
-    )
+    _check_poly(d["l_cls"]["u"], "l_cls.u")
+    _check_poly(d["l_cls"]["v"], "l_cls.v")
     _check_fn(d["g"], "g")
     _check_fn(d["gamma"], "gamma")
     _check_fn(d["alpha"], "alpha")

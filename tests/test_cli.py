@@ -70,6 +70,22 @@ def test_verify_exit_codes(tmp_path, capsys):
         assert out == ""
         assert "malformed certificate: delta_coords:" in err
 
+    # another spelling of the valid certificate: an unreduced modulus code,
+    # or a zero on top of a coefficient list
+    d = json.loads(path.read_text())
+    for key, change in (
+        ("modulus", lambda d: d.update(modulus=[4, 0, 1])),
+        ("f", lambda d: d["f"].append(0)),
+        ("alpha.a.num", lambda d: d["alpha"]["a"]["num"].append(0)),
+    ):
+        spelled = json.loads(json.dumps(d))
+        change(spelled)
+        bad.write_text(json.dumps(spelled))
+        code, out, err = run(capsys, ["verify", str(bad)])
+        assert code == 2
+        assert out == ""
+        assert f"malformed certificate: {key}:" in err
+
     mangled = tmp_path / "mangled.json"
     mangled.write_text("{]")
     code, _, err = run(capsys, ["verify", str(mangled)])

@@ -68,6 +68,10 @@ def test_field_with_noncanonical_modulus():
     assert f.q == 9 and f is not field(3, 2)
     with pytest.raises(ValueError, match="reducible"):
         field_with_modulus(3, 2, [2, 0, 1])  # x^2+2 = (x+1)(x+2)
+    # 4 = 1 mod 3, but the codes are read as given: only [1, 0, 1] is x^2 + 1
+    for bad in ([4, 0, 1], [1, 0, 4], [1, 0, 1, 0], [-2, 0, 1]):
+        with pytest.raises(ValueError, match="monic of degree k over F_p"):
+            field_with_modulus(3, 2, bad)
 
 
 # --- element arithmetic --------------------------------------------------

@@ -4,10 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nefcert import jacobian
 from nefcert.curves import Curve, Divisor
-from nefcert.fields import Polynomial, embedding, field
+from nefcert.fields import Polynomial, embedding, field, poly_gcd
 from nefcert.jacobian import (
     MumfordClass,
+    _cantor_compose,
+    _cantor_reduce,
     _power_traces,
     affine_points,
     class_order,
@@ -254,3 +257,129 @@ def test_random_class_matches_the_polynomial_rejection_loop(p, k):
                 degrees.add(cls.u.degree)
             assert fast.getstate() == ref.getstate()
     assert degrees >= {1, 2}
+
+
+# --- the closed-form group law against the Cantor oracle -----------------------
+
+
+def _cantor_sum(a: MumfordClass, b: MumfordClass) -> MumfordClass:
+    """Reference: Cantor composition and reduction, through the validating
+    constructor."""
+    u, v = _cantor_compose(a.curve.f, (a.u, a.v), (b.u, b.v))
+    return MumfordClass(a.curve, *_cantor_reduce(a.curve.f, u, v))
+
+
+def _expected_branch(a: MumfordClass, b: MumfordClass) -> str:
+    """Which case of the closed form a sum takes, read off its summands."""
+    if a.is_zero or b.is_zero:
+        return "zero"
+    if a == -b:
+        return "P + (-P)"
+    if a == b:
+        if poly_gcd(a.u, a.v.scale(2)).degree > 0:
+            return "fallback"
+        return "doubling"
+    if poly_gcd(a.u, b.u).degree > 0:
+        return "fallback"
+    if a.u.degree != b.u.degree:
+        return "mixed degrees"
+    return f"coprime {a.u.degree}+{b.u.degree}"
+
+
+def _check_sum(a: MumfordClass, b: MumfordClass, fallbacks: list) -> str:
+    before = len(fallbacks)
+    got = a + b
+    branch = _expected_branch(a, b)
+    assert (len(fallbacks) > before) == (branch == "fallback"), (a, b, branch)
+    assert got == _cantor_sum(a, b), (a, b, branch)
+    # sums skip the constructor's checks, so test the invariant here
+    C = a.curve
+    assert got.u.is_monic() and got.u.degree <= 2 and got.v.degree < got.u.degree
+    assert ((C.f - got.v * got.v) % got.u).is_zero
+    return branch
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """Records each sum that takes Cantor's general steps."""
+    calls = []
+    compose = jacobian._cantor_compose
+
+    def counted(*args):
+        calls.append(args)
+        return compose(*args)
+
+    monkeypatch.setattr(jacobian, "_cantor_compose", counted)
+    return calls
+
+
+ALL_BRANCHES = {
+    "zero",
+    "P + (-P)",
+    "doubling",
+    "coprime 1+1",
+    "coprime 2+2",
+    "mixed degrees",
+    "fallback",
+}
+
+
+def test_group_law_matches_cantor_on_every_pair_over_f9(fallbacks):
+    # the first curve has two rational ramified points and 40 classes, the
+    # second none and 99 classes
+    F9 = field(3, 2)
+    branches = set()
+    for C in (Curve(F9, (4, 5, 7, 2, 3, 1)), Curve(F9, (6, 6, 0, 4, 8, 1))):
+        classes = enumerate_classes(C)
+        for a in classes:
+            for b in classes:
+                branches.add(_check_sum(a, b, fallbacks))
+    assert branches == ALL_BRANCHES
+
+
+def _point_pairs(C: Curve, rng: random.Random, n: int):
+    """n pairs of classes built from random rational points by the oracle:
+    unrelated sums of one to four points, equal and opposite classes, two
+    classes sharing the x of a point, and a zero summand."""
+    pts = affine_points(C)
+
+    def point(i=None):
+        return MumfordClass.from_point(C, *pts[rng.randrange(len(pts)) if i is None else i])
+
+    def class_():
+        out = MumfordClass.zero(C)
+        for _ in range(rng.randrange(1, 5)):
+            out = _cantor_sum(out, point())
+        return out
+
+    for i in range(n):
+        kind = i % 8
+        a = class_()
+        if kind == 4:
+            yield a, a
+        elif kind == 5:
+            yield a, -a
+        elif kind == 6:
+            j = rng.randrange(len(pts))
+            twin = point(j) if rng.randrange(2) else -point(j)
+            yield _cantor_sum(point(j), point()), _cantor_sum(twin, point())
+        elif kind == 7:
+            yield (a, MumfordClass.zero(C)) if rng.randrange(2) else (MumfordClass.zero(C), a)
+        else:
+            yield a, class_()
+
+
+@pytest.mark.parametrize("p,k", [(5, 2), (7, 3)])
+def test_group_law_matches_cantor_on_random_pairs(fallbacks, p, k):
+    F = field(p, k)
+    rng = random.Random(100 * p + k)
+    C = None
+    while C is None:
+        try:
+            C = Curve(F, tuple(F.random(rng) for _ in range(6)))
+        except ValueError:
+            continue
+    branches = set()
+    for a, b in _point_pairs(C, rng, 2000):
+        branches.add(_check_sum(a, b, fallbacks))
+    assert branches == ALL_BRANCHES

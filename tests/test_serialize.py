@@ -56,6 +56,17 @@ def test_shape_validation_catches_each_field(cert_dict):
         (lambda d: d.update(frob={"twist": 1}), "frob"),
         (lambda d: d.update(cartier=[[1, 2, 3]]), "cartier"),
         (lambda d: d["d_div"][0].__setitem__(1, "one"), "multiplicity"),
+        # a modulus code reduced mod p, or a zero on top of a coefficient
+        # list, would spell the same certificate another way
+        (lambda d: d.update(modulus=[4, 0, 1]), "modulus: expected k"),
+        (lambda d: d.update(modulus=[1, 0, 4]), "modulus: expected k"),
+        (lambda d: d.update(modulus=[-2, 0, 1]), "modulus: expected k"),
+        (lambda d: d.update(modulus=[1, 0, 1, 0]), "modulus: expected k"),
+        (lambda d: d["f"].append(0), "f: zero top coefficient"),
+        (lambda d: d["alpha"]["a"]["num"].append(0), "alpha.a.num: zero top coefficient"),
+        (lambda d: d["g"]["b"]["den"].append(0), "g.b.den: zero top coefficient"),
+        (lambda d: d["l_cls"]["v"].append(0), "l_cls.v: zero top coefficient"),
+        (lambda d: d["d_div"][1][0]["u"].append(0), r"d_div\[1\].u: zero top coefficient"),
     ]
     for fn, msg in cases:
         with pytest.raises(CertificateFormatError, match=msg):
