@@ -15,6 +15,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from nefcert.obstruction import (
+    CURVE_TRIES,
     SearchBudget,
     SearchExhausted,
     certificate_build,
@@ -28,7 +29,7 @@ def main() -> int:
     ap.add_argument("--primes", default="3,5,7", help="comma-separated odd primes")
     ap.add_argument("--seeds", type=int, default=3, help="seeds 0..N-1 per prime")
     ap.add_argument("--out", default="", help="directory for certificate files")
-    ap.add_argument("--curve-tries", type=int, default=SearchBudget.curve_tries)
+    ap.add_argument("--curve-tries", type=int, default=CURVE_TRIES)
     args = ap.parse_args()
 
     primes = [int(tok) for tok in args.primes.split(",") if tok.strip()]

@@ -15,13 +15,15 @@ Exit codes: 0 success / certificate passes, 1 failure / certificate fails,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .fields import _is_prime, field
 from .obstruction import (
+    CURVE_TRIES,
+    DELTA_TRIES,
+    MAX_Q,
     SearchBudget,
     SearchExhausted,
     certificate_build,
@@ -31,8 +33,7 @@ from .obstruction import (
 FAILURE_SCHEMA = "nefcert-failure/1"
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """Fully resolved invocation; defaults match the parser's."""
 
     command: str
@@ -48,7 +49,8 @@ class RunConfig:
     format: str = "text"
 
     def echo(self):
-        d = dataclasses.asdict(self)
+        d = self._asdict()
+        d["budget"] = self.budget._asdict()  # json writes a tuple as a list
         print("config: " + json.dumps(d, sort_keys=True), file=sys.stderr)
 
 
@@ -77,11 +79,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="point-counting work limit; caps the usable field size (default 1e7)",
     )
     sp.add_argument(
-        "--curve-tries", type=int, default=SearchBudget.curve_tries,
+        "--curve-tries", type=int, default=CURVE_TRIES,
         help="curves sampled before giving up",
     )
     sp.add_argument(
-        "--delta-tries", type=int, default=SearchBudget.delta_tries,
+        "--delta-tries", type=int, default=DELTA_TRIES,
         help="point configurations per section round",
     )
     sp.add_argument("--format", choices=("json", "text"), default="text")
@@ -288,11 +290,10 @@ def main(argv=None) -> int:
     ns = ap.parse_args(argv)
     kwargs = {"command": ns.command, "format": ns.format}
     if ns.command == "search":
-        budget = dataclasses.replace(
-            SearchBudget(),
+        budget = SearchBudget(
             curve_tries=ns.curve_tries,
             delta_tries=ns.delta_tries,
-            max_q=min(SearchBudget.max_q, _isqrt_floor(ns.guard)),
+            max_q=min(MAX_Q, _isqrt_floor(ns.guard)),
         )
         kwargs.update(p=ns.p, seed=ns.seed, out=ns.out, guard=ns.guard, budget=budget)
     elif ns.command == "verify":

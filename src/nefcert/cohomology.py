@@ -15,7 +15,7 @@ sit the Serre duality pairing, Cartier-Manin matrices, and the p-power
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import linalg
 from .curves import (
@@ -37,8 +37,7 @@ def _sorted_polys(polys) -> list[Polynomial]:
 # --- Riemann-Roch spaces ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RRSpace:
+class RRSpace(NamedTuple):
     """Global sections of O(divisor), as functions (A + B y) / denominator.
 
     `vectors` are the canonical kernel vectors of the congruence system, the
@@ -567,8 +566,7 @@ def cartier_class(g) -> tuple:
 # --- semilinear Frobenius on H^1 --------------------------------------------
 
 
-@dataclass(frozen=True)
-class SemilinearMap:
+class SemilinearMap(NamedTuple):
     """A sigma^twist-semilinear map in fixed coordinates over the base field.
 
     Applying the map raises each input coordinate to the p^twist power and
@@ -623,8 +621,7 @@ def torsion_trivialization(
     return g
 
 
-@dataclass(frozen=True)
-class PTorsionBundle:
+class PTorsionBundle(NamedTuple):
     """A Picard class of exact order p, with the function trivializing its
     p-th power: div(g) = p * rep, rep the reduced representative of cls."""
 

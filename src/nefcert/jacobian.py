@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import linalg
 from .curves import Curve, Divisor, INERT, INFINITE, RAMIFIED, SPLIT
@@ -238,8 +238,7 @@ def _cantor_reduce(f: Polynomial, u: Polynomial, v: Polynomial):
 # --- global invariants ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FrobeniusData:
+class FrobeniusData(NamedTuple):
     """Zeta data of a genus-2 curve: counts, trace terms and group order."""
 
     q: int
@@ -505,13 +504,14 @@ def divisor_class_to_mumford(curve: Curve, div: Divisor) -> MumfordClass:
     for pl, m in div.items:
         if pl.kind in (INFINITE, INERT):
             continue
+        # a place can exceed genus degree; reduce its pair first
         if pl.kind == RAMIFIED:
             # div(u) = 2 P - 2 deg(u) oo, so the even part is principal and
             # P is its own negative
             if m % 2:
-                out = out + MumfordClass(curve, pl.u, Polynomial.zero(curve.field))
+                u, v = _cantor_reduce(curve.f, pl.u, Polynomial.zero(curve.field))
+                out = out + MumfordClass(curve, u, v)
         else:
-            # split places can exceed genus degree; reduce the pair first
             u, v = _cantor_reduce(curve.f, pl.u, pl.v)
             out = out + m * MumfordClass(curve, u, v)
     return out

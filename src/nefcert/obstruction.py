@@ -26,7 +26,7 @@ set a certificate records and `certificate_verify` recomputes.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cohomology import (
     PTorsionBundle,
@@ -99,8 +99,7 @@ def _polar(curve: Curve, phi: FunctionElement) -> Divisor:
 # --- the embedding -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EmbeddingData:
+class EmbeddingData(NamedTuple):
     """A bidegree-(2,3) model of the curve in P^1 x P^1.
 
     rows holds the defining form: entry i is the x-polynomial coefficient of
@@ -216,7 +215,6 @@ def normal_bundle_divisor(E: EmbeddingData, rng: random.Random | None = None) ->
 # --- the extension-class functional ------------------------------------------
 
 
-@dataclass(frozen=True)
 class BetaFunctional:
     """The extension class of the normal bundle sequence, as the residue
     functional it induces on the section space of 2K + N.
@@ -225,10 +223,14 @@ class BetaFunctional:
     sends psi to the sum over those places of res(phi * psi * y^-1 dx).
     """
 
-    curve: Curve
-    n_div: Divisor
-    space_div: Divisor
-    tails: tuple
+    __slots__ = ("curve", "n_div", "space_div", "tails", "_coeffs")
+
+    def __init__(self, curve: Curve, n_div: Divisor, space_div: Divisor, tails: tuple):
+        self.curve = curve
+        self.n_div = n_div
+        self.space_div = space_div
+        self.tails = tails
+        self._coeffs = None
 
     @property
     def dim(self) -> int:
@@ -237,12 +239,10 @@ class BetaFunctional:
     @property
     def coeffs(self) -> tuple:
         """Values on the basis of the section space, computed on first use."""
-        cached = self.__dict__.get("_coeffs")
-        if cached is None:
+        if self._coeffs is None:
             basis = rr_space(self.curve, self.space_div).basis
-            cached = tuple(self.value(phi) for phi in basis)
-            object.__setattr__(self, "_coeffs", cached)
-        return cached
+            self._coeffs = tuple(self.value(phi) for phi in basis)
+        return self._coeffs
 
     @property
     def is_zero(self) -> bool:
@@ -475,19 +475,24 @@ def obstruction_scalar(
 # --- certificates -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SearchBudget:
+# Default stage limits, read by the CLI flags and the certificate shape
+# check.  Search curves are defined over F_p, so group orders come from
+# point counts over F_p and F_{p^2}; MAX_Q bounds the field F_q the search
+# works in, whose own point count takes q evaluations.
+CURVE_TRIES = 64
+MAX_Q = 3000
+DELTA_TRIES = 150
+
+
+class SearchBudget(NamedTuple):
     """Stage iteration limits for the certificate search."""
 
-    curve_tries: int = 64
-    # search curves are defined over F_p, so group orders come from point
-    # counts over F_p and F_{p^2}; max_q bounds the field F_q the search
-    # works in, whose own point count takes q evaluations
-    max_q: int = 3000
+    curve_tries: int = CURVE_TRIES
+    max_q: int = MAX_Q
     torsion_tries: int = 8
     pencil_tries: int = 12
     delta_rounds: int = 4
-    delta_tries: int = 150
+    delta_tries: int = DELTA_TRIES
     min_points: int = 14
 
 
@@ -499,8 +504,7 @@ class SearchExhausted(RuntimeError):
         self.stats = dict(stats)
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """Everything needed to recheck the seven hypotheses from scratch."""
 
     schema: str
@@ -651,16 +655,14 @@ def certificate_build(p: int, seed: int, budget: SearchBudget = SearchBudget()) 
 # --- verification --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     index: int
     name: str
     passed: bool
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     checks: tuple
 
     @property

@@ -17,7 +17,7 @@ from .cohomology import SemilinearMap
 from .curves import INFINITE, Curve, Differential, Divisor, FunctionElement, Place
 from .fields import Field, Polynomial, RationalFunction
 from .jacobian import MumfordClass
-from .obstruction import SCHEMA_VERSION, Certificate, SearchBudget
+from .obstruction import MAX_Q, SCHEMA_VERSION, Certificate
 
 
 class CertificateFormatError(ValueError):
@@ -121,6 +121,9 @@ def _check_rational(v, key: str):
     _want(set(v) == {"num", "den"}, f"{key}: expected num/den")
     _check_poly(v["num"], key + ".num")
     _check_poly(v["den"], key + ".den")
+    # RationalFunction keeps its denominator monic, so a fraction scaled
+    # top and bottom would spell the same certificate another way
+    _want(v["den"][-1:] == [1], f"{key}.den: denominator not monic")
 
 
 def _check_fn(v, key: str):
@@ -176,10 +179,10 @@ def ensure_certificate_shape(d) -> dict:
     for key in ("p", "k", "obstruction", "seed"):
         _want(type(d[key]) is int, f"{key}: expected an integer")
     _want(d["p"] >= 2 and d["k"] >= 1, "bad field parameters")
-    # no search builds a field above max_q, and verify work grows with q
+    # no search builds a field above MAX_Q, and verify work grows with q
     _want(
-        not _below_power(SearchBudget.max_q, d["p"], d["k"]),
-        f"field too large: p^k > {SearchBudget.max_q}",
+        not _below_power(MAX_Q, d["p"], d["k"]),
+        f"field too large: p^k > {MAX_Q}",
     )
     _want(
         d["modulus"] is None or _is_int_list(d["modulus"]),

@@ -71,12 +71,13 @@ def test_verify_exit_codes(tmp_path, capsys):
         assert "malformed certificate: delta_coords:" in err
 
     # another spelling of the valid certificate: an unreduced modulus code,
-    # or a zero on top of a coefficient list
+    # a zero on top of a coefficient list, or a denominator that is not monic
     d = json.loads(path.read_text())
     for key, change in (
         ("modulus", lambda d: d.update(modulus=[4, 0, 1])),
         ("f", lambda d: d["f"].append(0)),
         ("alpha.a.num", lambda d: d["alpha"]["a"]["num"].append(0)),
+        ("alpha.b.den", lambda d: d["alpha"]["b"].update(den=[2])),
     ):
         spelled = json.loads(json.dumps(d))
         change(spelled)
@@ -188,3 +189,42 @@ def test_curve_info_rejects_singular_model(capsys):
     code, _, err = run(capsys, ["curve-info", "--p", "3", "--f", "0,0,0,0,0,1"])
     assert code == 1
     assert "singular" in err
+
+
+def test_config_echo_is_pinned(capsys, monkeypatch):
+    """The stderr `config:` line, byte for byte, for a search and a verify."""
+    monkeypatch.chdir(Path(nefcert.__file__).parents[2])
+    budget = (
+        '{"curve_tries": 64, "delta_rounds": 4, "delta_tries": 150, "max_q": 3000,'
+        ' "min_points": 14, "pencil_tries": 12, "torsion_tries": 8}'
+    )
+    code, _, err = run(capsys, ["search", "--p", "3", "--seed", "0"])
+    assert code == 0
+    assert err.splitlines()[0] == (
+        f'config: {{"base": "p1xp1", "budget": {budget}, "command": "search",'
+        ' "d": 3, "f": [], "format": "text", "guard": 10000000, "out": "", "p": 3,'
+        ' "path": "", "seed": 0}'
+    )
+    code, _, err = run(capsys, ["verify", "perfbench/inputs/cert-p3-s0.json"])
+    assert code == 0
+    assert err == (
+        f'config: {{"base": "p1xp1", "budget": {budget}, "command": "verify",'
+        ' "d": 3, "f": [], "format": "text", "guard": 10000000, "out": "", "p": 3,'
+        ' "path": "perfbench/inputs/cert-p3-s0.json", "seed": 0}\n'
+    )
+
+
+def test_cold_import_path_is_lean():
+    """The modules a cold `search` or `verify` loads pull in neither
+    `dataclasses` nor `inspect`: their import alone takes longer than the
+    checks of a certificate that fails check 1."""
+    env = dict(os.environ, PYTHONPATH=str(Path(nefcert.__file__).parents[1]))
+    probe = (
+        "import sys, nefcert.cli, nefcert.serialize;"
+        " print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", probe], capture_output=True, env=env, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == b"[]\n"

@@ -163,6 +163,18 @@ def test_inert_and_ramified_fibers_are_principal():
     assert divisor_class_to_mumford(C, div2).is_zero
 
 
+def test_ramified_place_beyond_genus_degree_is_reduced():
+    """A ramified place of degree 3 taken once is reduced like a split one:
+    on y^2 = (x^3 + 2x + 1)(x^2 + 1), div(y) = P + Q - 5 oo for the ramified
+    places P, Q over the two factors, so P - 3 oo ~ -(Q - 2 oo) = (x^2 + 1, 0)."""
+    C = Curve(F3, (1, 2, 1, 0, 0, 1))
+    (P,) = C.places_above(Polynomial(F3, (1, 2, 0, 1)))
+    assert P.kind == "ramified" and P.degree == 3
+    cls = divisor_class_to_mumford(C, Divisor([(P, 1), (C.infinite_place(), -3)]))
+    assert cls == MumfordClass(C, Polynomial(F3, (1, 0, 1)), Polynomial.zero(F3))
+    assert divisor_class_to_mumford(C, Divisor([(P, 3), (C.infinite_place(), -9)])) == cls
+
+
 def test_ordinarity_and_torsion_field_degree():
     assert not is_ordinary(curve35())
     assert is_ordinary(curve3x())

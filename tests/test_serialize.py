@@ -67,6 +67,10 @@ def test_shape_validation_catches_each_field(cert_dict):
         (lambda d: d["g"]["b"]["den"].append(0), "g.b.den: zero top coefficient"),
         (lambda d: d["l_cls"]["v"].append(0), "l_cls.v: zero top coefficient"),
         (lambda d: d["d_div"][1][0]["u"].append(0), r"d_div\[1\].u: zero top coefficient"),
+        # and so would a denominator that is not monic, or the zero one
+        (lambda d: d["alpha"]["b"].update(den=[2]), "alpha.b.den: denominator not monic"),
+        (lambda d: d["g"]["a"]["den"].__setitem__(-1, 2), "g.a.den: denominator not monic"),
+        (lambda d: d["gamma"]["a"].update(den=[]), "gamma.a.den: denominator not monic"),
     ]
     for fn, msg in cases:
         with pytest.raises(CertificateFormatError, match=msg):
