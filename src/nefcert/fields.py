@@ -6,6 +6,9 @@ field type has one arithmetic kernel, for elements and for coefficient
 tuples (`poly_mul`, `poly_divmod`) alike: prime fields compute directly mod
 p; extensions build exp/log/Zech-log tables over a fixed generator (every
 field used here is tiny), so each operation is one or two table lookups.
+The remainder loops (`%`, `//`, `poly_gcd`, `Polynomial.pow_mod`,
+`poly_ord`) run `poly_divmod` on lists of codes and build a `Polynomial`
+only for what they return.
 
 Also provides univariate polynomials over such fields (gcd, xgcd, factoring,
 irreducibility testing, modular square roots, Hensel lifting of square roots)
@@ -596,11 +599,24 @@ class Polynomial:
         quot, rem = f.poly_divmod(a, b)
         return Polynomial(f, quot), Polynomial(f, rem)
 
+    def _divisor(self, other: "Polynomial") -> tuple:
+        """The codes of other, checked to be a nonzero divisor over self's field."""
+        self._check(other)
+        if not other.coeffs:
+            raise ZeroDivisionError("polynomial division by zero")
+        return other.coeffs
+
     def __floordiv__(self, other: "Polynomial") -> "Polynomial":
-        return divmod(self, other)[0]
+        a, b = self.coeffs, self._divisor(other)
+        if len(a) < len(b):
+            return Polynomial.zero(self.field)
+        return Polynomial(self.field, self.field.poly_divmod(a, b)[0])
 
     def __mod__(self, other: "Polynomial") -> "Polynomial":
-        return divmod(self, other)[1]
+        a, b = self.coeffs, self._divisor(other)
+        if len(a) < len(b):
+            return self
+        return Polynomial(self.field, self.field.poly_divmod(a, b)[1])
 
     def __pow__(self, e: int) -> "Polynomial":
         if e < 0:
@@ -617,14 +633,22 @@ class Polynomial:
     def pow_mod(self, e: int, mod: "Polynomial") -> "Polynomial":
         if e < 0:
             raise ValueError("negative exponent in pow_mod")
-        r = Polynomial.one(self.field) % mod
-        b = self % mod
+        m = self._divisor(mod)
+        f = self.field
+        mul, divmod_ = f.poly_mul, f.poly_divmod
+
+        def reduce(c):
+            return _strip(divmod_(c, m)[1]) if len(c) >= len(m) else c
+
+        r = reduce((1,))
+        b = reduce(self.coeffs)
         while e:
             if e & 1:
-                r = (r * b) % mod
-            b = (b * b) % mod
+                r = reduce(mul(r, b)) if r and b else []
             e >>= 1
-        return r
+            if e:
+                b = reduce(mul(b, b)) if b else []
+        return Polynomial(f, r)
 
     def derivative(self) -> "Polynomial":
         f = self.field
@@ -644,13 +668,25 @@ class Polynomial:
         return acc
 
 
+def _strip(c: list) -> list:
+    """Drop the zero codes on top of c, in place; returns c."""
+    while c and not c[-1]:
+        c.pop()
+    return c
+
+
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     """Monic gcd; gcd(0, 0) = 0."""
     if a.field is not b.field and a.field != b.field:
         raise ValueError("mixed fields")
-    while not b.is_zero:
-        a, b = b, a % b
-    return a.monic()
+    f = a.field
+    a, b = a.coeffs, b.coeffs
+    while b:
+        a, b = b, _strip(f.poly_divmod(a, b)[1]) if len(a) >= len(b) else a
+    if a and a[-1] != 1:
+        inv, mul = f.inv(a[-1]), f.mul
+        a = [mul(c, inv) for c in a]
+    return Polynomial(f, a)
 
 
 def poly_xgcd(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial, Polynomial]:
@@ -676,13 +712,13 @@ def poly_ord(a: Polynomial, u: Polynomial) -> int:
     """Multiplicity of the irreducible u in a (a nonzero)."""
     if a.is_zero:
         raise ValueError("ord of zero polynomial")
-    n = 0
-    while True:
-        q, r = divmod(a, u)
-        if not r.is_zero:
-            return n
-        a = q
+    c, m, n = a.coeffs, a._divisor(u), 0
+    while len(c) >= len(m):
+        c, r = a.field.poly_divmod(c, m)
+        if any(r):
+            break
         n += 1
+    return n
 
 
 def poly_random(f: Field, degree: int, rng: random.Random) -> Polynomial:

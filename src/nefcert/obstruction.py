@@ -525,6 +525,34 @@ class Certificate(NamedTuple):
     seed: int
 
 
+def _torsion_try(curve: Curve, seed: int, stats: dict):
+    """find_p_torsion(curve, seed), or None, counted as a torsion miss."""
+    try:
+        return find_p_torsion(curve, seed)
+    except (RuntimeError, ValueError):
+        stats["torsion_misses"] += 1
+        return None
+
+
+def _torsion_candidates(curve: Curve, tries, limit: int, stats: dict):
+    """The first `limit` distinct multiples j * cls (j = 1..p-1) of the
+    p-torsion classes found from the seeds in `tries`, in order.  A try runs
+    only when the candidates of the tries before it are used up, and it is
+    taken from `tries`, so the caller can see which tries never ran."""
+    found = []
+    for seed in tries:
+        cls = _torsion_try(curve, seed, stats)
+        if cls is None:
+            continue
+        for j in range(1, curve.field.p):
+            cj = cls * j
+            if cj not in found:
+                found.append(cj)
+                yield cj
+                if len(found) == limit:
+                    return
+
+
 def certificate_build(p: int, seed: int, budget: SearchBudget = SearchBudget()) -> Certificate:
     """Seeded search for a full certificate at the prime p.
 
@@ -533,6 +561,13 @@ def certificate_build(p: int, seed: int, budget: SearchBudget = SearchBudget()) 
     point configurations until the obstruction scalar is nonzero.  Fully
     deterministic in (p, seed, budget); raises SearchExhausted with stage
     statistics when the budget runs out.
+
+    The seeds of a curve's `torsion_tries` tries of `find_p_torsion` are
+    drawn up front, and a try runs only when the candidate loop needs its
+    classes; `find_p_torsion` seeds its own generator, so the order in which
+    tries run does not change the random stream.  When a curve is given up,
+    the tries that never ran are run to count their misses, so the
+    statistics count every try, as when all of them ran first.
     """
     if not _is_prime(p):
         raise ValueError("not prime")
@@ -576,18 +611,8 @@ def certificate_build(p: int, seed: int, budget: SearchBudget = SearchBudget()) 
             stats["no_field"] += 1
             continue
 
-        cands = []
-        for _ in range(budget.torsion_tries):
-            try:
-                cls = find_p_torsion(curve, rng.randrange(1 << 32))
-            except (RuntimeError, ValueError):
-                stats["torsion_misses"] += 1
-                continue
-            for j in range(1, p):
-                cj = cls * j
-                if cj not in cands:
-                    cands.append(cj)
-        for cls in cands[: budget.torsion_tries]:
+        tries = iter([rng.randrange(1 << 32) for _ in range(budget.torsion_tries)])
+        for cls in _torsion_candidates(curve, tries, budget.torsion_tries, stats):
             bundle = p_torsion_bundle(curve, cls)
             frob = frobenius_h1(curve, -bundle.rep, bundle)
             if not frob.injective:
@@ -649,6 +674,8 @@ def certificate_build(p: int, seed: int, budget: SearchBudget = SearchBudget()) 
                         cartier=cartier_manin(curve),
                         seed=seed,
                     )
+        for try_seed in tries:  # tries no candidate needed still count their misses
+            _torsion_try(curve, try_seed, stats)
     raise SearchExhausted(stats)
 
 
@@ -737,8 +764,8 @@ def certificate_verify(cert) -> VerifyReport:
         "L": _stage(torsion_divisor),
         "embedding": _stage(embedding, "embedding failed: "),
         "D": _stage(lambda: serialize.decode_divisor(curve, d["d_div"])),
-        "g": _stage(lambda: serialize.decode_fn(curve, d["g"])),
-        "gamma": _stage(lambda: serialize.decode_differential(curve, d["gamma"])),
+        "g": _stage(lambda: serialize.decode_fn(curve, d["g"], "g")),
+        "gamma": _stage(lambda: serialize.decode_differential(curve, d["gamma"], "gamma")),
     }
 
     def need(name: str, reason: str = ""):
@@ -762,7 +789,7 @@ def certificate_verify(cert) -> VerifyReport:
 
     def obstruction():
         (emb, n0), l_rep, gamma = need("embedding"), need("L"), need("gamma")
-        alpha = serialize.decode_fn(curve, d["alpha"])
+        alpha = serialize.decode_fn(curve, d["alpha"], "alpha")
         alpha_sp = rr_space(curve, curve.canonical_divisor() + l_rep)
         if alpha_sp.dim != 1 or alpha.is_zero or alpha_sp.coords(alpha) is None:
             raise ValueError("alpha is not the adjoint torsion section")

@@ -116,6 +116,14 @@ def _below_power(n: int, p: int, k: int) -> bool:
     return n == 0
 
 
+def _check_codes(codes: list, key: str, p: int, k: int):
+    """Every integer in codes names an element of the field of p^k elements."""
+    _want(
+        all(c >= 0 for c in codes) and _below_power(max(codes, default=0), p, k),
+        f"{key}: code outside the field of p^k elements",
+    )
+
+
 def _check_rational(v, key: str):
     _want(isinstance(v, dict), f"{key}: expected an object")
     _want(set(v) == {"num", "den"}, f"{key}: expected num/den")
@@ -207,11 +215,8 @@ def ensure_certificate_shape(d) -> dict:
     _check_fn(d["gamma"], "gamma")
     _check_fn(d["alpha"], "alpha")
     _want(_is_int_list(d["delta_coords"]), "delta_coords: expected integers")
-    _want(
-        all(c >= 0 for c in d["delta_coords"])
-        and _below_power(max(d["delta_coords"], default=0), d["p"], d["k"]),
-        "delta_coords: code outside the field of p^k elements",
-    )
+    _check_codes(d["delta_coords"], "delta_coords", d["p"], d["k"])
+    _check_codes([d["obstruction"]], "obstruction", d["p"], d["k"])
     fr = d["frob"]
     _want(
         isinstance(fr, dict) and set(fr) == {"twist", "matrix", "source_dim", "target_dim"},
@@ -227,12 +232,14 @@ def ensure_certificate_shape(d) -> dict:
         isinstance(fr["matrix"], list) and all(_is_int_list(r) for r in fr["matrix"]),
         "frob: bad matrix",
     )
+    _check_codes([c for r in fr["matrix"] for c in r], "frob.matrix", d["p"], d["k"])
     _want(
         isinstance(d["cartier"], list)
         and len(d["cartier"]) == 2
         and all(_is_int_list(r) and len(r) == 2 for r in d["cartier"]),
         "cartier: expected a 2x2 matrix",
     )
+    _check_codes(d["cartier"][0] + d["cartier"][1], "cartier", d["p"], d["k"])
     return d
 
 
@@ -261,21 +268,29 @@ def decode_poly(base: Field, coeffs) -> Polynomial:
     return Polynomial(base, co)
 
 
-def decode_rational(base: Field, data) -> RationalFunction:
+def decode_rational(base: Field, data, key: str = "num/den") -> RationalFunction:
+    """The fraction num/den, which must be stored in lowest terms: a common
+    factor would be another spelling of the same certificate."""
     den = decode_poly(base, data["den"])
     if den.is_zero:
         raise ValueError("zero denominator")
-    return RationalFunction(decode_poly(base, data["num"]), den)
+    num = decode_poly(base, data["num"])
+    r = RationalFunction(num, den)
+    if r.num != num or r.den != den:
+        raise ValueError(f"{key}: fraction not in lowest terms")
+    return r
 
 
-def decode_fn(curve: Curve, data) -> FunctionElement:
+def decode_fn(curve: Curve, data, key: str = "fn") -> FunctionElement:
     return FunctionElement(
-        curve, decode_rational(curve.field, data["a"]), decode_rational(curve.field, data["b"])
+        curve,
+        decode_rational(curve.field, data["a"], key + ".a"),
+        decode_rational(curve.field, data["b"], key + ".b"),
     )
 
 
-def decode_differential(curve: Curve, data) -> Differential:
-    return Differential(curve, decode_fn(curve, data))
+def decode_differential(curve: Curve, data, key: str = "differential") -> Differential:
+    return Differential(curve, decode_fn(curve, data, key))
 
 
 def decode_place(curve: Curve, data) -> Place:

@@ -71,13 +71,17 @@ def test_verify_exit_codes(tmp_path, capsys):
         assert "malformed certificate: delta_coords:" in err
 
     # another spelling of the valid certificate: an unreduced modulus code,
-    # a zero on top of a coefficient list, or a denominator that is not monic
+    # a zero on top of a coefficient list, or a denominator that is not
+    # monic; and codes outside F_9 in the stored scalar and matrices
     d = json.loads(path.read_text())
     for key, change in (
         ("modulus", lambda d: d.update(modulus=[4, 0, 1])),
         ("f", lambda d: d["f"].append(0)),
         ("alpha.a.num", lambda d: d["alpha"]["a"]["num"].append(0)),
         ("alpha.b.den", lambda d: d["alpha"]["b"].update(den=[2])),
+        ("obstruction", lambda d: d.update(obstruction=16)),
+        ("cartier", lambda d: d["cartier"][0].__setitem__(0, 10)),
+        ("frob.matrix", lambda d: d["frob"]["matrix"][0].__setitem__(0, 9)),
     ):
         spelled = json.loads(json.dumps(d))
         change(spelled)
@@ -86,6 +90,15 @@ def test_verify_exit_codes(tmp_path, capsys):
         assert code == 2
         assert out == ""
         assert f"malformed certificate: {key}:" in err
+
+    # a fraction that is not in lowest terms is well formed, and fails the
+    # check that decodes it
+    spelled = json.loads(json.dumps(d))
+    spelled["alpha"]["a"] = {"num": [1, 1], "den": [1, 1]}
+    bad.write_text(json.dumps(spelled))
+    code, out, _ = run(capsys, ["verify", str(bad)])
+    assert code == 1
+    assert "[FAIL] check 4: the obstruction scalar is nonzero (alpha.a: fraction not in lowest terms)" in out
 
     mangled = tmp_path / "mangled.json"
     mangled.write_text("{]")

@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -249,6 +250,79 @@ def test_poly_kernels_match_schoolbook_reference(p, k):
         else:
             assert q.is_zero and r == pa
         assert q * pb + r == pa and r.degree < pb.degree
+
+
+@pytest.mark.parametrize("p,k", [(7, 1), (3, 2), (7, 3)])
+def test_remainder_loops_match_long_division_reference(p, k):
+    """`%`, `//`, `poly_gcd`, `pow_mod` and `poly_ord` run `poly_divmod` on
+    code lists; each equals the same computation on `_RefField` long
+    division, for zero, constant and shorter-than-divisor operands too."""
+    F = field(p, k)
+    R = _RefField(F)
+    R.inv = functools.lru_cache(maxsize=None)(R.inv)  # a scan of F_343 per call
+    rng = random.Random(7 * p + k)
+
+    def rand(n):
+        if n == 0:
+            return ()
+        return tuple(rng.randrange(F.q) for _ in range(n - 1)) + (rng.randrange(1, F.q),)
+
+    def ref_mul(a, b):
+        return _trim(R.poly_mul(a, b)) if a and b else ()
+
+    def ref_divmod(a, b):
+        if len(a) < len(b):
+            return (), a
+        quot, rem = R.poly_divmod(a, b)
+        return _trim(quot), _trim(rem)
+
+    def ref_gcd(a, b):
+        while b:
+            a, b = b, ref_divmod(a, b)[1]
+        inv = R.inv(a[-1]) if a else 0
+        return tuple(R.mul(c, inv) for c in a)
+
+    def ref_pow_mod(a, e, m):
+        r, a = ref_divmod((1,), m)[1], ref_divmod(a, m)[1]
+        for _ in range(e):
+            r = ref_divmod(ref_mul(r, a), m)[1]
+        return r
+
+    # zero operands, constants, and a dividend shorter than its divisor
+    cases = [((), ()), ((), rand(3)), (rand(3), ()), (rand(1), rand(1)), (rand(5), rand(1))]
+    cases += [(rand(2), rand(4)), (rand(1), rand(3)), (rand(4), rand(4))]
+    cases += [(rand(rng.randrange(0, 9)), rand(rng.randrange(0, 6))) for _ in range(30)]
+    # a common factor, so gcd has positive degree
+    common = rand(2)
+    cases += [(ref_mul(common, rand(3)), ref_mul(common, rand(2))) for _ in range(4)]
+    for a, b in cases:
+        pa, pb = Polynomial(F, a), Polynomial(F, b)
+        assert poly_gcd(pa, pb).coeffs == ref_gcd(a, b), (a, b)
+        if not b:
+            for op in (lambda: pa % pb, lambda: pa // pb, lambda: pa.pow_mod(2, pb)):
+                with pytest.raises(ZeroDivisionError):
+                    op()
+            continue
+        quot, rem = ref_divmod(a, b)
+        assert (pa // pb).coeffs == quot and (pa % pb).coeffs == rem, (a, b)
+        for e in (0, 1, rng.randrange(2, 12)):
+            assert pa.pow_mod(e, pb).coeffs == ref_pow_mod(a, e, b), (a, e, b)
+    x, m = (0, 1), rand(3)
+    assert Polynomial(F, x).pow_mod(F.q, Polynomial(F, m)).coeffs == ref_pow_mod(x, F.q, m)
+
+    # poly_ord(u^n * w, u) = n when u does not divide w
+    for _ in range(12):
+        u = rand(rng.randrange(2, 4))
+        w = rand(rng.randrange(1, 5))
+        if not ref_divmod(w, u)[1]:
+            continue
+        n = rng.randrange(0, 4)
+        a = w
+        for _ in range(n):
+            a = ref_mul(a, u)
+        assert poly_ord(Polynomial(F, a), Polynomial(F, u)) == n, (a, u)
+    with pytest.raises(ValueError, match="ord of zero"):
+        poly_ord(Polynomial.zero(F), Polynomial(F, rand(2)))
 
 
 # --- polynomials ----------------------------------------------------------

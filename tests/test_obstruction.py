@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import nefcert
-from nefcert import linalg, serialize
+from nefcert import linalg, obstruction, serialize
 from nefcert.cohomology import (
     cartier_class,
     h0,
@@ -513,24 +513,102 @@ def cert_p7_s4():
     return certificate_build(7, seed=4)
 
 
-@pytest.mark.parametrize(
-    "which,digest",
-    [
-        ("cert", "d1a245d373c48c85eb7fe9d56b631313de0b2d38a67c163ded6fae631500f228"),
-        ("cert25", "d6c6c6195548ddc4c46977498a6a1e4176993f6f6fadf1de63d72a9e24bb448a"),
-        ("cert_p3_s6", "2dc13209716e02594f602f020ccae05f5aaa30134d61270563c3ff1c04791d7e"),
-        ("cert_p7_s4", "3a34c7d4cc86fd4b164423c30a6771a777a719eeb9263a7ea72f1d86349331ff"),
-    ],
-)
+@pytest.fixture(scope="module")
+def cert_p7_s0():
+    return certificate_build(7, seed=0)
+
+
+@pytest.fixture(scope="module")
+def cert_p13_s0():
+    return certificate_build(13, seed=0)
+
+
+def _sha256(cert) -> str:
+    return hashlib.sha256(serialize.canonical_bytes(serialize.certificate_to_dict(cert))).hexdigest()
+
+
+PINNED = {
+    "cert": "d1a245d373c48c85eb7fe9d56b631313de0b2d38a67c163ded6fae631500f228",
+    "cert25": "d6c6c6195548ddc4c46977498a6a1e4176993f6f6fadf1de63d72a9e24bb448a",
+    "cert_p3_s6": "2dc13209716e02594f602f020ccae05f5aaa30134d61270563c3ff1c04791d7e",
+    "cert_p7_s4": "3a34c7d4cc86fd4b164423c30a6771a777a719eeb9263a7ea72f1d86349331ff",
+    "cert_p7_s0": "02de0c1b48806fffe6643464bfef9bc20c1c6242047b3914e3b0505fa64b5908",
+    "cert_p13_s0": "d5401b9b6e2014c577fff80f5b64b7247737ce18341a44b08508f2f518f848e2",
+}
+
+
+@pytest.mark.parametrize("which,digest", list(PINNED.items()))
 def test_certificate_bytes_are_pinned(request, which, digest):
     """The certificates are rebuilt by the code under test, so a change that
     is wrong in a consistent way (a field kernel, beta) still round-trips;
     their canonical bytes are pinned instead.  (3,6) and (7,4) reach theirs
     only after retries: three `choose_delta` calls each, after pencils or
-    point configurations that fail."""
-    cert = request.getfixturevalue(which)
-    raw = serialize.canonical_bytes(serialize.certificate_to_dict(cert))
-    assert hashlib.sha256(raw).hexdigest() == digest
+    point configurations that fail.  (13,0) is the one search over a prime
+    field."""
+    assert _sha256(request.getfixturevalue(which)) == digest
+
+
+def _log_torsion_stage(monkeypatch, fail=lambda seed: False):
+    """Log the torsion stage of certificate_build: ("try", curve, seed,
+    raised) per find_p_torsion call, ("bundle", curve) per candidate used.
+    Tries whose seed satisfies `fail` raise instead of sampling."""
+    events = []
+    find, bundle = obstruction.find_p_torsion, obstruction.p_torsion_bundle
+
+    def find_logged(curve, seed=0):
+        try:
+            if fail(seed):
+                raise RuntimeError("chosen to fail")
+            cls = find(curve, seed)
+        except (RuntimeError, ValueError):
+            events.append(("try", curve, seed, True))
+            raise
+        events.append(("try", curve, seed, False))
+        return cls
+
+    def bundle_logged(curve, cls):
+        events.append(("bundle", curve))
+        return bundle(curve, cls)
+
+    monkeypatch.setattr(obstruction, "find_p_torsion", find_logged)
+    monkeypatch.setattr(obstruction, "p_torsion_bundle", bundle_logged)
+    return events
+
+
+@pytest.mark.parametrize("p,seed,which,tries", [(3, 0, "cert", 1), (7, 4, "cert_p7_s4", 4)])
+def test_search_runs_only_the_torsion_tries_it_uses(monkeypatch, p, seed, which, tries):
+    """The first candidate is the one used at both points, so the search stops
+    at the try that found it: the first at (3,0); at (7,4), q = 343, the
+    fourth, after three tries whose class sampling fails."""
+    events = _log_torsion_stage(monkeypatch)
+    cert = certificate_build(p, seed)
+    assert [e[3] for e in events if e[0] == "try"] == [True] * (tries - 1) + [False]
+    assert _sha256(cert) == PINNED[which]
+
+
+def test_torsion_misses_count_every_try_of_an_exhausted_search(monkeypatch):
+    """With no pencil tries every curve that reaches the torsion stage is
+    given up, and then its tries that never ran are run to count their
+    misses: every try of every such curve is counted, as when all of them
+    ran before the candidates were looked at."""
+    events = _log_torsion_stage(monkeypatch, fail=lambda seed: seed % 3 == 0)
+    budget = SearchBudget(curve_tries=20, torsion_tries=2, pencil_tries=0)
+    with pytest.raises(SearchExhausted) as exc:
+        certificate_build(3, seed=0, budget=budget)
+    tries = [e for e in events if e[0] == "try"]
+    curves = {id(e[1]): e[1] for e in tries}  # the log keeps each curve alive
+    assert len(curves) >= 2
+    for curve in curves.values():
+        assert sum(e[1] is curve for e in tries) == budget.torsion_tries
+    assert exc.value.stats["torsion_misses"] == sum(e[3] for e in tries) > 0
+    # some tries ran only to be counted: after their curve's candidates were used
+    late = [
+        e
+        for i, e in enumerate(events)
+        if e[0] == "try"
+        and sum(f[0] == "bundle" and f[1] is e[1] for f in events[:i]) == budget.torsion_tries
+    ]
+    assert any(e[3] for e in late)
 
 
 def test_certificate_fields(cert):

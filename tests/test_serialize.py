@@ -71,6 +71,13 @@ def test_shape_validation_catches_each_field(cert_dict):
         (lambda d: d["alpha"]["b"].update(den=[2]), "alpha.b.den: denominator not monic"),
         (lambda d: d["g"]["a"]["den"].__setitem__(-1, 2), "g.a.den: denominator not monic"),
         (lambda d: d["gamma"]["a"].update(den=[]), "gamma.a.den: denominator not monic"),
+        # codes outside F_9 in the stored scalar and matrices
+        (lambda d: d.update(obstruction=16), "obstruction: code outside the field"),
+        (lambda d: d.update(obstruction=-1), "obstruction: code outside the field"),
+        (lambda d: d["cartier"][0].__setitem__(0, 10), "cartier: code outside the field"),
+        (lambda d: d["cartier"][1].__setitem__(1, -2), "cartier: code outside the field"),
+        (lambda d: d["frob"]["matrix"][0].__setitem__(0, 9), "frob.matrix: code outside"),
+        (lambda d: d["frob"]["matrix"][-1].__setitem__(-1, -1), "frob.matrix: code outside"),
     ]
     for fn, msg in cases:
         with pytest.raises(CertificateFormatError, match=msg):
@@ -99,6 +106,13 @@ def test_decoders_reject_semantic_garbage():
         serialize.decode_poly(curve.field, [99])
     with pytest.raises(ValueError, match="zero denominator"):
         serialize.decode_rational(curve.field, {"num": [1], "den": []})
+    # a fraction is stored in lowest terms (x^2 + 2 = (x - 1)(x + 1) over
+    # F_9), and zero as 0/1
+    for num, den in (([1, 1], [1, 1]), ([2, 0, 1], [1, 1]), ([], [1, 1]), ([], [0, 1])):
+        with pytest.raises(ValueError, match="g.a: fraction not in lowest terms"):
+            serialize.decode_rational(curve.field, {"num": num, "den": den}, "g.a")
+    kept = serialize.decode_rational(curve.field, {"num": [1, 1], "den": [2, 1]})
+    assert (kept.num.coeffs, kept.den.coeffs) == ((1, 1), (2, 1))
     # a split place whose square root does not match the curve
     good = serialize.encode_place(rational_places(curve)[1])
     assert good["kind"] == "split"
@@ -120,3 +134,23 @@ def test_verify_raises_format_error_on_malformed_dict(cert_dict):
     del d["alpha"]
     with pytest.raises(CertificateFormatError):
         certificate_verify(d)
+
+
+@pytest.mark.parametrize(
+    "key,check",
+    [("alpha.a", 4), ("alpha.b", 4), ("g.a", 3), ("gamma.b", 3)],
+)
+def test_fraction_not_in_lowest_terms_fails_its_check(cert_dict, key, check):
+    """Multiplying num and den by x + 1 spells the same function another
+    way; the check that decodes the fraction fails with that reason."""
+    from nefcert.obstruction import certificate_verify
+
+    d = copy.deepcopy(cert_dict)
+    head, part = key.split(".")
+    frac = d[head][part]
+    F = field(3, 2)
+    for name in ("num", "den"):  # a zero numerator stays zero, over x + 1
+        frac[name] = list((Polynomial(F, frac[name]) * Polynomial(F, (1, 1))).coeffs)
+    report = certificate_verify(d)
+    failed = {c.index: c.detail for c in report.checks if not c.passed}
+    assert failed.get(check) == f"{key}: fraction not in lowest terms", failed
