@@ -20,11 +20,11 @@ from .fields import (
     embedding,
     field,
     is_irreducible,
-    kappa_inv,
     kappa_sqrt,
     poly_factor,
     poly_gcd,
     poly_ord,
+    poly_ord_cofactor,
 )
 from .series import (
     BaseRing,
@@ -338,20 +338,13 @@ def _frames(curve: "Curve", place: Place, prec: int):
     return series_finite(ring, curve.f, place.u, y0, prec)
 
 
-def _shifted_residue(r: RationalFunction, u: Polynomial, s: int) -> Polynomial:
-    """(r / u^s) reduced mod u, assuming ord_u(r) >= s."""
-    zero = Polynomial.zero(u.field)
+def _ord_parts(r: RationalFunction, u: Polynomial):
+    """(ord_u r, num and den of r prime to u), or (_INF, None, None) for 0."""
     if r.is_zero:
-        return zero
-    en = poly_ord(r.num, u)
-    ed = poly_ord(r.den, u)
-    e = en - ed - s
-    if e > 0:
-        return zero
-    assert e == 0, "residue below the stated order"
-    n0 = r.num // u**en
-    d0 = r.den // u**ed
-    return (n0 * kappa_inv(d0 % u, u)) % u
+        return _INF, None, None
+    en, n0 = poly_ord_cofactor(r.num, u)
+    ed, d0 = poly_ord_cofactor(r.den, u)
+    return en - ed, n0, d0
 
 
 class Curve:
@@ -467,6 +460,18 @@ class Curve:
     # --- valuations and divisors ----------------------------------------------
 
     def valuation(self, phi: FunctionElement, place: Place) -> int:
+        """Order of phi = a + b y at the place.
+
+        Off split places a and b y have orders of different parity or leading
+        terms independent over the residue field, so phi has the smaller.  At
+        a split place (y = v mod u, a unit) orders oa != ob of a and b give
+        min(oa, ob).  For one order s, phi = u^s (A + B y) / (da db) where
+        a = u^s na/da, b = u^s nb/db, A = na db, B = nb da and na, da, nb, db
+        are prime to u.  The order is s if A + B v != 0 mod u, and otherwise
+        s + ord_u(A^2 - f B^2): that norm is (A - B v)(A + B v) mod u, and the
+        factors cannot both vanish (their sum 2A is prime to u), so the
+        conjugate place takes none of its order.
+        """
         if phi.is_zero:
             raise ValueError("valuation of the zero function")
         a, b = phi.a, phi.b
@@ -475,20 +480,16 @@ class Curve:
             vb = _INF if b.is_zero else -5 - 2 * (b.num.degree - b.den.degree)
             return min(va, vb)
         u = place.u
+        oa, na, da = _ord_parts(a, u)
+        ob, nb, db = _ord_parts(b, u)
         if place.kind == RAMIFIED:
-            va = _INF if a.is_zero else 2 * a.ord_at(u)
-            vb = _INF if b.is_zero else 1 + 2 * b.ord_at(u)
-            return min(va, vb)
-        oa = _INF if a.is_zero else a.ord_at(u)
-        ob = _INF if b.is_zero else b.ord_at(u)
-        s = min(oa, ob)
-        if place.kind == INERT:
-            return s
-        abar = _shifted_residue(a, u, s)
-        bbar = _shifted_residue(b, u, s)
-        if not ((abar + bbar * place.v) % u).is_zero:
-            return s
-        return phi.norm().ord_at(u) - s
+            return min(2 * oa, 1 + 2 * ob)
+        if place.kind == INERT or oa != ob:
+            return min(oa, ob)
+        A, B = na * db, nb * da
+        if not ((A + B * place.v) % u).is_zero:
+            return oa
+        return oa + poly_ord(A * A - self.f * B * B, u)
 
     def divisor(self, phi: FunctionElement) -> Divisor:
         """Principal divisor of a nonzero function."""
@@ -511,7 +512,8 @@ class Curve:
         if m:
             items.append((self.infinite_place(), m))
         div = Divisor(items)
-        assert div.degree == 0, "principal divisor must have degree zero"
+        if div.degree != 0:
+            raise RuntimeError("principal divisor must have degree zero")
         return div
 
     def divisor_of_differential(self, omega: Differential) -> Divisor:

@@ -7,8 +7,8 @@ tuples (`poly_mul`, `poly_divmod`) alike: prime fields compute directly mod
 p; extensions build exp/log/Zech-log tables over a fixed generator (every
 field used here is tiny), so each operation is one or two table lookups.
 The remainder loops (`%`, `//`, `poly_gcd`, `Polynomial.pow_mod`,
-`poly_ord`) run `poly_divmod` on lists of codes and build a `Polynomial`
-only for what they return.
+`poly_ord_cofactor`) run `poly_divmod` on lists of codes and build a
+`Polynomial` only for what they return.
 
 Also provides univariate polynomials over such fields (gcd, xgcd, factoring,
 irreducibility testing, modular square roots, Hensel lifting of square roots)
@@ -708,17 +708,26 @@ def poly_xgcd(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial, Pol
     return r0.scale(c), s0.scale(c), t0.scale(c)
 
 
-def poly_ord(a: Polynomial, u: Polynomial) -> int:
-    """Multiplicity of the irreducible u in a (a nonzero)."""
+def poly_ord_cofactor(a: Polynomial, u: Polynomial) -> tuple[int, Polynomial]:
+    """(n, a / u^n), n the multiplicity of the irreducible u in a != 0.
+    u must not be constant: every division by a constant is exact."""
     if a.is_zero:
         raise ValueError("ord of zero polynomial")
-    c, m, n = a.coeffs, a._divisor(u), 0
+    m = a._divisor(u)
+    if len(m) < 2:
+        raise ValueError("ord along a constant")
+    c, n, divmod_ = a.coeffs, 0, a.field.poly_divmod
     while len(c) >= len(m):
-        c, r = a.field.poly_divmod(c, m)
+        quot, r = divmod_(c, m)
         if any(r):
             break
-        n += 1
-    return n
+        c, n = quot, n + 1
+    return n, (Polynomial(a.field, c) if n else a)
+
+
+def poly_ord(a: Polynomial, u: Polynomial) -> int:
+    """Multiplicity of the irreducible u in a (a nonzero, deg u >= 1)."""
+    return poly_ord_cofactor(a, u)[0]
 
 
 def poly_random(f: Field, degree: int, rng: random.Random) -> Polynomial:
@@ -1123,9 +1132,7 @@ class RationalFunction:
         """Order of vanishing along the irreducible u (negative at poles)."""
         if self.is_zero:
             raise ValueError("ord of zero function")
-        n = poly_ord(self.num, u) if not self.num.is_zero else 0
-        d = poly_ord(self.den, u)
-        return n - d
+        return poly_ord(self.num, u) - poly_ord(self.den, u)
 
     def __eq__(self, other):
         return (

@@ -5,9 +5,11 @@ completed local ring, which is a power series ring over the residue field.
 The residue field is either the base field itself, a quotient F_q[x]/(u), or
 a quadratic extension of such a quotient.  Ring adapter classes give these
 three a uniform element interface so one series engine serves all of them.
-`Curve.residue_ring` is the only code that chooses the adapter of a place;
-`series_finite` builds the expansions at every finite place from it with one
-Newton solve, and `series_infinite` those at the place over infinity.
+`Curve.residue_ring` is the only code that chooses the adapter of a place.
+Both frame builders, `series_finite` at every finite place and
+`series_infinite` at the place over infinity, solve for x along the local
+parameter by one `_newton` iteration whose step evaluates polynomials with
+`poly_series`.
 
 Precision is tracked rigorously: a series knows the exponent range on which
 its coefficients are exact, operations propagate that range pessimistically,
@@ -404,11 +406,12 @@ class TruncSeries:
 
 
 def poly_series(ring, f: Polynomial, xs: TruncSeries) -> TruncSeries:
-    """Series of f evaluated along xs, by Horner."""
+    """Series of f evaluated along xs, by Horner from the exact leading
+    coefficient; along a pole of xs the result keeps its relative precision."""
     if f.is_zero:
         return TruncSeries.zero_to(ring, xs.prec)
     cs = f.coeffs
-    acc = TruncSeries.const(ring, ring.embed(cs[-1]), xs.prec)
+    acc = TruncSeries.const(ring, ring.embed(cs[-1]), xs.prec - min(xs.offset, 0))
     for c in reversed(cs[:-1]):
         acc = acc * xs + TruncSeries.const(ring, ring.embed(c), acc.prec)
     return acc
@@ -466,38 +469,18 @@ def series_infinite(ring, f: Polynomial, prec: int):
     """Local frames at the place over x = infinity for y^2 = f, deg f = 5.
 
     With local parameter t = x^2/y one has x = s t^-2 and y = s^2 t^-5 where
-    s is a unit series solving s^4 = sum_i f_i s^i t^(2(5-i)).
+    s is the unit series solving G(s) = s^4 - t^10 f(s t^-2) = 0.  Newton
+    takes s - G(s)/G'(s) with G'(s) = 4 s^3 - t^8 f'(s t^-2), both evaluated
+    by `poly_series` along s t^-2.
     """
-
-    def g_val(s: TruncSeries) -> TruncSeries:
-        acc = TruncSeries.zero_to(ring, prec)
-        for i in range(5, -1, -1):
-            c = f[i]
-            if c:
-                term = TruncSeries.t_power(ring, 2 * (5 - i), prec).scale(c)
-                for _ in range(i):
-                    term = term * s
-                acc = acc + term
-        s4 = s * s
-        s4 = s4 * s4
-        return s4 - acc
-
-    def g_deriv(s: TruncSeries) -> TruncSeries:
-        acc = TruncSeries.zero_to(ring, prec)
-        for i in range(5, 0, -1):
-            c = ring.mul(ring.embed_int(i), f[i])
-            if c:
-                term = TruncSeries.t_power(ring, 2 * (5 - i), prec).scale(c)
-                for _ in range(i - 1):
-                    term = term * s
-                acc = acc + term
-        s3 = s * s * s
-        return s3.scale(ring.embed_int(4)) - acc
+    four, df = ring.embed_int(4), f.derivative()
 
     def step(s: TruncSeries) -> TruncSeries:
-        return s - g_val(s) * g_deriv(s).invert()
+        xs = s.shift(-2)
+        s2 = s * s
+        g = s2 * s2 - poly_series(ring, f, xs).shift(10)
+        dg = (s2 * s).scale(four) - poly_series(ring, df, xs).shift(8)
+        return s - g * dg.invert()
 
     s = _newton(TruncSeries.const(ring, ring.inv(f[5]), prec), step)
-    xs = (s).shift(-2)
-    ys = (s * s).shift(-5)
-    return ring, xs, ys
+    return ring, s.shift(-2), (s * s).shift(-5)

@@ -1,18 +1,20 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nefcert.curves import INERT, INFINITE, RAMIFIED, SPLIT, Curve, Divisor
+from nefcert.curves import INERT, INFINITE, RAMIFIED, SPLIT, Curve, Divisor, _frames
 from nefcert.fields import (
     Polynomial,
     RationalFunction,
     embedding,
     field,
+    hensel_sqrt,
     is_irreducible,
 )
-from nefcert.series import TruncSeries
+from nefcert.series import TruncSeries, poly_series
 
 F3 = field(3)
 F5 = field(5)
@@ -87,6 +89,103 @@ def test_basic_valuations():
     orders = {p.v[0]: C.valuation(ym1, p) for p in (p0, p1)}
     assert orders[1] == 5
     assert orders[2] == 0
+
+
+def _first_exponent(C: Curve, phi, place) -> int:
+    """Order of phi at the place read off its local expansion."""
+    for prec in (24, 48, 96):
+        _, ser = C.expand(phi, place, prec)
+        if not ser.is_zero:
+            return ser.offset
+    raise AssertionError("expansion vanishes to precision 96")
+
+
+def _split_pair(C: Curve, d: int, rng: random.Random) -> list:
+    """The two places over a random monic irreducible u of degree d that splits."""
+    F = C.field
+    while True:
+        u = Polynomial(F, [rng.randrange(F.q) for _ in range(d)] + [1])
+        if is_irreducible(u):
+            pair = C.places_above(u)
+            if pair[0].kind == SPLIT:
+                return pair
+
+
+def _u_power(u: Polynomial, n: int) -> RationalFunction:
+    one = Polynomial.one(u.field)
+    return RationalFunction(u**n, one) if n >= 0 else RationalFunction(one, u**-n)
+
+
+@pytest.mark.parametrize("p,k", [(7, 1), (3, 2), (5, 2)])
+def test_split_place_valuation_matches_expansion(p, k):
+    # phi = w (V - y) u^e r with V = hensel_sqrt(f, u, v, m) vanishes to
+    # order at least m + e + ord_u(r) at the place where y = v, so a and b y
+    # have equal orders whose leading terms cancel there, and not at the
+    # conjugate place; a perturbed a gives unequal orders as well
+    F = field(p, k)
+    rng = random.Random(1000 * p + k)
+    while True:
+        try:
+            C = Curve(F, [rng.randrange(F.q) for _ in range(5)] + [1])
+            break
+        except ValueError:
+            continue
+
+    def rpoly(d, nonzero=False):
+        while True:
+            g = Polynomial(F, [rng.randrange(F.q) for _ in range(d + 1)])
+            if not (nonzero and g.is_zero):
+                return g
+
+    seen = Counter()
+    for d in (1, 2):
+        for i in range(8):
+            here, there = _split_pair(C, d, rng)
+            if rng.randrange(2):
+                here, there = there, here
+            u = here.u
+            w = C.fn(RationalFunction(rpoly(2), rpoly(1, True)), rpoly(1))
+            if w.is_zero:
+                continue
+            V = hensel_sqrt(C.f, u, here.v, rng.randrange(1, 4))
+            r = RationalFunction(rpoly(2, True), rpoly(2, True))
+            phi = w * (C.fn(V) - C.y()) * C.fn(_u_power(u, rng.randrange(-2, 3))) * C.fn(r)
+            if i % 4:
+                # a term of order s - 1, s or s + 1 added to a, where s is the
+                # order of a and b y: unequal orders, or a leading term moved
+                s = min(x.ord_at(u) for x in (phi.a, phi.b) if not x.is_zero)
+                bump = _u_power(u, s + i % 4 - 2).scale(rng.randrange(1, F.q))
+                phi = C.fn(phi.a + bump, phi.b)
+            orders = {pl: _first_exponent(C, phi, pl) for pl in (here, there)}
+            for pl, other in ((here, there), (there, here)):
+                assert C.valuation(phi, pl) == orders[pl], (phi, pl)
+                oa = phi.a.ord_at(u) if not phi.a.is_zero else None
+                ob = phi.b.ord_at(u) if not phi.b.is_zero else None
+                if oa != ob:
+                    seen["unequal"] += 1
+                elif orders[pl] > oa:
+                    seen["cancels here"] += 1
+                elif orders[other] > oa:
+                    seen["cancels at the conjugate"] += 1
+                else:
+                    seen["no cancellation"] += 1
+    assert {"unequal", "cancels here", "cancels at the conjugate"} <= set(seen), seen
+
+
+def test_frames_at_infinity_keep_their_precision():
+    # x = s t^-2 and y = s^2 t^-5 lose only the shifts, and f along x keeps
+    # the relative precision of x: Horner starts from the exact leading
+    # coefficient, so each product with x loses 2 terms and no more
+    curves = (curve35(), curve3x(), Curve(F5, (1, 2, 0, 0, 0, 1)), Curve(field(7), (3, 1, 0, 5, 0, 1)))
+    for C in curves:
+        inf = C.infinite_place()
+        for prec in (8, 16, 33):
+            ring, xs, ys = _frames(C, inf, prec)
+            assert (xs.offset, xs.prec) == (-2, prec - 2)
+            assert (ys.offset, ys.prec) == (-5, prec - 5)
+            fs = poly_series(ring, C.f, xs)
+            assert fs.prec == xs.prec + (C.f.degree - 1) * xs.offset
+            assert (ys * ys - fs).is_zero
 
 
 def test_principal_divisors_and_canonical_class():
@@ -287,3 +386,13 @@ def test_function_divisors_have_degree_zero(ca, cb):
     assert div.degree == 0
     for pl, m in div.items:
         assert m == C.valuation(phi, pl)
+
+
+def test_divisor_degree_check_survives_optimised_runs(monkeypatch):
+    # the degree-zero check guards every valuation behind a divisor, so it
+    # must not be an assert that python -O strips
+    C = curve35()
+    valuation = Curve.valuation
+    monkeypatch.setattr(Curve, "valuation", lambda self, phi, pl: valuation(self, phi, pl) + 1)
+    with pytest.raises(RuntimeError, match="degree zero"):
+        C.divisor(C.x())

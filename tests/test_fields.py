@@ -19,6 +19,7 @@ from nefcert.fields import (
     poly_factor,
     poly_gcd,
     poly_ord,
+    poly_ord_cofactor,
     poly_random,
     poly_random_monic,
     poly_roots,
@@ -310,7 +311,7 @@ def test_remainder_loops_match_long_division_reference(p, k):
     x, m = (0, 1), rand(3)
     assert Polynomial(F, x).pow_mod(F.q, Polynomial(F, m)).coeffs == ref_pow_mod(x, F.q, m)
 
-    # poly_ord(u^n * w, u) = n when u does not divide w
+    # poly_ord(u^n * w, u) = n, with cofactor w, when u does not divide w
     for _ in range(12):
         u = rand(rng.randrange(2, 4))
         w = rand(rng.randrange(1, 5))
@@ -320,9 +321,14 @@ def test_remainder_loops_match_long_division_reference(p, k):
         a = w
         for _ in range(n):
             a = ref_mul(a, u)
-        assert poly_ord(Polynomial(F, a), Polynomial(F, u)) == n, (a, u)
+        pa, pu = Polynomial(F, a), Polynomial(F, u)
+        assert poly_ord(pa, pu) == n, (a, u)
+        assert poly_ord_cofactor(pa, pu) == (n, Polynomial(F, w)), (a, u)
     with pytest.raises(ValueError, match="ord of zero"):
         poly_ord(Polynomial.zero(F), Polynomial(F, rand(2)))
+    # every division by a constant is exact, so a count along one never ends
+    with pytest.raises(ValueError, match="ord along a constant"):
+        poly_ord(Polynomial(F, (1, 1)), Polynomial(F, (2,)))
 
 
 # --- polynomials ----------------------------------------------------------
@@ -686,3 +692,5 @@ def test_rational_ord():
     assert r.ord_at(x + Polynomial.one(F)) == 0
     s = RationalFunction(Polynomial.one(F), x**2)
     assert s.ord_at(x) == -2
+    with pytest.raises(ValueError, match="ord along a constant"):
+        r.ord_at(P(F, 2))
