@@ -344,7 +344,8 @@ class H1Space:
             prev = cur
         self.gaps = tuple(sorted(gaps))
         dual = rr_space(curve, curve.canonical_divisor() - bundle).dim
-        assert len(self.gaps) == dual, "gap count disagrees with duality"
+        if len(self.gaps) != dual:
+            raise RuntimeError("gap count disagrees with duality")
         self._ladders: dict = {}
 
     def _plus_inf(self, k: int) -> Divisor:
@@ -382,7 +383,8 @@ class H1Space:
         else:
             red, pivots = [], []
         free = {lo + i for i in range(hi - lo)} - {lo + c for c in pivots}
-        assert free == {e for e in self.gaps if e >= lo}, "ladder misses a gap"
+        if free != {e for e in self.gaps if e >= lo}:
+            raise RuntimeError("ladder misses a gap")
         self._ladders[lo] = (pivots, red)
         return pivots, red
 
@@ -559,7 +561,8 @@ def cartier_class(g) -> tuple:
         raise ValueError("logarithmic differential is not regular")
     psi = w * curve.y()
     co = rr_space(curve, curve.canonical_divisor()).coords(psi)
-    assert co is not None, "regular differential outside the standard basis"
+    if co is None:
+        raise RuntimeError("regular differential outside the standard basis")
     return (co[0], co[1])
 
 

@@ -866,7 +866,8 @@ def poly_factor(f: Polynomial, seed: int = 0) -> list[tuple[Polynomial, int]]:
     check = Polynomial.const(field, f.lc()) if f.degree >= 0 else f
     for g, m in out:
         check = check * g**m
-    assert check == f, "factorization failed to re-multiply"
+    if check != f:
+        raise RuntimeError("factorization failed to re-multiply")
     return out
 
 
@@ -935,7 +936,8 @@ def kappa_trace(a: Polynomial, u: Polynomial) -> int:
     for _ in range(d):
         acc = acc + b
         b = b.pow_mod(q, u)
-    assert acc.degree <= 0, "trace did not land in the base field"
+    if acc.degree > 0:
+        raise RuntimeError("trace did not land in the base field")
     return acc[0]
 
 
@@ -1001,7 +1003,8 @@ def hensel_sqrt(f: Polynomial, u: Polynomial, v: Polynomial, m: int) -> Polynomi
     Requires v^2 = f mod u and v invertible mod u (non-ramified place).
     """
     field = f.field
-    assert (v * v - f) % u == Polynomial.zero(field)
+    if not ((v * v - f) % u).is_zero:
+        raise RuntimeError("hensel_sqrt: v^2 differs from f mod u")
     inv2 = Polynomial.const(field, field.inv(2 % field.p))
     y = v % u
     t = 1
@@ -1009,9 +1012,11 @@ def hensel_sqrt(f: Polynomial, u: Polynomial, v: Polynomial, m: int) -> Polynomi
         t = min(2 * t, m)
         mod = u**t
         g, s, _ = poly_xgcd(y, mod)
-        assert g.degree == 0 and g.coeffs[0] == 1
+        if g.degree != 0 or g.coeffs[0] != 1:
+            raise RuntimeError("hensel_sqrt: y is not invertible mod u^t")
         y = ((y + f * s) * inv2) % mod
-    assert (y * y - f) % (u**m) == Polynomial.zero(field)
+    if not ((y * y - f) % (u**m)).is_zero:
+        raise RuntimeError("hensel_sqrt: the lift is not a square root mod u^m")
     return y
 
 

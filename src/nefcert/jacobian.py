@@ -2,15 +2,17 @@
 
 A degree-zero class is represented by a reduced pair (u, v): u monic of
 degree at most 2, deg v < deg u, and u dividing f - v^2.  The group law
-works on coefficient codes through the field's polynomial kernels: a closed
-form composes coprime u's, or doubles a class, and reduces in one step
-(`_sum_codes`).  Pairs whose u's share a root without being equal or
-opposite, and doublings where 2 v vanishes at a root of u, take Cantor's
-general composition and reduction, which also serve the tests as the
-oracle.  Sums and negations are built without re-validation; pairs read
-from outside (`MumfordClass(...)`, `from_point`, `random_class`) are
-checked.  Global invariants (order of the group, characteristic polynomial
-of Frobenius, order over extensions) come from point counts over the base
+(`_sum_codes`) works on coefficient codes by explicit formulas in scalar
+field arithmetic, one routine per case: the chord and the tangent for two
+points, composition of coprime u's or doubling followed by one reduction
+step, and sums whose u's share a root, which split off the common point
+first.  Cantor's composition is only the tests' oracle; Cantor's reduction
+also brings places of degree above 2 to reduced pairs
+(`divisor_class_to_mumford`).
+Sums and negations are built without re-validation; pairs read from
+outside (`MumfordClass(...)`, `from_point`, `random_class`) are checked.
+Global invariants (order of the group, characteristic polynomial of
+Frobenius, order over extensions) come from point counts over the base
 field and its quadratic extension.
 """
 
@@ -88,20 +90,11 @@ class MumfordClass:
         curve = self.curve
         if curve is not other.curve and curve != other.curve:
             raise ValueError("classes on different curves")
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
         F = curve.field
-        uv = _sum_codes(
+        u, v = _sum_codes(
             F, curve.f.coeffs, self.u.coeffs, self.v.coeffs, other.u.coeffs, other.v.coeffs
         )
-        if uv is None:
-            u, v = _cantor_compose(curve.f, (self.u, self.v), (other.u, other.v))
-            u, v = _cantor_reduce(curve.f, u, v)
-        else:
-            u, v = Polynomial(F, uv[0]), Polynomial(F, uv[1])
-        return MumfordClass._reduced(curve, u, v)
+        return MumfordClass._reduced(curve, Polynomial(F, u), Polynomial(F, v))
 
     def __sub__(self, other: "MumfordClass") -> "MumfordClass":
         return self + (-other)
@@ -124,91 +117,194 @@ class MumfordClass:
 
 # --- the group law on coefficient codes ----------------------------------------
 #
-# Lists hold coefficient codes low-to-high and may carry zeros at the top (the
-# Polynomial built from a result drops them); the u's are monic of degree 1 or
-# 2, and deg v < deg u.
+# A pair is (u, v) as code tuples laid out like `Polynomial.coeffs`: low to
+# high, no zero at the top, u monic of degree at most 2 and deg v < deg u;
+# zero is ((1,), ()).  f is the code tuple of the quintic.  A point P of
+# [P - oo] is written (-a, y), for u = x + a and v = y.  Every case below is
+# scalar field arithmetic on the coefficients; no list or polynomial is built:
+#
+# - composition: for coprime u1, u2 the pair (u1 u2, l) with l = v1 + s u1
+#   and s = (v2 - v1) / u1 mod u2, so l = v2 mod u2.  Doubling takes
+#   s = ((f - v^2) / u) / 2v mod u, the tangent meeting the curve twice at
+#   each point of u; a degree-1 doubling (the tangent at a point) and a chord
+#   through two points are already reduced.
+# - reduction: a composition (U, l) of degree 3 or 4 reduces in one step,
+#   u3 = monic((f - l^2) / U), v3 = -l mod u3.  Only the top three
+#   coefficients of f - l^2 enter the quotient, and deg u3 is 1 or 2 since
+#   deg l < deg U and deg(f - l^2) is 5 or 6.
+# - shared roots: u's that share a root x0, in a sum that is neither
+#   P + (-P) nor a doubling, share a rational one (over an irreducible u the
+#   two v's are +-v), so the second class splits into its point P over x0
+#   and another point, added one at a time.  The point of the first class
+#   over x0 either cancels P, which leaves its other point, or equals P;
+#   then P is added by the tangent composition, s = ((f - v1^2) / u1)(x0)
+#   / 2y.  Equal u's with v1 != +-v2 leave 2P at the root of v1 - v2, and a
+#   doubling where v vanishes at a root of u (a ramified point) leaves twice
+#   the other point.
+#
+# Cantor's composition and reduction, below, are the tests' oracle.
+
+
+_ZERO = ((1,), ())
+
+
+def _v(v0, v1=0):
+    """Code tuple of v1 x + v0."""
+    return (v0, v1) if v1 else ((v0,) if v0 else ())
 
 
 def _sum_codes(F, f, u1, v1, u2, v2):
-    """(u, v) codes of the reduced sum of two nonzero reduced pairs, or None
-    where the closed form does not apply and Cantor's general steps must.
+    """(u, v) codes of the reduced sum of two reduced pairs."""
+    if len(u1) < len(u2):
+        u1, v1, u2, v2 = u2, v2, u1, v1
+    if len(u2) == 1:
+        return u1, v1
+    y2 = v2[0] if v2 else 0
+    if len(u1) == 2:
+        return _sum_11(F, f, u1[0], v1[0] if v1 else 0, u2[0], y2)
+    if len(u2) == 2:
+        return _sum_21(F, f, u1, v1, u2[0], y2)
+    return _sum_22(F, f, u1, v1, u2, v2)
 
-    With u1, u2 coprime the composition is (u1 u2, l) for l = v1 + s u1 and
-    s = (v2 - v1) / u1 mod u2, so that l = v2 mod u2.  Doubling takes
-    s = ((f - v^2) / u) / (2 v) mod u and l = v + s u, the tangent that meets
-    the curve twice at each point of u.  A composition of degree 3 or 4 is
-    reduced in one step, u3 = monic((f - l^2) / (u1 u2)) and v3 = -l mod u3:
-    deg l < deg(u1 u2) and deg(f - l^2) is 5 or 6, so deg u3 is 1 or 2.
-    None is returned when u1 and u2 share a root and the pairs are neither
-    equal nor opposite, or when 2 v vanishes at a root of u.
-    """
-    if u1 == u2:
-        if len(v1) == len(v2) and all(F.add(a, b) == 0 for a, b in zip(v1, v2)):
-            return (1,), ()  # P + (-P)
-        if v1 != v2:
-            return None
-        w = _inv_mod(F, [F.add(c, c) for c in v1], u1)
-        if w is None:
-            return None
-        k, _ = F.poly_divmod(_sub(F, f, _mul(F, v1, v1)), u1)
-        s = _rem(F, _mul(F, k, w), u1)
-        uu = F.poly_mul(u1, u1)
+
+def _sum_11(F, f, a1, y1, a2, y2):
+    """[P1 - oo] + [P2 - oo]: the chord of slope (y2 - y1) / (a1 - a2), the
+    tangent, or zero."""
+    if a1 == a2:
+        return _double_point(F, f, a1, y1) if y1 == y2 and y1 else _ZERO
+    mul, add = F.mul, F.add
+    s = mul(F.sub(y2, y1), F.inv(F.sub(a1, a2)))
+    return (mul(a1, a2), add(a1, a2), 1), _v(add(y1, mul(s, a1)), s)
+
+
+def _double_point(F, f, a, y):
+    """2 [P - oo] for P = (-a, y), y != 0: u = (x + a)^2 and the tangent
+    v = y + s (x + a), s = f'(-a) / 2y (f' by Horner beside f)."""
+    mul, add = F.mul, F.add
+    x = F.neg(a)
+    p, d = f[5], 0
+    for c in f[4:0:-1]:
+        d = add(mul(d, x), p)
+        p = add(mul(p, x), c)
+    s = mul(add(mul(d, x), p), F.inv(add(y, y)))
+    return (mul(a, a), add(a, a), 1), _v(add(y, mul(s, a)), s)
+
+
+def _sum_21(F, f, u1, v1, a2, y2):
+    """A degree-2 class plus [P - oo], P = (x2, y2) with x2 = -a2."""
+    mul, add, sub = F.mul, F.add, F.sub
+    p0, p1, _ = u1
+    r0 = v1[0] if v1 else 0
+    r1 = v1[1] if len(v1) == 2 else 0
+    x2 = F.neg(a2)
+    ux = add(mul(add(x2, p1), x2), p0)
+    vx = add(mul(r1, x2), r0)
+    if ux:
+        s = mul(sub(y2, vx), F.inv(ux))
+    elif vx == F.neg(y2):
+        # the points over x2 cancel; u1 = (x - x2)(x + a3) leaves (-a3, v1(-a3))
+        a3 = sub(p1, a2)
+        return (a3, 1), _v(sub(r0, mul(r1, a3)))
     else:
-        w = _inv_mod(F, _rem(F, u1, u2), u2)
-        if w is None:
-            return None
-        s = _rem(F, _mul(F, _sub(F, v2, v1), w), u2)
-        uu = F.poly_mul(u1, u2)
-    l = _add(F, v1, _mul(F, s, u1))
-    if len(uu) == 3:
-        return uu, l
-    u3, _ = F.poly_divmod(_sub(F, f, _mul(F, l, l)), uu)
-    while not u3[-1]:
-        u3.pop()
-    lc = F.inv(u3[-1])
-    u3 = [F.mul(c, lc) for c in u3]
-    return u3, [F.neg(c) for c in _rem(F, l, u3)]
+        n0, n1 = _quot_mod(F, f, p0, p1, r1)
+        s = mul(add(mul(n1, x2), n0), F.inv(add(y2, y2)))
+    # U = u1 (x + a2) = x^3 + (p1 + a2) x^2 + (p0 + p1 a2) x + ...
+    l1, l0 = add(r1, mul(s, p1)), add(r0, mul(s, p0))
+    return _reduce(F, f, 3, add(p1, a2), add(p0, mul(p1, a2)), 0, s, l1, l0)
 
 
-def _inv_mod(F, w, u):
-    """Inverse of w mod the monic u of degree 1 or 2, or None when w and u
-    share a root.  For u = x^2 + c1 x + c0 the inverse of a x + b is
-    (-a x + b - a c1) / r with r = b^2 - a b c1 + a^2 c0."""
-    b = w[0]
-    if len(u) == 2:
-        return [F.inv(b)] if b else None
-    a = w[1] if len(w) > 1 else 0
-    c0, c1 = u[0], u[1]
+def _sum_22(F, f, u1, v1, u2, v2):
+    """The sum of two degree-2 classes."""
+    mul, add, sub = F.mul, F.add, F.sub
+    p0, p1, _ = u1
+    q0, q1, _ = u2
+    r0 = v1[0] if v1 else 0
+    r1 = v1[1] if len(v1) == 2 else 0
+    t0 = v2[0] if v2 else 0
+    t1 = v2[1] if len(v2) == 2 else 0
+    if u1 == u2:
+        if not add(r0, t0) and not add(r1, t1):
+            return _ZERO
+        if r0 == t0 and r1 == t1:
+            n0, n1 = _quot_mod(F, f, p0, p1, r1)
+            out = _compose(F, f, p0, p1, r0, r1, p0, p1, add(r1, r1), add(r0, r0), n0, n1)
+            if out:
+                return out
+            # v vanishes at the ramified point (r0 / r1, 0): double the other
+            a = sub(p1, mul(r0, F.inv(r1)))
+        else:
+            # u1 splits: the points over the root of v1 - v2 agree, the
+            # others cancel
+            a = mul(sub(r0, t0), F.inv(sub(r1, t1)))
+        return _double_point(F, f, a, sub(r0, mul(r1, a)))
+    a, b = sub(p1, q1), sub(p0, q0)
+    out = _compose(F, f, p0, p1, r0, r1, q0, q1, a, b, sub(t0, r0), sub(t1, r1))
+    if not out:
+        # the only shared root is -a0: add the point of u2 over it, then the
+        # other point of u2
+        a0 = mul(b, F.inv(a))
+        a2 = sub(q1, a0)
+        u, v = _sum_21(F, f, u1, v1, a0, sub(t0, mul(t1, a0)))
+        out = _sum_codes(F, f, u, v, (a2, 1), _v(sub(t0, mul(t1, a2))))
+    return out
+
+
+def _quot_mod(F, f, p0, p1, r1):
+    """(f - v^2) / u mod u, as (n0, n1), for u = x^2 + p1 x + p0 dividing
+    f - v^2 and v = r1 x + r0 (r0 does not enter)."""
     mul, sub = F.mul, F.sub
-    r = F.add(sub(mul(b, b), mul(mul(a, b), c1)), mul(mul(a, a), c0))
+    k3 = f[5]
+    k2 = sub(f[4], mul(p1, k3))
+    k1 = sub(sub(f[3], mul(p1, k2)), mul(p0, k3))
+    k0 = sub(sub(sub(f[2], mul(r1, r1)), mul(p1, k1)), mul(p0, k2))
+    m2 = sub(k2, mul(p1, k3))
+    return sub(k0, mul(p0, m2)), sub(sub(k1, mul(p0, k3)), mul(p1, m2))
+
+
+def _compose(F, f, p0, p1, r0, r1, c0, c1, a, b, n0, n1):
+    """Reduced class of the composition (u1 c, l), l = v1 + s u1 with
+    s = (n1 x + n0) / (a x + b) mod c for c = x^2 + c1 x + c0, or None when
+    a x + b and c share a root.  (a x + b)(-a x + e0) = r mod c with
+    e0 = b - a c1 and r = b e0 + a^2 c0."""
+    mul, add, sub = F.mul, F.add, F.sub
+    e0 = sub(b, mul(a, c1))
+    r = add(mul(b, e0), mul(mul(a, a), c0))
     if not r:
         return None
-    ri = F.inv(r)
-    return [mul(sub(b, mul(a, c1)), ri), F.neg(mul(a, ri))]
+    i = F.inv(r)
+    t = mul(a, n1)
+    s1 = mul(add(sub(mul(n1, e0), mul(a, n0)), mul(t, c1)), i)
+    s0 = mul(add(mul(n0, e0), mul(t, c0)), i)
+    l2 = add(s0, mul(s1, p1))
+    l1 = add(add(r1, mul(s1, p0)), mul(s0, p1))
+    # U = u1 c = x^4 + (p1 + c1) x^3 + (p0 + c0 + p1 c1) x^2 + ...
+    ua, ub = add(p1, c1), add(add(p0, c0), mul(p1, c1))
+    return _reduce(F, f, 4, ua, ub, s1, l2, l1, add(r0, mul(s0, p0)))
 
 
-def _mul(F, a, b):
-    return F.poly_mul(a, b) if a and b else []
-
-
-def _rem(F, a, u):
-    return F.poly_divmod(a, u)[1] if len(a) >= len(u) else list(a)
-
-
-def _add(F, a, b):
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] = F.add(out[i], c)
-    return out
-
-
-def _sub(F, a, b):
-    out = list(a) + [0] * (len(b) - len(a))
-    for i, c in enumerate(b):
-        out[i] = F.sub(out[i], c)
-    return out
+def _reduce(F, f, n, ua, ub, l3, l2, l1, l0):
+    """Reduction of a composition (U, l) of degree n = 3 or 4, with l3 = 0
+    when n = 3: u3 = monic((f - l^2) / U) and v3 = -l mod u3.  The quotient
+    needs only the coefficients of x^(n-1) and x^(n-2) in U (ua, ub) and of
+    x^(n+2), x^(n+1) and x^n in f - l^2 (q2, q1, q0 before the division)."""
+    mul, add, sub = F.mul, F.add, F.sub
+    t = add(l3, l3)
+    c5 = sub(f[5], mul(t, l2))
+    c4 = sub(sub(f[4], mul(l2, l2)), mul(t, l1))
+    if n == 4:
+        q2, q1, q0 = F.neg(mul(l3, l3)), c5, c4
+    else:
+        q2, q1, q0 = c5, c4, sub(f[3], mul(add(l2, l2), l1))
+    q1 = sub(q1, mul(ua, q2))
+    q0 = sub(sub(q0, mul(ua, q1)), mul(ub, q2))
+    if not q2:
+        # n = 4 with l3 = 0: deg u3 = 1, v3 = -l(-w0)
+        w0 = mul(q0, F.inv(q1))
+        return (w0, 1), _v(sub(mul(sub(l1, mul(l2, w0)), w0), l0))
+    i = F.inv(q2)
+    w1, w0 = mul(q1, i), mul(q0, i)
+    m2, m1 = sub(l2, mul(l3, w1)), sub(l1, mul(l3, w0))
+    return (w0, w1, 1), _v(sub(mul(m2, w0), l0), sub(mul(m2, w1), m1))
 
 
 def _cantor_compose(f: Polynomial, c1, c2):
@@ -219,7 +315,8 @@ def _cantor_compose(f: Polynomial, c1, c2):
     u3 = (u1 * u2) // (d * d)
     num = c1_ * (e1 * u1 * v2 + e2 * u2 * v1) + c2_ * (v1 * v2 + f)
     q, r = divmod(num, d)
-    assert r.is_zero, "cantor composition is exact"
+    if not r.is_zero:
+        raise RuntimeError("cantor composition is exact")
     v3 = q % u3
     return u3, v3
 
@@ -272,14 +369,18 @@ def frobenius_data(curve: Curve) -> FrobeniusData:
 
 def _zeta_data(q: int, t1: int, t2: int) -> FrobeniusData:
     """Zeta data over F_q from the Frobenius traces t1 = tr A, t2 = tr A^2."""
-    assert (t1 * t1 - t2) % 2 == 0
+    if (t1 * t1 - t2) % 2:
+        raise RuntimeError("traces of odd t1^2 - t2")
     a2 = (t1 * t1 - t2) // 2
-    assert t1 * t1 <= 16 * q, "trace violates the Weil bound"
-    assert abs(a2) <= 6 * q, "second trace term violates the Weil bound"
+    if t1 * t1 > 16 * q:
+        raise RuntimeError("trace violates the Weil bound")
+    if abs(a2) > 6 * q:
+        raise RuntimeError("second trace term violates the Weil bound")
     # the group order is P(1) = det(I - A) for the characteristic polynomial
     # P(T) = T^4 - t1 T^3 + a2 T^2 - q t1 T + q^2
     order = 1 + q * q - t1 * (1 + q) + a2
-    assert order > 0
+    if order <= 0:
+        raise RuntimeError("group order is not positive")
     return FrobeniusData(q=q, n1=q + 1 - t1, n2=q * q + 1 - t2, a1=t1, a2=a2, order=order)
 
 
@@ -484,7 +585,8 @@ def mumford_to_divisor(cls: MumfordClass) -> Divisor:
             if pl.kind == SPLIT and pl.v == vg:
                 matched = pl
                 break
-        assert matched is not None, "mumford support must be split or ramified"
+        if matched is None:
+            raise RuntimeError("mumford support must be split or ramified")
         items.append((matched, e))
         total += e * g.degree
     items.append((curve.infinite_place(), -total))

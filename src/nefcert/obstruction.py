@@ -37,7 +37,7 @@ from .cohomology import (
     p_torsion_bundle,
     rr_space,
 )
-from .curves import INFINITE, Curve, Differential, Divisor, FunctionElement
+from .curves import Curve, Differential, Divisor, FunctionElement
 from .fields import (
     Polynomial,
     _is_prime,
@@ -47,6 +47,7 @@ from .fields import (
 )
 from .jacobian import (
     MumfordClass,
+    _sum_codes,
     class_order,
     divisor_class_to_mumford,
     find_p_torsion,
@@ -351,7 +352,8 @@ def beta_functional(E: EmbeddingData, choice: int = 0) -> BetaFunctional:
     curve = E.curve
     n0 = normal_bundle_divisor(E)
     space_div = n0 + curve.canonical_divisor() * 2
-    assert rr_space(curve, space_div).dim == 15
+    if rr_space(curve, space_div).dim != 15:
+        raise RuntimeError("sections of 2K + N do not have dimension 15")
 
     yinv = curve.y().inverse()
     tails = tuple((pl, phi * yinv) for pl, phi in _splitting_tails(E, n0, choice))
@@ -371,31 +373,22 @@ def rational_places(curve: Curve) -> tuple:
     return tuple(sorted(out))
 
 
-def _subtract_points(w_cls: MumfordClass, chosen, neg_cls: dict) -> MumfordClass:
-    """W - sum [P_i - oo] over distinct rational places P_i.
+def _subtract_points(curve: Curve, w, chosen, neg: dict):
+    """W - sum [P_i - oo] over distinct rational places P_i, as a (u, v) pair
+    of coefficient codes.
 
-    neg_cls maps each place to -[P - oo].  The points are taken in pairs.
-    With x1 != x2, [P1 + P2 - 2 oo] is the reduced pair (u1 u2, v) with v the
-    chord through both points, so one addition of (u1 u2, -v) subtracts
-    both; that pair is reduced by construction and skips the checks of the
-    constructor.  A pair with equal x, or with infinity, adds its two
-    negated point classes.
+    w is the code pair of W and neg maps each place to that of -[P - oo]
+    (zero at infinity).  The points are taken in pairs: the two negated
+    points of a pair add to a chord (one point with infinity, zero for P and
+    -P), and one more addition subtracts that from the running class.
     """
-    curve = w_cls.curve
-    F = curve.field
-    out = w_cls
+    F, f = curve.field, curve.f.coeffs
+    u, v = w
     for p1, p2 in zip(chosen[0::2], chosen[1::2]):
-        if p1.kind == INFINITE or p2.kind == INFINITE or p1.u == p2.u:
-            out = out + neg_cls[p1] + neg_cls[p2]
-            continue
-        x1, y1 = F.neg(p1.u[0]), p1.v[0]
-        x2, y2 = F.neg(p2.u[0]), p2.v[0]
-        slope = F.div(F.sub(y2, y1), F.sub(x2, x1))
-        chord = Polynomial(F, (F.sub(y1, F.mul(slope, x1)), slope))
-        out = out + MumfordClass._reduced(curve, p1.u * p2.u, -chord)
+        u, v = _sum_codes(F, f, u, v, *_sum_codes(F, f, *neg[p1], *neg[p2]))
     if len(chosen) % 2:
-        out = out + neg_cls[chosen[-1]]
-    return out
+        u, v = _sum_codes(F, f, u, v, *neg[chosen[-1]])
+    return u, v
 
 
 def choose_delta(
@@ -412,8 +405,9 @@ def choose_delta(
     which is looked up in the group of rational points.  The class
     W = [w_div - 12 oo] is reduced once per call.  A point class [P - oo] is
     already reduced ((x - x0, y0), or zero at infinity), so each draw
-    computes W - sum [P_i - oo] by six additions (`_subtract_points`) where
-    reducing the whole divisor of the try would take a dozen or more.  The
+    computes W - sum [P_i - oo] by six additions and five chords on
+    coefficient codes (`_subtract_points`), where reducing the whole divisor
+    of the try would take a dozen or more; no class object is built.  The
     random draws are unchanged and a class has one reduced pair, so the
     result is too.  Raises ExtendFieldError("extend field") when the field
     has too few points or the budget runs out.
@@ -428,15 +422,14 @@ def choose_delta(
         raise ExtendFieldError("extend field")
     inf = curve.infinite_place()
     w_cls = divisor_class_to_mumford(curve, w_div - Divisor([(inf, 12)]))
-    zero = MumfordClass.zero(curve)
-    point_cls = {pl: zero if pl == inf else MumfordClass(curve, pl.u, pl.v) for pl in pts}
-    lookup = {(cls.u.coeffs, cls.v.coeffs): pl for pl, cls in point_cls.items()}
-    neg_cls = {pl: -cls for pl, cls in point_cls.items()}
+    w = (w_cls.u.coeffs, w_cls.v.coeffs)
+    point = {pl: ((1,), ()) if pl == inf else (pl.u.coeffs, pl.v.coeffs) for pl in pts}
+    lookup = {uv: pl for pl, uv in point.items()}
+    neg = {pl: (u, tuple(curve.field.neg(c) for c in v)) for pl, (u, v) in point.items()}
     rng = random.Random(seed)
     for _ in range(tries):
         chosen = rng.sample(pts, 11)
-        cls = _subtract_points(w_cls, chosen, neg_cls)
-        last = lookup.get((cls.u.coeffs, cls.v.coeffs))
+        last = lookup.get(_subtract_points(curve, w, chosen, neg))
         if last is None or last in chosen:
             continue
         d_div = Divisor([(pl, 1) for pl in chosen] + [(last, 1)])

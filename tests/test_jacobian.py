@@ -282,27 +282,31 @@ def _cantor_sum(a: MumfordClass, b: MumfordClass) -> MumfordClass:
 
 
 def _expected_branch(a: MumfordClass, b: MumfordClass) -> str:
-    """Which case of the closed form a sum takes, read off its summands."""
+    """Which case of the group law a sum takes, read off its summands."""
     if a.is_zero or b.is_zero:
         return "zero"
     if a == -b:
         return "P + (-P)"
     if a == b:
         if poly_gcd(a.u, a.v.scale(2)).degree > 0:
-            return "fallback"
+            return "doubling, ramified root"
         return "doubling"
-    if poly_gcd(a.u, b.u).degree > 0:
-        return "fallback"
+    if a.u == b.u:
+        return "equal u, mixed signs"
+    degrees = f"{max(a.u.degree, b.u.degree)}+{min(a.u.degree, b.u.degree)}"
+    g = poly_gcd(a.u, b.u)
+    if g.degree > 0:
+        opposite = ((a.v + b.v) % g).is_zero
+        return f"shared root {degrees}, " + ("opposite points" if opposite else "same point")
     if a.u.degree != b.u.degree:
         return "mixed degrees"
-    return f"coprime {a.u.degree}+{b.u.degree}"
+    return f"coprime {degrees}"
 
 
-def _check_sum(a: MumfordClass, b: MumfordClass, fallbacks: list) -> str:
-    before = len(fallbacks)
+def _check_sum(a: MumfordClass, b: MumfordClass, cantor_calls: list) -> str:
     got = a + b
     branch = _expected_branch(a, b)
-    assert (len(fallbacks) > before) == (branch == "fallback"), (a, b, branch)
+    assert not cantor_calls, (a, b, branch)
     assert got == _cantor_sum(a, b), (a, b, branch)
     # sums skip the constructor's checks, so test the invariant here
     C = a.curve
@@ -312,19 +316,28 @@ def _check_sum(a: MumfordClass, b: MumfordClass, fallbacks: list) -> str:
 
 
 @pytest.fixture
-def fallbacks(monkeypatch):
-    """Records each sum that takes Cantor's general steps."""
+def cantor_calls(monkeypatch):
+    """Records each call of Cantor's steps made inside the module, which the
+    group law must never make."""
     calls = []
-    compose = jacobian._cantor_compose
+    for name in ("_cantor_compose", "_cantor_reduce"):
 
-    def counted(*args):
-        calls.append(args)
-        return compose(*args)
+        def counted(*args, step=getattr(jacobian, name), name=name):
+            calls.append(name)
+            return step(*args)
 
-    monkeypatch.setattr(jacobian, "_cantor_compose", counted)
+        monkeypatch.setattr(jacobian, name, counted)
     return calls
 
 
+SHARED_ROOT_BRANCHES = {
+    "doubling, ramified root",
+    "equal u, mixed signs",
+    "shared root 2+1, same point",
+    "shared root 2+1, opposite points",
+    "shared root 2+2, same point",
+    "shared root 2+2, opposite points",
+}
 ALL_BRANCHES = {
     "zero",
     "P + (-P)",
@@ -332,28 +345,32 @@ ALL_BRANCHES = {
     "coprime 1+1",
     "coprime 2+2",
     "mixed degrees",
-    "fallback",
-}
+} | SHARED_ROOT_BRANCHES
 
 
-def test_group_law_matches_cantor_on_every_pair_over_f9(fallbacks):
-    # the first curve has two rational ramified points and 40 classes, the
-    # second none and 99 classes
+def test_group_law_matches_cantor_on_every_pair_over_f9(cantor_calls):
+    # the first curve has two rational ramified points, no other rational
+    # point and 40 classes, the second no ramified point and 99 classes, the
+    # third one ramified point, four others and 52 classes
     F9 = field(3, 2)
     branches = set()
-    for C in (Curve(F9, (4, 5, 7, 2, 3, 1)), Curve(F9, (6, 6, 0, 4, 8, 1))):
+    curves = [Curve(F9, f) for f in ((4, 5, 7, 2, 3, 1), (6, 6, 0, 4, 8, 1), (3, 8, 8, 3, 6, 1))]
+    for C in curves:
         classes = enumerate_classes(C)
         for a in classes:
             for b in classes:
-                branches.add(_check_sum(a, b, fallbacks))
+                branches.add(_check_sum(a, b, cantor_calls))
     assert branches == ALL_BRANCHES
 
 
 def _point_pairs(C: Curve, rng: random.Random, n: int):
     """n pairs of classes built from random rational points by the oracle:
     unrelated sums of one to four points, equal and opposite classes, two
-    classes sharing the x of a point, and a zero summand."""
+    classes sharing the x of a point (of degrees 2 and 2, or 2 and 1), a
+    zero summand, P + Q against P + (-Q), and a ramified point plus a point,
+    doubled."""
     pts = affine_points(C)
+    ramified = [i for i, (_, y) in enumerate(pts) if not y]
 
     def point(i=None):
         return MumfordClass.from_point(C, *pts[rng.randrange(len(pts)) if i is None else i])
@@ -364,25 +381,40 @@ def _point_pairs(C: Curve, rng: random.Random, n: int):
             out = _cantor_sum(out, point())
         return out
 
+    def twins():
+        j = rng.randrange(len(pts))
+        return point(j), point(j) if rng.randrange(2) else -point(j)
+
     for i in range(n):
-        kind = i % 8
+        kind = i % 10
         a = class_()
         if kind == 4:
             yield a, a
         elif kind == 5:
             yield a, -a
         elif kind == 6:
-            j = rng.randrange(len(pts))
-            twin = point(j) if rng.randrange(2) else -point(j)
-            yield _cantor_sum(point(j), point()), _cantor_sum(twin, point())
+            p, twin = twins()
+            yield _cantor_sum(p, point()), _cantor_sum(twin, point())
         elif kind == 7:
             yield (a, MumfordClass.zero(C)) if rng.randrange(2) else (MumfordClass.zero(C), a)
+        elif kind == 8:
+            p, twin = twins()
+            pair = (_cantor_sum(p, point()), twin)
+            yield pair if rng.randrange(2) else pair[::-1]
+        elif kind == 9 and rng.randrange(2):
+            p, q = point(), point()
+            yield _cantor_sum(p, q), _cantor_sum(p, -q)
+        elif kind == 9:
+            a = _cantor_sum(point(rng.choice(ramified)), point())
+            yield a, a
         else:
             yield a, class_()
 
 
-@pytest.mark.parametrize("p,k", [(5, 2), (7, 3)])
-def test_group_law_matches_cantor_on_random_pairs(fallbacks, p, k):
+@pytest.mark.parametrize("p,k", [(5, 2), (7, 3), (13, 1), (101, 1)])
+def test_group_law_matches_cantor_on_random_pairs(cantor_calls, p, k):
+    """Seeded pairs on a curve with a rational ramified point; k = 1 runs the
+    prime-field kernels, which no bench point does."""
     F = field(p, k)
     rng = random.Random(100 * p + k)
     C = None
@@ -391,7 +423,9 @@ def test_group_law_matches_cantor_on_random_pairs(fallbacks, p, k):
             C = Curve(F, tuple(F.random(rng) for _ in range(6)))
         except ValueError:
             continue
+        if all(y for _, y in affine_points(C)):
+            C = None
     branches = set()
     for a, b in _point_pairs(C, rng, 2000):
-        branches.add(_check_sum(a, b, fallbacks))
+        branches.add(_check_sum(a, b, cantor_calls))
     assert branches == ALL_BRANCHES
