@@ -326,16 +326,35 @@ def _retry(job, start: int, cap: int = _PREC_CAP):
             prec *= 2
 
 
+@functools.lru_cache(maxsize=256)
+def _frame_cell(curve: "Curve", place: Place) -> list:
+    """[prec, frames]: the highest-precision frames built at the place."""
+    return [0, None]
+
+
 @functools.lru_cache(maxsize=512)
 def _frames(curve: "Curve", place: Place, prec: int):
-    ring = curve.residue_ring(place)
-    if place.kind == INFINITE:
-        return series_infinite(ring, curve.f, prec)
-    if place.kind == SPLIT:
-        y0 = ring.kappa(place.v)
-    else:
-        y0 = ring.root if place.kind == INERT else None
-    return series_finite(ring, curve.f, place.u, y0, prec)
+    """(ring, xs, ys): x and y as series in the local parameter at the place.
+
+    Each place is expanded once, at the highest precision asked for so far;
+    a smaller request gets the exact truncation of those series, which is
+    what an expansion at that precision gives.
+    """
+    cell = _frame_cell(curve, place)
+    if cell[0] < prec:
+        ring = curve.residue_ring(place)
+        if place.kind == INFINITE:
+            frames = series_infinite(ring, curve.f, prec)
+        else:
+            if place.kind == SPLIT:
+                y0 = ring.kappa(place.v)
+            else:
+                y0 = ring.root if place.kind == INERT else None
+            frames = series_finite(ring, curve.f, place.u, y0, prec)
+        cell[:] = prec, frames
+    cut = cell[0] - prec
+    ring, xs, ys = cell[1]
+    return ring, xs.truncate(xs.prec - cut), ys.truncate(ys.prec - cut)
 
 
 def _ord_parts(r: RationalFunction, u: Polynomial):
@@ -516,6 +535,24 @@ class Curve:
             raise RuntimeError("principal divisor must have degree zero")
         return div
 
+    def has_divisor(self, phi: FunctionElement, E: Divisor) -> bool:
+        """Whether div(phi) = E, for E supported on places of the curve.
+
+        Only the places of E, those over the denominators of a and b, and
+        infinity are checked, and no norm is factored: off them phi has no
+        pole, so div(phi) - E >= 0 there, and with equality on them
+        div(phi) - E is effective of degree 0, hence zero.
+        """
+        if phi.is_zero or E.degree != 0:
+            return False
+        mult = dict(E.items)
+        places = set(mult)
+        places.add(self.infinite_place())
+        for den in {phi.a.den, phi.b.den}:
+            if den.degree > 0:
+                places.update(self.places_over(den))
+        return all(self.valuation(phi, pl) == mult.get(pl, 0) for pl in places)
+
     def divisor_of_differential(self, omega: Differential) -> Divisor:
         return self.divisor(omega.w) + self.divisor_dx()
 
@@ -563,13 +600,22 @@ class Curve:
         _, ser = self.expand(omega.w, place, prec)
         return ring, ser * xs.derivative()
 
-    def residue(self, omega: Differential, place: Place) -> int:
-        """res of omega at the place, as an element of the base field."""
+    def residue(self, omega: Differential, place: Place, num: tuple = (), den: tuple = ()) -> int:
+        """res of omega * prod(num) / prod(den) at the place, as an element
+        of the base field.
+
+        The factors, nonzero function elements, are expanded at the place
+        and multiplied as series, so their product is never formed.
+        """
         if omega.is_zero:
             return 0
 
         def job(prec):
             ring, ser = self.expand_differential(omega, place, prec)
+            for phi in num:
+                ser = ser * self.expand(phi, place, prec)[1]
+            for phi in den:
+                ser = ser / self.expand(phi, place, prec)[1]
             return ring.trace(ser.coeff_at(-1))
 
         # Start low: residues need few terms, and a series too short for the

@@ -13,7 +13,8 @@ has a class in H^1(C, Hom(N, TC)) computed here as an explicit residue
 functional beta on the 15-dimensional section space of 2K + N: local
 splittings v / v(F) for chart vector fields v differ by tangent-valued
 tails, and beta(psi) is one sum of exact residues of the tails against psi
-over the tail places.  Coefficients on a basis are computed only on demand.
+over the tail places, read from the expansions of psi and of the tails'
+factors.  Coefficients on a basis are computed only on demand.
 
 On top of the functional sits the search: an order-p class L with
 trivialization g, a section delta of N - L whose zero divisor consists of 12
@@ -25,6 +26,7 @@ set a certificate records and `certificate_verify` recomputes.
 
 from __future__ import annotations
 
+import functools
 import random
 from typing import NamedTuple
 
@@ -37,7 +39,7 @@ from .cohomology import (
     p_torsion_bundle,
     rr_space,
 )
-from .curves import Curve, Differential, Divisor, FunctionElement
+from .curves import RAMIFIED, SPLIT, _INF, Curve, Differential, Divisor, FunctionElement, Place
 from .fields import (
     Polynomial,
     _is_prime,
@@ -220,8 +222,9 @@ class BetaFunctional:
     """The extension class of the normal bundle sequence, as the residue
     functional it induces on the section space of 2K + N.
 
-    tails holds (place, phi / y) for each splitting tail phi; the functional
-    sends psi to the sum over those places of res(phi * psi * y^-1 dx).
+    tails holds (place, num, den) for each splitting tail phi / y, which is
+    prod(num) / prod(den); the functional sends psi to the sum over those
+    places of res(phi * psi * y^-1 dx), read from the factors' expansions.
     """
 
     __slots__ = ("curve", "n_div", "space_div", "tails", "_coeffs")
@@ -253,10 +256,10 @@ class BetaFunctional:
         if rr_space(self.curve, self.space_div).coords(psi) is None:
             raise ValueError("degree bookkeeping mismatch")
         curve = self.curve
+        omega = Differential(curve, psi)
         out = 0
-        for pl, tail in self.tails:
-            res = curve.residue(Differential(curve, tail * psi), pl)
-            out = curve.field.add(out, res)
+        for pl, num, den in self.tails:
+            out = curve.field.add(out, curve.residue(omega, pl, num, den))
         return out
 
     def restrict_nonzero(self, b_div: Divisor) -> bool:
@@ -273,71 +276,91 @@ class BetaFunctional:
 
 
 def _charts(E: EmbeddingData) -> tuple:
-    """F_s at (s, x), and the four charts (s or 1/s, x or 1/x) of P^1 x P^1
-    along the curve.
+    """F_s and F_w at (s, x), and the splitting fields of the four charts
+    (sigma, omega) = (s or 1/s, x or 1/x) of P^1 x P^1 along the curve.
 
-    Each chart is (sigma, omega, u, vx, F_sigma, F_omega): the chart coordinates,
-    the factor u with F = u * (chart form), the x-component vx of d/domega,
-    and the partials of the chart form at (sigma, omega).  F_s and F_w are
-    evaluated once, at (s, x).  The chart forms are sigma^2 F(1/sigma, w) and
-    omega^3 F(s, 1/omega), so where F(s, x) = 0 (checked by
-    `embed_bidegree_2_3`) the chain rule gives the partials (-F_s, F_w / s^2)
-    with sigma = 1/s and (F_s / x^3, -F_w / x) with omega = 1/x.
+    Chart (a, b) has sigma = s^(1-2a), omega = x^(1-2b) and chart form
+    F / u with u = s^(2a) x^(3b).  Where F(s, x) = 0 (checked by
+    `embed_bidegree_2_3`) the chain rule gives its partials
+    F_sigma = (-1)^a F_s / x^(3b) and F_omega = (-1)^b F_w / (s^(2a) x^b),
+    so a chart field vf = F_omega + lam * F_sigma has
+
+        u * vf = (-1)^b x^(2b) F_w + lam (-1)^a s^(2a) F_s,
+
+    with no division.  Each chart is (a, b, fields) where fields holds
+    (lam, u * vf) for lam = 0, 1, 2 where vf is nonzero.
     """
     curve = E.curve
-    s, x, one = E.s_fn, curve.x(), curve.one()
+    s, x = E.s_fn, curve.x()
     fs = _bi_eval(curve, _bi_partial_s(E.rows), s, x)
     fw = _bi_eval(curve, _bi_partial_w(E.rows), s, x)
     if fs.is_zero:
         raise ValueError("degenerate chart data")
-    s2, x3, vx = s * s, x * x * x, -(x * x)
-    return fs, (
-        (s, x, one, one, fs, fw),
-        (s, x.inverse(), x3, vx, fs / x3, -(fw / x)),
-        (s.inverse(), x, s2, one, -fs, fw / s2),
-        (s.inverse(), x.inverse(), s2 * x3, vx, -(fs / x3), -(fw / (s2 * x))),
-    )
+    terms_w = (fw, -(x * x * fw))  # (-1)^b x^(2b) F_w
+    terms_s = (fs, -(s * s * fs))  # (-1)^a s^(2a) F_s
+    charts = []
+    for a in (0, 1):
+        for b in (0, 1):
+            tw, ts = terms_w[b], terms_s[a]
+            fields = ((lam, tw + ts.scale(lam) if lam else tw) for lam in (0, 1, 2))
+            charts.append((a, b, tuple((lam, g) for lam, g in fields if not g.is_zero)))
+    return fs, fw, tuple(charts)
 
 
 def _splitting_tails(E: EmbeddingData, n_div: Divisor, choice: int):
-    """One tangent-valued tail function per bad place.
+    """One tangent-valued tail per bad place, as (place, num, den).
 
     The global reference splitting projects along the degree-3 pencil fibers
     (vertical fields agree across charts).  At each place where it
     degenerates, an admissible chart field is selected; the difference of
     the two splittings, applied to the coordinate trivialization of N and
-    written against the tangent frame y d/dx, is the returned function.
-    n_div is the coordinate divisor of N, whose support is bad.
+    written against the tangent frame y d/dx, is the tail -vx / (u vf y),
+    kept as num = -vx (-1 or x^2, the x-component of d/domega negated) and
+    den = u * vf, so it is never inverted.  n_div is the coordinate divisor
+    of N, whose support is bad.
+
+    A chart is admissible where sigma and omega are regular, and vf where
+    it is a unit; the orders come from those of s, x, F_s and F_w (the
+    order of a product or quotient is the sum or difference of orders, and
+    of a sum of two terms of different orders the smaller one), and only a
+    sum of two terms of equal order is valued as a function.
     """
     curve = E.curve
-    y = curve.y()
-    fs, charts = _charts(E)
-    vfields = []  # per chart, the nonzero F_omega + lam * F_sigma, lam = 0, 1, 2
-    for *_, dsig, dome in charts:
-        fields = (dome if lam == 0 else dome + dsig.scale(lam) for lam in (0, 1, 2))
-        vfields.append(tuple(vf for vf in fields if not vf.is_zero))
+    s, x = E.s_fn, curve.x()
+    fs, fw, charts = _charts(E)
+    nums = (curve.fn(curve.field.neg(1)), x * x)  # -vx by b
 
     bad = set(pl for pl, _ in n_div.items)
     bad.add(curve.infinite_place())
     bad.update(pl for pl, _ in curve.divisor(fs).items)
     bad.update(curve.finite_ramified_places())
 
-    # options are (u, vx, field) descriptors; only the chosen one is built
     tails = []
     for pl in sorted(bad):
+        o_s, o_x, o_fs = (curve.valuation(phi, pl) for phi in (s, x, fs))
+        o_fw = _INF if fw.is_zero else curve.valuation(fw, pl)
         opts = []
-        for (sig, ome, u_ab, vx, dsig, _), vfs in zip(charts, vfields):
-            if curve.valuation(sig, pl) < 0 or curve.valuation(ome, pl) < 0:
+        for a, b, fields in charts:
+            if (-o_s if a else o_s) < 0 or (-o_x if b else o_x) < 0:
                 continue
-            opts.extend((u_ab, vx, vf) for vf in vfs if curve.valuation(vf, pl) == 0)
-            if not dsig.is_zero and curve.valuation(dsig, pl) == 0:
+            o_u = 2 * a * o_s + 3 * b * o_x
+            o_w, o_t = o_fw + 2 * b * o_x, o_fs + 2 * a * o_s
+            for lam, g in fields:
+                if lam == 0:
+                    o_g = o_w
+                elif o_w != o_t:
+                    o_g = min(o_w, o_t)
+                else:
+                    o_g = curve.valuation(g, pl)
+                if o_g == o_u:
+                    opts.append((nums[b], g))
+            if o_fs == 3 * b * o_x:
                 opts.append(None)  # the reference splitting itself works here
         if not opts:
             raise ValueError("degenerate chart data")
         pick = opts[choice % len(opts)]
         if pick is not None:
-            u_ab, vx, vf = pick
-            tails.append((pl, -(vx * (u_ab * y * vf).inverse())))
+            tails.append((pl, *pick))
     return tails
 
 
@@ -355,22 +378,34 @@ def beta_functional(E: EmbeddingData, choice: int = 0) -> BetaFunctional:
     if rr_space(curve, space_div).dim != 15:
         raise RuntimeError("sections of 2K + N do not have dimension 15")
 
-    yinv = curve.y().inverse()
-    tails = tuple((pl, phi * yinv) for pl, phi in _splitting_tails(E, n0, choice))
+    # phi / y = num / (den * y^2) with y^2 = f
+    f = curve.fn(curve.f)
+    tails = tuple((pl, (num,), (den, f)) for pl, num, den in _splitting_tails(E, n0, choice))
     return BetaFunctional(curve, n0, space_div, tails)
 
 
 # --- the section delta and the obstruction scalar ----------------------------
 
 
+@functools.lru_cache(maxsize=16)
 def rational_places(curve: Curve) -> tuple:
-    """All degree-1 places, canonically ordered."""
+    """All degree-1 places, canonically ordered.
+
+    Over x0 the places are read from f(x0): ramified where it is 0, split
+    with y = +-sqrt(f(x0)) where it is a nonzero square.
+    """
     base = curve.field
     out = [curve.infinite_place()]
     for x0 in range(base.q):
         u = Polynomial(base, (base.neg(x0), 1))
-        out.extend(pl for pl in curve.places_above(u) if pl.degree == 1)
-    return tuple(sorted(out))
+        c = curve.f.eval(x0)
+        if c == 0:
+            out.append(Place(RAMIFIED, u))
+            continue
+        r = base.sqrt(c)
+        if r is not None:
+            out += (Place(SPLIT, u, Polynomial.const(base, v)) for v in (r, base.neg(r)))
+    return tuple(sorted(out, key=Place.sort_key))
 
 
 def _subtract_points(curve: Curve, w, chosen, neg: dict):
@@ -437,7 +472,7 @@ def choose_delta(
         if dsp.dim != 1:
             continue
         delta = dsp.basis[0]
-        if curve.divisor(delta) != d_div - w_div:
+        if not curve.has_divisor(delta, d_div - w_div):
             raise RuntimeError("section divisor differs from the point configuration")
         return delta, d_div
     raise ExtendFieldError("extend field")
@@ -775,7 +810,7 @@ def certificate_verify(cert) -> VerifyReport:
         g_fn, gamma, l_rep = need("g"), need("gamma"), need("L")
         if g_fn.is_zero:
             raise ValueError("zero trivialization")
-        ok = curve.divisor(g_fn) == l_rep * p
+        ok = curve.has_divisor(g_fn, l_rep * p)
         dlog = Differential(curve, g_fn.derivative() * g_fn.inverse())
         ok = ok and not dlog.is_zero and curve.divisor_of_differential(dlog).is_effective
         return ok and dlog == gamma
@@ -793,7 +828,7 @@ def certificate_verify(cert) -> VerifyReport:
         for c, phi in zip(d["delta_coords"], dsp.basis):
             delta = delta + phi.scale(c)
         d_div = need("D")
-        if delta.is_zero or curve.divisor(delta) != d_div - (n0 - l_rep):
+        if not curve.has_divisor(delta, d_div - (n0 - l_rep)):
             raise ValueError("delta does not vanish exactly on the stated points")
         value = obstruction_scalar(beta_functional(emb), delta, gamma, alpha)
         return value == d["obstruction"] and value != 0

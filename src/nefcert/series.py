@@ -6,10 +6,16 @@ The residue field is either the base field itself, a quotient F_q[x]/(u), or
 a quadratic extension of such a quotient.  Ring adapter classes give these
 three a uniform element interface so one series engine serves all of them.
 `Curve.residue_ring` is the only code that chooses the adapter of a place.
+Products of series run on the field's code kernel: over the base field
+as one `Field.poly_mul`, over F_q[x]/(u) as one `Field.poly_mul` of
+Kronecker-packed codes; over the quadratic extension they visit only the
+nonzero terms of the second factor, so Horner along x = a + t costs O(n)
+per step.
 Both frame builders, `series_finite` at every finite place and
 `series_infinite` at the place over infinity, solve for x along the local
 parameter by one `_newton` iteration whose step evaluates polynomials with
-`poly_series`.
+`poly_series`; each step doubles the precision, and one more step at the
+target must be a fixed point.
 
 Precision is tracked rigorously: a series knows the exponent range on which
 its coefficients are exact, operations propagate that range pessimistically,
@@ -91,6 +97,11 @@ class BaseRing:
     def to_codes(self, a) -> tuple:
         return (a,)
 
+    def series_mul(self, a: list, b: list, n: int) -> list:
+        """The first n coefficients of the product of two coefficient
+        lists, on the field's code kernel."""
+        return self.field.poly_mul(a, b)[:n]
+
 
 class PolyModRing:
     """Coefficients in F_q[x]/(u), stored as reduced polynomials."""
@@ -150,6 +161,29 @@ class PolyModRing:
 
     def to_codes(self, a) -> tuple:
         return tuple(a[i] for i in range(self.u.degree))
+
+    def series_mul(self, a: list, b: list, n: int) -> list:
+        """The first n coefficients of the product, as one code product by
+        Kronecker substitution: coefficient i fills block i of width
+        2 deg u - 1, which holds any product of two of them, so block k of
+        the code product is coefficient k before reduction mod u."""
+        F, u = self.field, self.u.coeffs
+        w = 2 * len(u) - 3
+
+        def pack(cs):
+            out = [0] * (w * len(cs))
+            for i, c in enumerate(cs):
+                out[w * i : w * i + len(c.coeffs)] = c.coeffs
+            return out
+
+        prod = F.poly_mul(pack(a), pack(b))
+        out = []
+        for k in range(0, min(w * n, len(prod)), w):
+            block = prod[k : k + w]
+            if len(block) >= len(u):
+                block = F.poly_divmod(block, u)[1]
+            out.append(Polynomial(F, block))
+        return out
 
 
 class QuadModRing:
@@ -239,6 +273,20 @@ class QuadModRing:
         d = self.u.degree
         return tuple(a[0][i] for i in range(d)) + tuple(a[1][i] for i in range(d))
 
+    def series_mul(self, a: list, b: list, n: int) -> list:
+        """The first n coefficients of the product, visiting only the
+        nonzero coefficients of b."""
+        terms = [(j, c) for j, c in enumerate(b) if not self.is_zero(c)]
+        out = [self.zero] * n
+        for i, c in enumerate(a):
+            if self.is_zero(c):
+                continue
+            for j, d in terms:
+                if i + j >= n:
+                    break
+                out[i + j] = self.add(out[i + j], self.mul(c, d))
+        return out
+
 
 class TruncSeries:
     """Sum of c_i t^i over offset <= i < prec, coefficients in a ring adapter.
@@ -325,11 +373,13 @@ class TruncSeries:
         off = min(self.offset, other.offset, prec)
         n = prec - off
         out = [ring.zero] * n
-        for src in (self, other):
-            for i, c in enumerate(src.coeffs):
-                j = src.offset + i - off
-                if 0 <= j < n:
-                    out[j] = ring.add(out[j], c)
+        i = self.offset - off
+        head = self.coeffs[: max(n - i, 0)]
+        out[i : i + len(head)] = head
+        j = other.offset - off
+        for k, c in enumerate(other.coeffs[: max(n - j, 0)], j):
+            if not ring.is_zero(c):
+                out[k] = ring.add(out[k], c)
         return TruncSeries.make(ring, off, out, prec)
 
     def __neg__(self) -> "TruncSeries":
@@ -344,20 +394,12 @@ class TruncSeries:
         off = self.offset + other.offset
         prec = min(self.prec + other.offset, other.prec + self.offset)
         n = prec - off
-        if n <= 0 or not self.coeffs or not other.coeffs:
+        if n <= 0:
             return TruncSeries.zero_to(ring, prec)
-        out = [ring.zero] * n
-        for i, a in enumerate(self.coeffs):
-            if i >= n:
-                break
-            if a == ring.zero:
-                continue
-            jmax = min(len(other.coeffs), n - i)
-            for j in range(jmax):
-                b = other.coeffs[j]
-                if b != ring.zero:
-                    out[i + j] = ring.add(out[i + j], ring.mul(a, b))
-        return TruncSeries.make(ring, off, out, prec)
+        a, b = _trimmed(ring, self.coeffs, n), _trimmed(ring, other.coeffs, n)
+        if not a or not b:
+            return TruncSeries.zero_to(ring, prec)
+        return TruncSeries.make(ring, off, ring.series_mul(a, b, n), prec)
 
     def scale(self, elem) -> "TruncSeries":
         ring = self.ring
@@ -405,12 +447,29 @@ class TruncSeries:
         return TruncSeries.make(ring, self.offset - 1, out, self.prec - 1)
 
 
+def _trimmed(ring, coeffs: list, n: int) -> list:
+    """The first n coefficients without their trailing zeros."""
+    end = min(n, len(coeffs))
+    while end and ring.is_zero(coeffs[end - 1]):
+        end -= 1
+    return coeffs[:end]
+
+
 def poly_series(ring, f: Polynomial, xs: TruncSeries) -> TruncSeries:
     """Series of f evaluated along xs, by Horner from the exact leading
-    coefficient; along a pole of xs the result keeps its relative precision."""
+    coefficient; along a pole of xs the result keeps its relative precision.
+    Where xs has no pole, Horner runs on coefficient lists."""
     if f.is_zero:
         return TruncSeries.zero_to(ring, xs.prec)
     cs = f.coeffs
+    if xs.offset >= 0:
+        n = xs.prec
+        x = _trimmed(ring, [ring.zero] * xs.offset + xs.coeffs, n)
+        acc = [ring.embed(cs[-1])]
+        for c in reversed(cs[:-1]):
+            acc = ring.series_mul(acc, x, n) if x else [ring.zero]
+            acc[0] = ring.add(acc[0], ring.embed(c))
+        return TruncSeries.make(ring, 0, acc, n)
     acc = TruncSeries.const(ring, ring.embed(cs[-1]), xs.prec - min(xs.offset, 0))
     for c in reversed(cs[:-1]):
         acc = acc * xs + TruncSeries.const(ring, ring.embed(c), acc.prec)
@@ -418,13 +477,26 @@ def poly_series(ring, f: Polynomial, xs: TruncSeries) -> TruncSeries:
 
 
 def rf_series(ring, num: Polynomial, den: Polynomial, xs: TruncSeries) -> TruncSeries:
+    """Series of num/den along xs, for a monic den."""
+    if den.degree == 0:
+        return poly_series(ring, num, xs)
     return poly_series(ring, num, xs) / poly_series(ring, den, xs)
 
 
-def _newton(x0: TruncSeries, step: Callable[[TruncSeries], TruncSeries]) -> TruncSeries:
-    x = x0
+def _newton(x0: TruncSeries, step: Callable[[TruncSeries], TruncSeries], prec: int) -> TruncSeries:
+    """Fixed point of step to precision prec, from x0 exact to precision 1.
+
+    The step at a simple root doubles the number of exact terms, so each
+    step runs at twice the precision of the last (Brent-Kung) until prec is
+    reached.  Then full-precision steps run until one is a fixed point,
+    which is the stopping guarantee; one suffices when the root is simple.
+    """
+    x, p = x0, 1
+    while p < prec:
+        p = min(2 * p, prec)
+        x = step(TruncSeries.make(x.ring, x.offset, x.coeffs, p)).truncate(p)
     for _ in range(64):
-        x2 = step(x).truncate(x0.prec)
+        x2 = step(x).truncate(prec)
         if x2 == x:
             return x
         x = x2
@@ -438,7 +510,7 @@ def _sqrt_series(ring, fs: TruncSeries, y0) -> TruncSeries:
     def step(y: TruncSeries) -> TruncSeries:
         return (y + fs * y.invert()) * half
 
-    return _newton(TruncSeries.const(ring, y0, fs.prec), step)
+    return _newton(TruncSeries.const(ring, y0, 1), step, fs.prec)
 
 
 def series_finite(ring, f: Polynomial, u: Polynomial, y0, prec: int):
@@ -457,7 +529,7 @@ def series_finite(ring, f: Polynomial, u: Polynomial, y0, prec: int):
         return x - (poly_series(ring, g, x) - te) * poly_series(ring, dg, x).invert()
 
     x0 = ring.kappa(Polynomial.x(f.field))
-    xs = _newton(TruncSeries.const(ring, x0, prec), step)
+    xs = _newton(TruncSeries.const(ring, x0, 1), step, prec)
     if y0 is None:
         ys = TruncSeries.t_power(ring, 1, prec)
     else:
@@ -482,5 +554,5 @@ def series_infinite(ring, f: Polynomial, prec: int):
         dg = (s2 * s).scale(four) - poly_series(ring, df, xs).shift(8)
         return s - g * dg.invert()
 
-    s = _newton(TruncSeries.const(ring, ring.inv(f[5]), prec), step)
+    s = _newton(TruncSeries.const(ring, ring.inv(f[5]), 1), step, prec)
     return ring, s.shift(-2), (s * s).shift(-5)

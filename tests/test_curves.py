@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nefcert.curves import INERT, INFINITE, RAMIFIED, SPLIT, Curve, Divisor, _frames
+from nefcert import curves
+from nefcert.curves import INERT, INFINITE, RAMIFIED, SPLIT, Curve, Divisor, _frame_cell, _frames
 from nefcert.fields import (
     Polynomial,
     RationalFunction,
@@ -14,7 +15,7 @@ from nefcert.fields import (
     hensel_sqrt,
     is_irreducible,
 )
-from nefcert.series import TruncSeries, poly_series
+from nefcert.series import BaseRing, PolyModRing, QuadModRing, TruncSeries, _newton, poly_series
 
 F3 = field(3)
 F5 = field(5)
@@ -234,11 +235,16 @@ def _one_place_per_model(C: Curve) -> dict:
     return found
 
 
+def _frame_curves():
+    """Curves whose places of support degree <= 2 cover every kind; the third
+    is (x^2 + 1)(x^3 + 2x + 1) over F_3, with a ramified place of degree 2
+    whose ring is F_3[x]/(x^2 + 1)."""
+    return (curve35(), Curve(F5, (1, 2, 0, 0, 0, 1)), Curve(F3, (1, 2, 1, 0, 0, 1)))
+
+
 def test_local_expansions_satisfy_curve_equation():
-    # the third curve is (x^2 + 1)(x^3 + 2x + 1) over F_3: a ramified place
-    # of degree 2, whose ring is F_3[x]/(x^2 + 1)
     covered = set()
-    for C in (curve35(), Curve(F5, (1, 2, 0, 0, 0, 1)), Curve(F3, (1, 2, 1, 0, 0, 1))):
+    for C in _frame_curves():
         for key, pl in _one_place_per_model(C).items():
             covered.add(key)
             ring, sy = C.expand(C.y(), pl, 14)
@@ -263,6 +269,138 @@ def test_local_expansions_satisfy_curve_equation():
             assert ts == TruncSeries.t_power(ring, 1, ts.prec)
     kinds = (SPLIT, INERT, RAMIFIED)
     assert covered == {(INFINITE, 1)} | {(k, d) for k in kinds for d in (1, 2)}
+
+
+def _fixed_point(x, step):
+    """Iterate step at the full precision of x until it settles."""
+    for _ in range(64):
+        x2 = step(x).truncate(x.prec)
+        if x2 == x:
+            return x
+        x = x2
+    raise AssertionError("no fixed point")
+
+
+def _reference_frames(C: Curve, pl, prec: int):
+    """(ring, xs, ys) at the place with every Newton step at full precision:
+    G(s) = s^4 - t^10 f(s t^-2) = 0 at infinity, u(xs) = t or f(xs) = t^2 at
+    finite places, and ys^2 = f(xs) with ys(0) the residue of y."""
+    ring, f = C.residue_ring(pl), C.f
+    if pl.kind == INFINITE:
+        four, df = ring.embed_int(4), f.derivative()
+
+        def step(s):
+            xs, s2 = s.shift(-2), s * s
+            g = s2 * s2 - poly_series(ring, f, xs).shift(10)
+            dg = (s2 * s).scale(four) - poly_series(ring, df, xs).shift(8)
+            return s - g * dg.invert()
+
+        s = _fixed_point(TruncSeries.const(ring, ring.inv(f[5]), prec), step)
+        return ring, s.shift(-2), (s * s).shift(-5)
+    g, e = (f, 2) if pl.kind == RAMIFIED else (pl.u, 1)
+    te, dg = TruncSeries.t_power(ring, e, prec), g.derivative()
+    xs = _fixed_point(
+        TruncSeries.const(ring, ring.kappa(Polynomial.x(C.field)), prec),
+        lambda x: x - (poly_series(ring, g, x) - te) * poly_series(ring, dg, x).invert(),
+    )
+    if pl.kind == RAMIFIED:
+        return ring, xs, TruncSeries.t_power(ring, 1, prec)
+    fs = poly_series(ring, f, xs)
+    half = TruncSeries.const(ring, ring.inv(ring.embed_int(2)), prec)
+    y0 = ring.kappa(pl.v) if pl.kind == SPLIT else ring.root
+    ys = _fixed_point(TruncSeries.const(ring, y0, prec), lambda y: (y + fs * y.invert()) * half)
+    return ring, xs, ys
+
+
+FRAME_PRECS = (4, 16, 29, 64)
+
+
+def _frame_places() -> dict:
+    """(kind, degree of the support) -> (curve, place), each kind once."""
+    found: dict = {}
+    for C in _frame_curves():
+        for key, pl in _one_place_per_model(C).items():
+            found.setdefault(key, (C, pl))
+    kinds = (SPLIT, INERT, RAMIFIED)
+    assert set(found) == {(INFINITE, 1)} | {(k, d) for k in kinds for d in (1, 2)}
+    return found
+
+
+def test_frames_match_a_full_precision_fixed_point():
+    """Doubling Newton and truncation of a higher-precision frame give the
+    series of the full-precision iteration, at every place kind."""
+    for C, pl in _frame_places().values():
+        for prec in FRAME_PRECS:
+            assert _frames(C, pl, prec) == _reference_frames(C, pl, prec), (C, pl, prec)
+
+
+def test_frame_requests_in_either_order_agree(monkeypatch):
+    """Requests in increasing and decreasing order of precision give the
+    same series; in decreasing order each place is expanded once."""
+    builds = Counter()
+    for name in ("series_finite", "series_infinite"):
+        build = getattr(curves, name)
+
+        def counted(*args, _build=build):
+            builds[args[:-1]] += 1
+            return _build(*args)
+
+        monkeypatch.setattr(curves, name, counted)
+    places = list(_frame_places().values())
+    got = []
+    for order in (FRAME_PRECS, FRAME_PRECS[::-1]):
+        _frames.cache_clear()
+        _frame_cell.cache_clear()
+        builds.clear()
+        got.append({(i, p): _frames(*pl, p) for i, pl in enumerate(places) for p in order})
+        assert len(builds) == len(places)
+        assert set(builds.values()) == {len(order) if order[0] < order[-1] else 1}
+    assert got[0] == got[1]
+
+
+def test_series_products_match_the_schoolbook_product():
+    """Each ring's series product (the field kernel, Kronecker packing over
+    F_q[x]/(u), sparse terms over the quadratic extension) equals the sum of
+    ring products c_i d_j over i + j < n, with zeros among the inputs."""
+    rng = random.Random(5)
+    F9, F7 = field(3, 2), field(7)
+    u2 = next(u for c in F9.elements() if is_irreducible(u := Polynomial(F9, (c, 0, 1))))
+    u3 = Polynomial(F7, (3, 0, 0, 1))  # x^3 + 3: 4 is not a cube mod 7
+    assert is_irreducible(u3)
+
+    def poly(F, d):
+        return Polynomial(F, [F.random(rng) for _ in range(d)])
+
+    # (ring, a random element) per representation
+    rings = [
+        (BaseRing(F9), lambda: F9.random(rng)),
+        (PolyModRing(F9, u2), lambda: poly(F9, 2)),
+        (PolyModRing(F7, u3), lambda: poly(F7, 3)),
+        (QuadModRing(F7, u3, Polynomial(F7, (3,))), lambda: (poly(F7, 3), poly(F7, 3))),
+    ]
+    for ring, draw in rings:
+
+        def elem():
+            return ring.zero if rng.random() < 0.3 else draw()
+
+        for _ in range(20):
+            a = [elem() for _ in range(rng.randrange(0, 7))] + [ring.one]
+            b = [ring.one] + [elem() for _ in range(rng.randrange(0, 7))]
+            n = rng.randrange(1, len(a) + len(b))
+            want = [ring.zero] * n
+            for i, c in enumerate(a):
+                for j, e in enumerate(b):
+                    if i + j < n:
+                        want[i + j] = ring.add(want[i + j], ring.mul(c, e))
+            got = ring.series_mul(a, b, n)
+            assert got + [ring.zero] * (n - len(got)) == want
+
+
+def test_newton_that_never_settles_raises():
+    ring = BaseRing(F5)
+    one = TruncSeries.const(ring, 1, 8)
+    with pytest.raises(RuntimeError, match="did not stabilize"):
+        _newton(TruncSeries.const(ring, 0, 1), lambda x: x + one, 8)
 
 
 def test_residue_of_simple_pole():

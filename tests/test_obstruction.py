@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import importlib.util
+import itertools
 import os
 import random
 import subprocess
@@ -31,6 +32,7 @@ from nefcert.obstruction import (
     _bi_partial_s,
     _bi_partial_w,
     _charts,
+    _splitting_tails,
     _subtract_points,
     SearchBudget,
     SearchExhausted,
@@ -179,12 +181,21 @@ def _old_chart_partials(E):
 
 @pytest.mark.parametrize("which", ["cert", "cert25"])
 def test_chart_partials_follow_from_two_derivatives(request, which):
-    """All eight chart partials, taken by the chain rule from F_s and F_w at
-    (s, x), equal the partials of the dehomogenized chart forms."""
+    """The chart fields, taken by the chain rule from F_s and F_w at (s, x)
+    and multiplied by the chart factor u = s^(2a) x^(3b), equal
+    u * (F_omega + lam * F_sigma) for the partials of the dehomogenized
+    chart forms, for all four charts and every lam whose field is nonzero."""
     cert = request.getfixturevalue(which)
-    _, emb = _embedding(cert)
-    _, charts = _charts(emb)
-    assert [(c[4], c[5]) for c in charts] == _old_chart_partials(emb)
+    curve, emb = _embedding(cert)
+    fs, fw, charts = _charts(emb)
+    reference = _old_chart_partials(emb)
+    assert (fs, fw) == reference[0]
+    s, x = emb.s_fn, curve.x()
+    assert [(a, b) for a, b, _ in charts] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    for (a, b, fields), (dsig, dome) in zip(charts, reference):
+        u = s ** (2 * a) * x ** (3 * b)
+        expect = [(lam, u * (dome + dsig.scale(lam))) for lam in (0, 1, 2)]
+        assert list(fields) == [(lam, g) for lam, g in expect if not g.is_zero]
 
 
 def test_normal_bundle_divisor_representatives(setting):
@@ -322,26 +333,31 @@ def test_beta_value_is_the_coefficient_pairing(request, which, scalar):
 def test_residues_match_a_fixed_precision_expansion(request, which):
     """Curve.residue starts at a low precision and doubles on PrecisionError;
     every residue must equal the one read off a precision-32 expansion, both
-    for the beta pairings and for differentials whose poles of order >= 8
-    cannot be answered at the starting precision."""
+    for the beta pairings (the section times the factors of each tail) and
+    for differentials whose poles of order >= 8 cannot be answered at the
+    starting precision."""
     cert = request.getfixturevalue(which)
     curve, emb = _embedding(cert)
     beta = beta_functional(emb)
 
-    def fixed(omega, pl):
+    def fixed(omega, pl, num=(), den=()):
         ring, ser = curve.expand_differential(omega, pl, 32)
+        for phi in num:
+            ser = ser * curve.expand(phi, pl, 32)[1]
+        for phi in den:
+            ser = ser / curve.expand(phi, pl, 32)[1]
         return ring.trace(ser.coeff_at(-1))
 
-    for pl, tail in beta.tails:
+    for pl, num, den in beta.tails:
         for psi in rr_space(curve, beta.space_div).basis:
-            omega = Differential(curve, tail * psi)
-            assert curve.residue(omega, pl) == fixed(omega, pl)
+            omega = Differential(curve, psi)
+            assert curve.residue(omega, pl, num, den) == fixed(omega, pl, num, den)
 
     # poles of order >= 8, with nonzero residues on both certificates; the
     # simple poles over x = -1 keep the residue at infinity from being forced
     # to zero by the residue theorem
     x, y = curve.x(), curve.y()
-    split = next(pl for pl, _ in beta.tails if pl.kind == SPLIT)
+    split = next(pl for pl, *_ in beta.tails if pl.kind == SPLIT)
     deep = [
         (Differential(curve, (y + x) * curve.fn(split.u).inverse() ** 9), split),
         (
@@ -353,6 +369,98 @@ def test_residues_match_a_fixed_precision_expansion(request, which):
         with pytest.raises(PrecisionError):
             curve.expand_differential(omega, pl, 4)[1].coeff_at(-1)
         assert curve.residue(omega, pl) == fixed(omega, pl)
+
+
+def _exact_tails(E, n_div, choice):
+    """The splitting tails as exact functions phi / y, each one product and
+    inverse of function elements, with the chart partials of the
+    dehomogenized chart forms and admissibility from exact valuations."""
+    curve = E.curve
+    s, x, one, y = E.s_fn, curve.x(), curve.one(), curve.y()
+    s2, x3, vx = s * s, x * x * x, -(x * x)
+    coords = ((s, x, one, one), (s, x.inverse(), x3, vx))
+    coords += ((s.inverse(), x, s2, one), (s.inverse(), x.inverse(), s2 * x3, vx))
+    fs = _old_chart_partials(E)[0][0]
+    bad = set(pl for pl, _ in n_div.items) | {curve.infinite_place()}
+    bad.update(pl for pl, _ in curve.divisor(fs).items)
+    bad.update(curve.finite_ramified_places())
+    tails = []
+    for pl in sorted(bad):
+        opts = []
+        for (sig, ome, u_ab, vx), (dsig, dome) in zip(coords, _old_chart_partials(E)):
+            if curve.valuation(sig, pl) < 0 or curve.valuation(ome, pl) < 0:
+                continue
+            for lam in (0, 1, 2):
+                vf = dome + dsig.scale(lam)
+                if not vf.is_zero and curve.valuation(vf, pl) == 0:
+                    opts.append(-(vx * (u_ab * y * vf).inverse()))
+            if curve.valuation(dsig, pl) == 0:
+                opts.append(None)
+        pick = opts[choice % len(opts)]
+        if pick is not None:
+            tails.append((pl, pick * y.inverse()))
+    return tails
+
+
+@pytest.mark.parametrize("which", ["cert", "cert25"])
+def test_beta_matches_the_exact_tail_functional(request, which):
+    """beta from the tails' factors takes the values of the functional whose
+    tails are exact products and inverses, on all 15 basis sections, for
+    three splitting choices."""
+    cert = request.getfixturevalue(which)
+    curve, emb = _embedding(cert)
+    n0 = normal_bundle_divisor(emb)
+    for choice in (0, 1, 2):
+        beta = beta_functional(emb, choice)
+        exact = _exact_tails(emb, n0, choice)
+        assert [pl for pl, *_ in beta.tails] == [pl for pl, _ in exact]
+        want = []
+        for psi in rr_space(curve, beta.space_div).basis:
+            out = 0
+            for pl, tail in exact:
+                out = curve.field.add(out, curve.residue(Differential(curve, tail * psi), pl))
+            want.append(out)
+        assert beta.dim == 15 and list(beta.coeffs) == want
+
+
+def _cancelling_ties(emb, n0):
+    """Number of (place, chart, lam) where the two terms of u * vf have equal
+    order and their leading terms cancel."""
+    curve, s, x = emb.curve, emb.s_fn, emb.curve.x()
+    fs, fw, charts = _charts(emb)
+    bad = {pl for pl, _ in n0.items} | {pl for pl, _ in curve.divisor(fs).items}
+    count = 0
+    for pl in bad:
+        o_s, o_x, o_fs, o_fw = (curve.valuation(phi, pl) for phi in (s, x, fs, fw))
+        for a, b, fields in charts:
+            o_t = o_fs + 2 * a * o_s
+            tie = o_fw + 2 * b * o_x == o_t
+            count += sum(tie and curve.valuation(g, pl) > o_t for lam, g in fields if lam)
+    return count
+
+
+def test_tail_factors_equal_the_exact_tails(cert):
+    """On pencils through random point triples, each tail num / (den * f)
+    is the exact tail, at the same places, for three splitting choices,
+    including places where two terms of u * vf of equal order cancel, so
+    that u * vf has a higher order than either."""
+    curve = Curve(field(cert.p, cert.k), cert.f)
+    f = curve.fn(curve.f)
+    rng = random.Random(17)
+    pts, done, cancelled = rational_places(curve), 0, 0
+    while done < 4:
+        try:
+            emb = embed_bidegree_2_3(curve, Divisor((pl, 1) for pl in rng.sample(pts, 3)))
+        except ValueError:
+            continue
+        n0 = normal_bundle_divisor(emb)
+        for choice in (0, 1, 2):
+            tails = _splitting_tails(emb, n0, choice)
+            got = [(pl, num * (den * f).inverse()) for pl, num, den in tails]
+            assert got == _exact_tails(emb, n0, choice)
+        cancelled += _cancelling_ties(emb, n0)
+        done += 1
+    assert cancelled > 0
 
 
 def test_beta_value_rejects_foreign_sections(setting):
@@ -549,6 +657,65 @@ def test_certificate_bytes_are_pinned(request, which, digest):
     point configurations that fail.  (13,0) is the one search over a prime
     field."""
     assert _sha256(request.getfixturevalue(which)) == digest
+
+
+def _has_divisor_cases(curve, div):
+    """(E, div == E) pairs around a principal divisor div: div itself, off by
+    one at a single place of its support or a rational place off it
+    (nonzero degree), the same balanced at infinity (degree 0), twice div,
+    zero, and div without a finite pole and a zero of the same weight."""
+    inf = curve.infinite_place()
+    inside = next(pl for pl in div.support if pl != inf)
+    outside = [pl for pl in rational_places(curve) if pl not in div.support][:1]
+    cases = [div, div + div, Divisor()]
+    for pl in [inside] + outside:
+        for m in (1, -1):
+            cases.append(div + Divisor([(pl, m)]))
+            cases.append(div + Divisor([(pl, m), (inf, -m)]))
+    # degree 0, and only the pole's place tells E from div
+    for (pole, m), (zero, k) in itertools.product(div.items, div.items):
+        if m < 0 < k and pole != inf and m * pole.degree + k * zero.degree == 0:
+            cases.append(div - Divisor([(pole, m), (zero, k)]))
+            break
+    return [(E, E == div) for E in cases]
+
+
+@pytest.mark.parametrize("which", ["cert", "cert25", "cert_p7_s0", "cert_p7_s4", "cert_p13_s0"])
+def test_has_divisor_matches_the_principal_divisor(request, which):
+    """Curve.has_divisor(phi, E) is div(phi) == E with Curve.divisor as the
+    oracle: for delta and g of the certificate, against the divisors the
+    verifier states for them, and for functions with finite poles."""
+    cert = request.getfixturevalue(which)
+    curve, emb = _embedding(cert)
+    n0 = normal_bundle_divisor(emb)
+    l_rep = p_torsion_bundle(curve, cert.l_cls).rep
+    delta = curve.zero()
+    for c, phi in zip(cert.delta_coords, rr_space(curve, n0 - l_rep).basis):
+        delta = delta + phi.scale(c)
+    assert curve.has_divisor(delta, cert.d_div - (n0 - l_rep))
+    assert curve.has_divisor(cert.g, l_rep * cert.p)
+
+    x, y = curve.x(), curve.y()
+    a, b = (curve.fn(Polynomial(curve.field, (c, 1))) for c in (1, 2))
+    # two split zeros over one x-coordinate, two split poles over another
+    u0, u1 = sorted({pl.u.coeffs for pl in rational_places(curve) if pl.kind == SPLIT})[:2]
+    ratio = curve.fn(Polynomial(curve.field, u0)) * curve.fn(Polynomial(curve.field, u1)).inverse()
+    poles = [(y + x) * (a * a * b).inverse(), (y - x * x * x) * (a * b).inverse() ** 3, ratio]
+    for phi in poles:
+        assert any(m < 0 and pl.kind != "infinite" for pl, m in curve.divisor(phi).items)
+    for phi in [delta, cert.g] + poles:
+        div = curve.divisor(phi)
+        for E, expected in _has_divisor_cases(curve, div):
+            assert curve.has_divisor(phi, E) is expected, (phi, E)
+    div = curve.divisor(ratio)  # the pole-and-zero case is among its cases
+    cases = _has_divisor_cases(curve, div)
+    assert any(E.degree == 0 and len(E.items) == len(div.items) - 2 for E, _ in cases)
+
+    zero = curve.zero()
+    with pytest.raises(ValueError):
+        curve.divisor(zero)
+    assert not curve.has_divisor(zero, Divisor())
+    assert not curve.has_divisor(zero, curve.divisor(delta))
 
 
 def _log_torsion_stage(monkeypatch, fail=lambda seed: False):
