@@ -27,7 +27,7 @@ from .curves import (
     Divisor,
     FunctionElement,
 )
-from .fields import Field, Polynomial, RationalFunction, hensel_sqrt
+from .fields import Field, Polynomial, hensel_sqrt
 
 
 def _sorted_polys(polys) -> list[Polynomial]:
@@ -58,23 +58,22 @@ class RRSpace(NamedTuple):
         return len(self.basis)
 
     def coords(self, phi: FunctionElement):
-        """Coordinates of phi in the canonical basis, or None if outside."""
+        """Coordinates of phi in the canonical basis, or None if outside.
+
+        phi = (A + B y) / h is (A c + B c y) / denominator with polynomial
+        numerators exactly when h divides the denominator, c the cofactor
+        (h is prime to gcd(A, B))."""
         base = self.curve.field
         if phi.is_zero:
             return (0,) * self.dim
-        hrf = RationalFunction.from_poly(self.denominator)
+        c, r = divmod(self.denominator, phi.h)
+        if not r.is_zero:
+            return None
         vec: list[int] = []
-        for r, dmax in ((phi.a * hrf, self.deg_a), (phi.b * hrf, self.deg_b)):
-            width = dmax + 1 if dmax >= 0 else 0
-            if r.is_zero:
-                vec += [0] * width
-                continue
-            if r.den.degree != 0:
+        for num, dmax in ((phi.A * c, self.deg_a), (phi.B * c, self.deg_b)):
+            if not num.is_zero and num.degree > dmax:
                 return None
-            num = r.num
-            if num.degree > dmax:
-                return None
-            vec += [num[i] for i in range(width)]
+            vec += [num[i] for i in range(dmax + 1)]
         if not self.dim:
             return None
         rows = [[v[i] for v in self.vectors] for i in range(len(vec))]
@@ -175,9 +174,7 @@ def rr_space(curve: Curve, divisor: Divisor) -> RRSpace:
     for vec in vectors:
         a = Polynomial(base, vec[:na]) if na else Polynomial.zero(base)
         b = Polynomial(base, vec[na:]) if nb else Polynomial.zero(base)
-        basis.append(
-            FunctionElement(curve, RationalFunction(a, h), RationalFunction(b, h))
-        )
+        basis.append(FunctionElement(curve, a, b, h))
     return RRSpace(
         curve,
         divisor,

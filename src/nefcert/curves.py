@@ -2,10 +2,13 @@
 
 The model is the smooth projective curve with a single point over
 x = infinity, which exists exactly when deg f = 5; squarefreeness of f makes
-the affine part smooth.  All arithmetic is exact: places are represented by
-irreducible polynomials plus splitting data, valuations come from closed
-formulas, and residues are computed through truncated local expansions with
-rigorous precision tracking.
+the affine part smooth.  All arithmetic is exact.  A function is
+(A + B y) / h with polynomials A, B and one monic denominator h,
+gcd(A, B, h) = 1, its one form; valuations, divisors and local expansions
+read that denominator as it stands.  Places are represented by irreducible
+polynomials plus splitting data, valuations come from closed formulas, and
+residues are computed through truncated local expansions with rigorous
+precision tracking.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ from typing import Iterable, Optional
 from .fields import (
     Field,
     Polynomial,
-    RationalFunction,
     embedding,
     field,
     is_irreducible,
@@ -31,7 +33,6 @@ from .series import (
     PolyModRing,
     PrecisionError,
     QuadModRing,
-    TruncSeries,
     rf_series,
     series_finite,
     series_infinite,
@@ -181,53 +182,93 @@ class Divisor:
 
 
 class FunctionElement:
-    """Element a(x) + b(x) y of the function field of a curve."""
+    """The function (A + B y) / h of the function field of a curve.
 
-    __slots__ = ("curve", "a", "b")
+    A, B and h are polynomials with h monic and gcd(A, B, h) = 1, the one
+    form of each function (zero is (0, 0, 1)); the constructor brings any
+    triple with h != 0 to it unless told that it already is.  Riemann-Roch
+    spaces, valuations, the (2,3) embedding and local expansions all read
+    the one denominator h.
+    """
 
-    def __init__(self, curve: "Curve", a: RationalFunction, b: RationalFunction):
+    __slots__ = ("curve", "A", "B", "h")
+
+    def __init__(
+        self, curve: "Curve", A: Polynomial, B: Polynomial, h: Polynomial, reduce: bool = True
+    ):
+        if reduce:
+            if h.is_zero:
+                raise ZeroDivisionError("zero denominator")
+            if h.degree > 0:
+                g = poly_gcd(A, h)
+                if g.degree > 0:
+                    g = poly_gcd(B, g)
+                    if g.degree > 0:
+                        A, B, h = A // g, B // g, h // g
+            if not h.is_monic():
+                c = h.field.inv(h.lc())
+                A, B, h = A.scale(c), B.scale(c), h.scale(c)
         self.curve = curve
-        self.a = a
-        self.b = b
+        self.A = A
+        self.B = B
+        self.h = h
 
     @property
     def is_zero(self) -> bool:
-        return self.a.is_zero and self.b.is_zero
+        return self.A.is_zero and self.B.is_zero
 
     def _check(self, other: "FunctionElement"):
         if self.curve != other.curve:
             raise ValueError("elements of different curves")
 
+    def _plus(self, C: Polynomial, D: Polynomial, k: Polynomial) -> "FunctionElement":
+        """self + (C + D y)/k over lcm(h, k).  With coprime denominators
+        nothing cancels: modulo a prime factor of h alone the numerators are
+        A and B times the unit k, which that factor does not both divide.
+        So only a shared factor asks for the reduction."""
+        A, B, h = self.A, self.B, self.h
+        if h == k:
+            return FunctionElement(self.curve, A + C, B + D, h)
+        g = poly_gcd(h, k) if h.degree > 0 and k.degree > 0 else None
+        if g is None or g.degree == 0:
+            return FunctionElement(self.curve, A * k + C * h, B * k + D * h, h * k, reduce=False)
+        h0, k0 = h // g, k // g
+        return FunctionElement(self.curve, A * k0 + C * h0, B * k0 + D * h0, h * k0)
+
     def __add__(self, other: "FunctionElement") -> "FunctionElement":
         self._check(other)
-        return FunctionElement(self.curve, self.a + other.a, self.b + other.b)
+        return self._plus(other.A, other.B, other.h)
 
     def __sub__(self, other: "FunctionElement") -> "FunctionElement":
         self._check(other)
-        return FunctionElement(self.curve, self.a - other.a, self.b - other.b)
+        return self._plus(-other.A, -other.B, other.h)
 
     def __neg__(self) -> "FunctionElement":
-        return FunctionElement(self.curve, -self.a, -self.b)
+        return FunctionElement(self.curve, -self.A, -self.B, self.h, reduce=False)
 
     def __mul__(self, other: "FunctionElement") -> "FunctionElement":
         self._check(other)
-        rf_f = RationalFunction.from_poly(self.curve.f)
-        a = self.a * other.a + rf_f * self.b * other.b
-        b = self.a * other.b + self.b * other.a
-        return FunctionElement(self.curve, a, b)
+        A1, B1, A2, B2 = self.A, self.B, other.A, other.B
+        return FunctionElement(
+            self.curve,
+            A1 * A2 + self.curve.f * (B1 * B2),
+            A1 * B2 + A2 * B1,
+            self.h * other.h,
+        )
 
     def conj(self) -> "FunctionElement":
         """Image under the hyperelliptic involution y -> -y."""
-        return FunctionElement(self.curve, self.a, -self.b)
+        return FunctionElement(self.curve, self.A, -self.B, self.h, reduce=False)
 
-    def norm(self) -> RationalFunction:
-        return self.a * self.a - RationalFunction.from_poly(self.curve.f) * self.b * self.b
+    def norm_numerator(self) -> Polynomial:
+        """A^2 - f B^2: the norm of (A + B y)/h to F_q(x) is this over h^2."""
+        return self.A * self.A - self.curve.f * self.B * self.B
 
     def inverse(self) -> "FunctionElement":
         if self.is_zero:
             raise ZeroDivisionError("inverse of zero function")
-        n = self.norm()
-        return FunctionElement(self.curve, self.a / n, -(self.b / n))
+        h = self.h
+        return FunctionElement(self.curve, h * self.A, -(h * self.B), self.norm_numerator())
 
     def __truediv__(self, other: "FunctionElement") -> "FunctionElement":
         return self * other.inverse()
@@ -244,14 +285,23 @@ class FunctionElement:
         return out
 
     def scale(self, c: int) -> "FunctionElement":
-        return FunctionElement(self.curve, self.a.scale(c), self.b.scale(c))
+        if c == 0:
+            return self.curve.zero()
+        return FunctionElement(self.curve, self.A.scale(c), self.B.scale(c), self.h, reduce=False)
 
     def derivative(self) -> "FunctionElement":
-        """d/dx along the curve, using dy/dx = f'/(2y)."""
+        """d/dx along the curve, using dy/dx = f'/(2y) = f' y / (2f):
+        (2f (A'h - A h') + ((2f B' + B f') h - 2f B h') y) / (2f h^2)."""
+        A, B, h = self.A, self.B, self.h
         f = self.curve.f
-        two = 2 % f.field.p
-        corr = self.b * RationalFunction(f.derivative(), f.scale(two))
-        return FunctionElement(self.curve, self.a.derivative(), self.b.derivative() + corr)
+        f2 = f.scale(2 % f.field.p)
+        dh = h.derivative()
+        return FunctionElement(
+            self.curve,
+            f2 * (A.derivative() * h - A * dh),
+            (f2 * B.derivative() + B * f.derivative()) * h - f2 * B * dh,
+            f2 * h * h,
+        )
 
     def dx(self) -> "Differential":
         return Differential(self.curve, self)
@@ -260,15 +310,16 @@ class FunctionElement:
         return (
             isinstance(other, FunctionElement)
             and self.curve == other.curve
-            and self.a == other.a
-            and self.b == other.b
+            and self.h == other.h
+            and self.A == other.A
+            and self.B == other.B
         )
 
     def __hash__(self):
-        return hash((self.curve, self.a, self.b))
+        return hash((self.curve, self.A, self.B, self.h))
 
     def __repr__(self):
-        return f"fn[{self.a} + ({self.b})*y]"
+        return f"fn[({self.A} + ({self.B})*y) / ({self.h})]"
 
 
 class Differential:
@@ -357,15 +408,6 @@ def _frames(curve: "Curve", place: Place, prec: int):
     return ring, xs.truncate(xs.prec - cut), ys.truncate(ys.prec - cut)
 
 
-def _ord_parts(r: RationalFunction, u: Polynomial):
-    """(ord_u r, num and den of r prime to u), or (_INF, None, None) for 0."""
-    if r.is_zero:
-        return _INF, None, None
-    en, n0 = poly_ord_cofactor(r.num, u)
-    ed, d0 = poly_ord_cofactor(r.den, u)
-    return en - ed, n0, d0
-
-
 class Curve:
     """y^2 = f(x), f squarefree of degree 5: a genus-2 curve."""
 
@@ -401,16 +443,13 @@ class Curve:
     # --- function field elements -------------------------------------------
 
     def fn(self, a=0, b=0) -> FunctionElement:
-        """Element a + b y; a and b may be codes, polynomials or fractions."""
+        """The element a + b y for codes or polynomials a and b; a fraction
+        is made with `/`."""
 
-        def coerce(v) -> RationalFunction:
-            if isinstance(v, RationalFunction):
-                return v
-            if isinstance(v, Polynomial):
-                return RationalFunction.from_poly(v)
-            return RationalFunction.from_poly(Polynomial.const(self.field, v))
+        def coerce(v) -> Polynomial:
+            return v if isinstance(v, Polynomial) else Polynomial.const(self.field, v)
 
-        return FunctionElement(self, coerce(a), coerce(b))
+        return FunctionElement(self, coerce(a), coerce(b), Polynomial.one(self.field), reduce=False)
 
     def zero(self) -> FunctionElement:
         return self.fn(0)
@@ -479,48 +518,51 @@ class Curve:
     # --- valuations and divisors ----------------------------------------------
 
     def valuation(self, phi: FunctionElement, place: Place) -> int:
-        """Order of phi = a + b y at the place.
+        """Order of phi = (A + B y) / h at the place.
 
-        Off split places a and b y have orders of different parity or leading
-        terms independent over the residue field, so phi has the smaller.  At
-        a split place (y = v mod u, a unit) orders oa != ob of a and b give
-        min(oa, ob).  For one order s, phi = u^s (A + B y) / (da db) where
-        a = u^s na/da, b = u^s nb/db, A = na db, B = nb da and na, da, nb, db
-        are prime to u.  The order is s if A + B v != 0 mod u, and otherwise
-        s + ord_u(A^2 - f B^2): that norm is (A - B v)(A + B v) mod u, and the
-        factors cannot both vanish (their sum 2A is prime to u), so the
-        conjugate place takes none of its order.
+        Off split places A/h and B y/h have orders of different parity or
+        leading terms independent over the residue field, so phi has the
+        smaller.  At a split place (y = v mod u, a unit) orders oa != ob of
+        A/h and B/h give min(oa, ob).  For one order, A = u^s A0 and
+        B = u^s B0 with A0, B0 prime to u, and the order is oa if
+        A0 + B0 v != 0 mod u, and otherwise oa + ord_u(A0^2 - f B0^2): that
+        norm is (A0 - B0 v)(A0 + B0 v) mod u, and the factors cannot both
+        vanish (their sum 2 A0 is prime to u), so the conjugate place takes
+        none of its order.
         """
         if phi.is_zero:
             raise ValueError("valuation of the zero function")
-        a, b = phi.a, phi.b
+        A, B, h = phi.A, phi.B, phi.h
         if place.kind == INFINITE:
-            va = _INF if a.is_zero else -2 * (a.num.degree - a.den.degree)
-            vb = _INF if b.is_zero else -5 - 2 * (b.num.degree - b.den.degree)
+            va = _INF if A.is_zero else -2 * (A.degree - h.degree)
+            vb = _INF if B.is_zero else -5 - 2 * (B.degree - h.degree)
             return min(va, vb)
         u = place.u
-        oa, na, da = _ord_parts(a, u)
-        ob, nb, db = _ord_parts(b, u)
+        eh = poly_ord(h, u) if h.degree > 0 else 0
+        oa, A0 = poly_ord_cofactor(A, u) if not A.is_zero else (_INF, None)
+        ob, B0 = poly_ord_cofactor(B, u) if not B.is_zero else (_INF, None)
         if place.kind == RAMIFIED:
-            return min(2 * oa, 1 + 2 * ob)
+            return min(2 * oa, 1 + 2 * ob) - 2 * eh
         if place.kind == INERT or oa != ob:
-            return min(oa, ob)
-        A, B = na * db, nb * da
-        if not ((A + B * place.v) % u).is_zero:
-            return oa
-        return oa + poly_ord(A * A - self.f * B * B, u)
+            return min(oa, ob) - eh
+        if not ((A0 + B0 * place.v) % u).is_zero:
+            return oa - eh
+        return oa - eh + poly_ord(A0 * A0 - self.f * B0 * B0, u)
 
     def divisor(self, phi: FunctionElement) -> Divisor:
         """Principal divisor of a nonzero function."""
         if phi.is_zero:
             raise ValueError("divisor of the zero function")
+        # poles lie over h, and zeros over h or the norm's numerator; the
+        # factors of h are divided out of it before it is factored
         cand: set[Polynomial] = set()
-        for den in (phi.a.den, phi.b.den):
-            if den.degree > 0:
-                cand.update(g for g, _ in poly_factor(den))
-        norm = phi.norm()
-        if norm.num.degree > 0:
-            cand.update(g for g, _ in poly_factor(norm.num))
+        norm = phi.norm_numerator()
+        if phi.h.degree > 0:
+            for g, _ in poly_factor(phi.h):
+                cand.add(g)
+                norm = poly_ord_cofactor(norm, g)[1]
+        if norm.degree > 0:
+            cand.update(g for g, _ in poly_factor(norm))
         items = []
         for u in sorted(cand, key=lambda g: (g.degree, g.coeffs)):
             for pl in self.places_above(u):
@@ -538,8 +580,8 @@ class Curve:
     def has_divisor(self, phi: FunctionElement, E: Divisor) -> bool:
         """Whether div(phi) = E, for E supported on places of the curve.
 
-        Only the places of E, those over the denominators of a and b, and
-        infinity are checked, and no norm is factored: off them phi has no
+        Only the places of E, those over the denominator h, and infinity are
+        checked, and no norm is factored: off them phi has no
         pole, so div(phi) - E >= 0 there, and with equality on them
         div(phi) - E is effective of degree 0, hence zero.
         """
@@ -548,9 +590,8 @@ class Curve:
         mult = dict(E.items)
         places = set(mult)
         places.add(self.infinite_place())
-        for den in {phi.a.den, phi.b.den}:
-            if den.degree > 0:
-                places.update(self.places_over(den))
+        if phi.h.degree > 0:
+            places.update(self.places_over(phi.h))
         return all(self.valuation(phi, pl) == mult.get(pl, 0) for pl in places)
 
     def divisor_of_differential(self, omega: Differential) -> Divisor:
@@ -583,16 +624,7 @@ class Curve:
     def expand(self, phi: FunctionElement, place: Place, prec: int):
         """(ring, series of phi) in the local parameter at the place."""
         ring, xs, ys = _frames(self, place, prec)
-        big = 1 << 40
-        if phi.a.is_zero:
-            a_ser = TruncSeries.zero_to(ring, big)
-        else:
-            a_ser = rf_series(ring, phi.a.num, phi.a.den, xs)
-        if phi.b.is_zero:
-            b_ser = TruncSeries.zero_to(ring, big)
-        else:
-            b_ser = rf_series(ring, phi.b.num, phi.b.den, xs)
-        return ring, a_ser + b_ser * ys
+        return ring, rf_series(ring, phi.A, phi.B, phi.h, xs, ys)
 
     def expand_differential(self, omega: Differential, place: Place, prec: int):
         """(ring, series of w dx/dt) in the local parameter at the place."""
@@ -645,9 +677,7 @@ class Curve:
         """Places where omega can have a pole."""
         if omega.is_zero:
             return []
-        out = set()
-        for den in (omega.w.a.den, omega.w.b.den):
-            if den.degree > 0:
-                out.update(self.places_over(den))
+        h = omega.w.h
+        out = set(self.places_over(h)) if h.degree > 0 else set()
         out.add(self.infinite_place())
         return sorted(out)

@@ -11,8 +11,8 @@ The remainder loops (`%`, `//`, `poly_gcd`, `Polynomial.pow_mod`,
 `Polynomial` only for what they return.
 
 Also provides univariate polynomials over such fields (gcd, xgcd, factoring,
-irreducibility testing, modular square roots, Hensel lifting of square roots)
-and reduced rational functions.
+irreducibility testing, modular square roots, Hensel lifting of square roots).
+Functions on a curve, fractions included, live in `curves.FunctionElement`.
 """
 
 from __future__ import annotations
@@ -1019,137 +1019,3 @@ def hensel_sqrt(f: Polynomial, u: Polynomial, v: Polynomial, m: int) -> Polynomi
         raise RuntimeError("hensel_sqrt: the lift is not a square root mod u^m")
     return y
 
-
-class RationalFunction:
-    """Quotient num/den in lowest terms; den monic; zero is 0/1."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: Polynomial, den: Polynomial, reduce: bool = True):
-        if den.is_zero:
-            raise ZeroDivisionError("zero denominator")
-        if num.field is not den.field and num.field != den.field:
-            raise ValueError("mixed fields")
-        if num.is_zero:
-            num, den = num, Polynomial.one(num.field)
-        elif reduce:
-            g = poly_gcd(num, den)
-            if g.degree > 0:
-                num, den = num // g, den // g
-            if not den.is_monic():
-                c = num.field.inv(den.lc())
-                num, den = num.scale(c), den.scale(c)
-        self.num = num
-        self.den = den
-
-    @classmethod
-    def from_poly(cls, f: Polynomial) -> "RationalFunction":
-        return cls(f, Polynomial.one(f.field), reduce=False)
-
-    @classmethod
-    def zero(cls, field: Field) -> "RationalFunction":
-        return cls(Polynomial.zero(field), Polynomial.one(field), reduce=False)
-
-    @classmethod
-    def one(cls, field: Field) -> "RationalFunction":
-        return cls(Polynomial.one(field), Polynomial.one(field), reduce=False)
-
-    @property
-    def field(self) -> Field:
-        return self.num.field
-
-    @property
-    def is_zero(self) -> bool:
-        return self.num.is_zero
-
-    # Operands are in lowest terms with monic denominators, so a result needs
-    # only the gcds that can cancel (Henrici; Knuth, TAOCP vol. 2, 4.5.1), and
-    # it comes out in lowest terms with a monic denominator.
-
-    def _plus(self, c: Polynomial, d: Polynomial) -> "RationalFunction":
-        """self + c/d, for c/d in lowest terms with d monic."""
-        a, b = self.num, self.den
-        g = poly_gcd(b, d) if b.degree > 0 and d.degree > 0 else None
-        if g is None or g.degree == 0:  # coprime denominators: nothing cancels
-            return RationalFunction(a * d + c * b, b * d, reduce=False)
-        b = b // g
-        t = a * (d // g) + c * b
-        g = poly_gcd(t, g)
-        if g.degree > 0:
-            t, d = t // g, d // g
-        return RationalFunction(t, b * d, reduce=False)
-
-    def _times(self, c: Polynomial, d: Polynomial) -> "RationalFunction":
-        """self * c/d, for c/d in lowest terms with d monic."""
-        a, b = self.num, self.den
-        if a.is_zero or c.is_zero:
-            return RationalFunction(a * c, b, reduce=False)
-        if d.degree > 0:
-            g = poly_gcd(a, d)
-            if g.degree > 0:
-                a, d = a // g, d // g
-        if b.degree > 0:
-            g = poly_gcd(c, b)
-            if g.degree > 0:
-                c, b = c // g, b // g
-        return RationalFunction(a * c, b * d, reduce=False)
-
-    def __add__(self, other: "RationalFunction") -> "RationalFunction":
-        return self._plus(other.num, other.den)
-
-    def __sub__(self, other: "RationalFunction") -> "RationalFunction":
-        return self._plus(-other.num, other.den)
-
-    def __neg__(self) -> "RationalFunction":
-        return RationalFunction(-self.num, self.den, reduce=False)
-
-    def __mul__(self, other: "RationalFunction") -> "RationalFunction":
-        return self._times(other.num, other.den)
-
-    def __truediv__(self, other: "RationalFunction") -> "RationalFunction":
-        if other.is_zero:
-            raise ZeroDivisionError("division by zero function")
-        c = self.field.inv(other.num.lc())
-        return self._times(other.den.scale(c), other.num.scale(c))
-
-    def inv(self) -> "RationalFunction":
-        if self.is_zero:
-            raise ZeroDivisionError("inverse of zero function")
-        c = self.field.inv(self.num.lc())
-        return RationalFunction(self.den.scale(c), self.num.scale(c), reduce=False)
-
-    def scale(self, c: int) -> "RationalFunction":
-        return RationalFunction(self.num.scale(c), self.den, reduce=False)
-
-    def derivative(self) -> "RationalFunction":
-        return RationalFunction(
-            self.num.derivative() * self.den - self.num * self.den.derivative(),
-            self.den * self.den,
-        )
-
-    def eval(self, a: int) -> Optional[int]:
-        d = self.den.eval(a)
-        if d == 0:
-            return None
-        return self.field.div(self.num.eval(a), d)
-
-    def ord_at(self, u: Polynomial) -> int:
-        """Order of vanishing along the irreducible u (negative at poles)."""
-        if self.is_zero:
-            raise ValueError("ord of zero function")
-        return poly_ord(self.num, u) - poly_ord(self.den, u)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RationalFunction)
-            and self.num == other.num
-            and self.den == other.den
-        )
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __repr__(self):
-        if self.den.degree == 0:
-            return f"rat[{self.num!r}]"
-        return f"rat[{self.num!r} / {self.den!r}]"

@@ -149,13 +149,9 @@ def embed_bidegree_2_3(curve: Curve, a_div: Divisor) -> EmbeddingData:
     sig0, sig1 = pencil.basis
     s_fn = sig1 / sig0
 
-    # s = (A + B y) / H  =>  (H s - A)^2 = B^2 f
+    # s = (A + B y) / h  =>  (h s - A)^2 = B^2 f
     base = curve.field
-    ra, rb = s_fn.a, s_fn.b
-    g = poly_gcd(ra.den, rb.den)
-    h = (ra.den * rb.den) // g
-    pa = ra.num * (h // ra.den)
-    pb = rb.num * (h // rb.den)
+    pa, pb, h = s_fn.A, s_fn.B, s_fn.h
     rows = [pa * pa - pb * pb * curve.f, (pa * h).scale(base.neg(2)), h * h]
     content = poly_gcd(poly_gcd(rows[0], rows[1]), rows[2])
     if content.degree > 0:
@@ -173,8 +169,6 @@ def embed_bidegree_2_3(curve: Curve, a_div: Divisor) -> EmbeddingData:
 
     s_polar = _polar(curve, s_fn)
     if s_polar.degree != 3:
-        raise ValueError("degenerate chart data")
-    if _polar(curve, curve.x()).degree != 2:
         raise ValueError("degenerate chart data")
     # (s, x) is an embedding.  Its degree onto the image divides the polar
     # degrees 3 of s and 2 of x, hence gcd(3, 2) = 1: the map is birational
@@ -195,9 +189,10 @@ def normal_bundle_divisor(E: EmbeddingData, rng: random.Random | None = None) ->
     is intersected instead, giving another representative of the same class.
     """
     curve = E.curve
-    # effective of degree 2*3 + 3*2 = 12: embed_bidegree_2_3 checked both
-    # polar degrees
-    n0 = E.s_polar * 2 + _polar(curve, curve.x()) * 3
+    # effective of degree 2*3 + 3*2 = 12: embed_bidegree_2_3 checked the
+    # polar degree 3 of s, and x has one pole, of order 2, at the place over
+    # infinity on every model (deg f = 5 ramifies it over the x-line)
+    n0 = E.s_polar * 2 + Divisor([(curve.infinite_place(), 6)])
     if rng is None:
         return n0
     for _ in range(64):

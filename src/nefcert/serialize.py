@@ -15,7 +15,7 @@ import json
 
 from .cohomology import SemilinearMap
 from .curves import INFINITE, Curve, Differential, Divisor, FunctionElement, Place
-from .fields import Field, Polynomial, RationalFunction
+from .fields import Field, Polynomial, poly_gcd
 from .jacobian import MumfordClass
 from .obstruction import MAX_Q, SCHEMA_VERSION, Certificate
 
@@ -31,12 +31,15 @@ def encode_poly(poly: Polynomial) -> list:
     return list(poly.coeffs)
 
 
-def encode_rational(r: RationalFunction) -> dict:
-    return {"num": encode_poly(r.num), "den": encode_poly(r.den)}
+def encode_rational(num: Polynomial, den: Polynomial) -> dict:
+    """num/den in lowest terms, for a monic den; zero is 0/1."""
+    g = poly_gcd(num, den)
+    return {"num": encode_poly(num // g), "den": encode_poly(den // g)}
 
 
 def encode_fn(fn: FunctionElement) -> dict:
-    return {"a": encode_rational(fn.a), "b": encode_rational(fn.b)}
+    """(A + B y) / h as the fractions a = A/h and b = B/h in lowest terms."""
+    return {"a": encode_rational(fn.A, fn.h), "b": encode_rational(fn.B, fn.h)}
 
 
 def encode_place(pl: Place) -> dict:
@@ -129,8 +132,8 @@ def _check_rational(v, key: str):
     _want(set(v) == {"num", "den"}, f"{key}: expected num/den")
     _check_poly(v["num"], key + ".num")
     _check_poly(v["den"], key + ".den")
-    # RationalFunction keeps its denominator monic, so a fraction scaled
-    # top and bottom would spell the same certificate another way
+    # a fraction scaled top and bottom would spell the same certificate
+    # another way, so the denominator is monic
     _want(v["den"][-1:] == [1], f"{key}.den: denominator not monic")
 
 
@@ -268,25 +271,28 @@ def decode_poly(base: Field, coeffs) -> Polynomial:
     return Polynomial(base, co)
 
 
-def decode_rational(base: Field, data, key: str = "num/den") -> RationalFunction:
-    """The fraction num/den, which must be stored in lowest terms: a common
-    factor would be another spelling of the same certificate."""
+def decode_rational(base: Field, data, key: str = "num/den") -> tuple:
+    """(num, den) of the fraction num/den, which must be stored in lowest
+    terms with a monic den (zero as 0/1): a common factor or a scaling would
+    be another spelling of the same certificate."""
     den = decode_poly(base, data["den"])
     if den.is_zero:
         raise ValueError("zero denominator")
     num = decode_poly(base, data["num"])
-    r = RationalFunction(num, den)
-    if r.num != num or r.den != den:
+    if not den.is_monic() or poly_gcd(num, den).degree > 0:
         raise ValueError(f"{key}: fraction not in lowest terms")
-    return r
+    return num, den
 
 
 def decode_fn(curve: Curve, data, key: str = "fn") -> FunctionElement:
-    return FunctionElement(
-        curve,
-        decode_rational(curve.field, data["a"], key + ".a"),
-        decode_rational(curve.field, data["b"], key + ".b"),
-    )
+    """a + b y over h = lcm(den a, den b).  Each prime factor of h divides
+    one of the denominators to its full power and leaves that fraction's
+    numerator prime to it, so gcd(A, B, h) = 1: the result is the
+    function's one form as it stands."""
+    na, da = decode_rational(curve.field, data["a"], key + ".a")
+    nb, db = decode_rational(curve.field, data["b"], key + ".b")
+    h = da * (db // poly_gcd(da, db))
+    return FunctionElement(curve, na * (h // da), nb * (h // db), h, reduce=False)
 
 
 def decode_differential(curve: Curve, data, key: str = "differential") -> Differential:
@@ -294,16 +300,22 @@ def decode_differential(curve: Curve, data, key: str = "differential") -> Differ
 
 
 def decode_place(curve: Curve, data) -> Place:
+    """The place, which must be stored as `encode_place` writes it: `Place`
+    sets v of a ramified or inert place and u and v at infinity itself, so
+    any other value there would spell the same certificate another way."""
     kind = data["kind"]
     if kind == INFINITE:
-        return curve.infinite_place()
-    if data["u"] is None:
-        raise ValueError("finite place needs a polynomial")
-    u = decode_poly(curve.field, data["u"])
-    v = None if data["v"] is None else decode_poly(curve.field, data["v"])
-    pl = Place(kind, u, v)
-    if pl not in curve.places_above(u):
-        raise ValueError("place does not lie on the curve")
+        pl = curve.infinite_place()
+    else:
+        if data["u"] is None:
+            raise ValueError("finite place needs a polynomial")
+        u = decode_poly(curve.field, data["u"])
+        v = None if data["v"] is None else decode_poly(curve.field, data["v"])
+        pl = Place(kind, u, v)
+        if pl not in curve.places_above(u):
+            raise ValueError("place does not lie on the curve")
+    if encode_place(pl) != data:
+        raise ValueError("place not in canonical form")
     return pl
 
 

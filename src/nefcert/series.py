@@ -8,9 +8,10 @@ three a uniform element interface so one series engine serves all of them.
 `Curve.residue_ring` is the only code that chooses the adapter of a place.
 Products of series run on the field's code kernel: over the base field
 as one `Field.poly_mul`, over F_q[x]/(u) as one `Field.poly_mul` of
-Kronecker-packed codes; over the quadratic extension they visit only the
-nonzero terms of the second factor, so Horner along x = a + t costs O(n)
-per step.
+Kronecker-packed codes, and over the quadratic extension as three such
+products (Karatsuba on the two coordinates).
+`rf_series` gives the series of a function (A + B y) / h along the frames
+of a place, with one inversion, that of the series of h.
 Both frame builders, `series_finite` at every finite place and
 `series_infinite` at the place over infinity, solve for x along the local
 parameter by one `_newton` iteration whose step evaluates polynomials with
@@ -190,12 +191,13 @@ class QuadModRing:
     """Coefficients in the quadratic extension of F_q[x]/(u) by a square
     root of fbar, stored as pairs (a, b) meaning a + b*root."""
 
-    __slots__ = ("field", "u", "fbar")
+    __slots__ = ("field", "u", "fbar", "_half")
 
     def __init__(self, field: Field, u: Polynomial, fbar: Polynomial):
         self.field = field
         self.u = u
         self.fbar = fbar % u
+        self._half = PolyModRing(field, u)
 
     def __eq__(self, other):
         return (
@@ -274,18 +276,22 @@ class QuadModRing:
         return tuple(a[0][i] for i in range(d)) + tuple(a[1][i] for i in range(d))
 
     def series_mul(self, a: list, b: list, n: int) -> list:
-        """The first n coefficients of the product, visiting only the
-        nonzero coefficients of b."""
-        terms = [(j, c) for j, c in enumerate(b) if not self.is_zero(c)]
-        out = [self.zero] * n
-        for i, c in enumerate(a):
-            if self.is_zero(c):
-                continue
-            for j, d in terms:
-                if i + j >= n:
-                    break
-                out[i + j] = self.add(out[i + j], self.mul(c, d))
-        return out
+        """The first n coefficients of the product, from three products over
+        F_q[x]/(u) (Karatsuba): with a = a0 + a1 root and b = b0 + b1 root,
+        P = a0 b0, Q = a1 b1 and R = (a0 + a1)(b0 + b1) give
+        a b = (P + fbar Q) + (R - P - Q) root."""
+        mul = self._half.series_mul
+        a0, a1 = [c[0] for c in a], [c[1] for c in a]
+        b0, b1 = [c[0] for c in b], [c[1] for c in b]
+        zero = Polynomial.zero(self.field)
+
+        def full(cs):
+            return cs + [zero] * (n - len(cs))
+
+        P, Q = full(mul(a0, b0, n)), full(mul(a1, b1, n))
+        R = full(mul([x + y for x, y in zip(a0, a1)], [x + y for x, y in zip(b0, b1)], n))
+        fQ = full(mul([self.fbar], Q, n))
+        return [(p + fq, r - p - q) for p, q, r, fq in zip(P, Q, R, fQ)]
 
 
 class TruncSeries:
@@ -476,11 +482,23 @@ def poly_series(ring, f: Polynomial, xs: TruncSeries) -> TruncSeries:
     return acc
 
 
-def rf_series(ring, num: Polynomial, den: Polynomial, xs: TruncSeries) -> TruncSeries:
-    """Series of num/den along xs, for a monic den."""
-    if den.degree == 0:
-        return poly_series(ring, num, xs)
-    return poly_series(ring, num, xs) / poly_series(ring, den, xs)
+def rf_series(
+    ring, A: Polynomial, B: Polynomial, h: Polynomial, xs: TruncSeries, ys: TruncSeries
+) -> TruncSeries:
+    """Series of the function (A + B y) / h, h monic, along the frames xs
+    and ys of a place: one `poly_series` per nonzero numerator part, and
+    one for h, whose series is inverted once."""
+    if A.is_zero and B.is_zero:
+        return TruncSeries.zero_to(ring, 1 << 40)
+    if B.is_zero:
+        num = poly_series(ring, A, xs)
+    else:
+        num = poly_series(ring, B, xs) * ys
+        if not A.is_zero:
+            num = poly_series(ring, A, xs) + num
+    if h.degree == 0:
+        return num
+    return num / poly_series(ring, h, xs)
 
 
 def _newton(x0: TruncSeries, step: Callable[[TruncSeries], TruncSeries], prec: int) -> TruncSeries:

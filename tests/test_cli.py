@@ -100,6 +100,18 @@ def test_verify_exit_codes(tmp_path, capsys):
     assert code == 1
     assert "[FAIL] check 4: the obstruction scalar is nonzero (alpha.a: fraction not in lowest terms)" in out
 
+    # and so is a place spelled otherwise than the encoder writes it: v set
+    # on a ramified place, which the decoder used to overwrite
+    for key in ("a_div", "d_div"):
+        spelled = json.loads(json.dumps(d))
+        (i,) = [i for i, (pl, _) in enumerate(spelled[key]) if pl["kind"] == "ramified"]
+        spelled[key][i][0]["v"] = [1]
+        bad.write_text(json.dumps(spelled))
+        code, out, _ = run(capsys, ["verify", str(bad)])
+        assert code == 1
+        assert "verdict: FAIL" in out
+        assert "place not in canonical form)" in out
+
     mangled = tmp_path / "mangled.json"
     mangled.write_text("{]")
     code, _, err = run(capsys, ["verify", str(mangled)])
@@ -227,17 +239,28 @@ def test_config_echo_is_pinned(capsys, monkeypatch):
     )
 
 
+# Source lines of the `nefcert` modules a cold `search` or `verify` loads,
+# as README.md states under "Start-up cost".
+COLD_IMPORT_LINES = 5195
+
+
 def test_cold_import_path_is_lean():
     """The modules a cold `search` or `verify` loads pull in neither
     `dataclasses` nor `inspect`: their import alone takes longer than the
-    checks of a certificate that fails check 1."""
+    checks of a certificate that fails check 1.  Their source stays within
+    COLD_IMPORT_LINES: without valid bytecode every line is compiled on
+    each command."""
     env = dict(os.environ, PYTHONPATH=str(Path(nefcert.__file__).parents[1]))
     probe = (
         "import sys, nefcert.cli, nefcert.serialize;"
-        " print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        " print(sorted({'dataclasses', 'inspect'} & set(sys.modules)));"
+        " mods = [m for n, m in sys.modules.items() if n.split('.')[0] == 'nefcert'];"
+        " print(sum(len(open(m.__file__, 'rb').read().splitlines()) for m in mods))"
     )
     out = subprocess.run(
         [sys.executable, "-S", "-c", probe], capture_output=True, env=env, timeout=60
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout == b"[]\n"
+    leaked, lines = out.stdout.decode().splitlines()
+    assert leaked == "[]"
+    assert int(lines) <= COLD_IMPORT_LINES, f"{lines} source lines on the cold import path"

@@ -6,14 +6,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nefcert import curves
-from nefcert.curves import INERT, INFINITE, RAMIFIED, SPLIT, Curve, Divisor, _frame_cell, _frames
+from nefcert.curves import (
+    INERT,
+    INFINITE,
+    RAMIFIED,
+    SPLIT,
+    Curve,
+    Divisor,
+    FunctionElement,
+    _frame_cell,
+    _frames,
+)
 from nefcert.fields import (
     Polynomial,
-    RationalFunction,
     embedding,
     field,
     hensel_sqrt,
     is_irreducible,
+    poly_ord,
 )
 from nefcert.series import BaseRing, PolyModRing, QuadModRing, TruncSeries, _newton, poly_series
 
@@ -112,9 +122,15 @@ def _split_pair(C: Curve, d: int, rng: random.Random) -> list:
                 return pair
 
 
-def _u_power(u: Polynomial, n: int) -> RationalFunction:
-    one = Polynomial.one(u.field)
-    return RationalFunction(u**n, one) if n >= 0 else RationalFunction(one, u**-n)
+def _u_power(C: Curve, u: Polynomial, n: int) -> FunctionElement:
+    one, zero = Polynomial.one(u.field), Polynomial.zero(u.field)
+    return FunctionElement(C, u**n, zero, one) if n >= 0 else FunctionElement(C, one, zero, u**-n)
+
+
+def _part_orders(phi: FunctionElement, u: Polynomial) -> tuple:
+    """ord_u of A/h and of B/h for phi = (A + B y)/h, None for a zero part."""
+    eh = poly_ord(phi.h, u) if phi.h.degree > 0 else 0
+    return tuple(None if P.is_zero else poly_ord(P, u) - eh for P in (phi.A, phi.B))
 
 
 @pytest.mark.parametrize("p,k", [(7, 1), (3, 2), (5, 2)])
@@ -145,23 +161,22 @@ def test_split_place_valuation_matches_expansion(p, k):
             if rng.randrange(2):
                 here, there = there, here
             u = here.u
-            w = C.fn(RationalFunction(rpoly(2), rpoly(1, True)), rpoly(1))
+            num, den = rpoly(2), rpoly(1, True)
+            w = FunctionElement(C, num, rpoly(1) * den, den)
             if w.is_zero:
                 continue
             V = hensel_sqrt(C.f, u, here.v, rng.randrange(1, 4))
-            r = RationalFunction(rpoly(2, True), rpoly(2, True))
-            phi = w * (C.fn(V) - C.y()) * C.fn(_u_power(u, rng.randrange(-2, 3))) * C.fn(r)
+            r = FunctionElement(C, rpoly(2, True), Polynomial.zero(F), rpoly(2, True))
+            phi = w * (C.fn(V) - C.y()) * _u_power(C, u, rng.randrange(-2, 3)) * r
             if i % 4:
                 # a term of order s - 1, s or s + 1 added to a, where s is the
                 # order of a and b y: unequal orders, or a leading term moved
-                s = min(x.ord_at(u) for x in (phi.a, phi.b) if not x.is_zero)
-                bump = _u_power(u, s + i % 4 - 2).scale(rng.randrange(1, F.q))
-                phi = C.fn(phi.a + bump, phi.b)
+                s = min(o for o in _part_orders(phi, u) if o is not None)
+                phi = phi + _u_power(C, u, s + i % 4 - 2).scale(rng.randrange(1, F.q))
             orders = {pl: _first_exponent(C, phi, pl) for pl in (here, there)}
             for pl, other in ((here, there), (there, here)):
                 assert C.valuation(phi, pl) == orders[pl], (phi, pl)
-                oa = phi.a.ord_at(u) if not phi.a.is_zero else None
-                ob = phi.b.ord_at(u) if not phi.b.is_zero else None
+                oa, ob = _part_orders(phi, u)
                 if oa != ob:
                     seen["unequal"] += 1
                 elif orders[pl] > oa:
@@ -396,6 +411,77 @@ def test_series_products_match_the_schoolbook_product():
             assert got + [ring.zero] * (n - len(got)) == want
 
 
+def _quad_series_mul_reference(ring: QuadModRing, a: list, b: list, n: int) -> list:
+    """The first n coefficients of the product, coefficient by coefficient
+    through `QuadModRing.mul`, visiting only the nonzero terms of b."""
+    terms = [(j, c) for j, c in enumerate(b) if not ring.is_zero(c)]
+    out = [ring.zero] * n
+    for i, c in enumerate(a):
+        if ring.is_zero(c):
+            continue
+        for j, d in terms:
+            if i + j >= n:
+                break
+            out[i + j] = ring.add(out[i + j], ring.mul(c, d))
+    return out
+
+
+@pytest.mark.parametrize("p,k,du", [(3, 1, 1), (3, 1, 2), (7, 1, 3), (3, 2, 2)])
+def test_inert_series_products_match_the_coefficient_loop(p, k, du):
+    """The three-product (Karatsuba) series product at inert places gives
+    the coefficient loop's result on random series, zeros and an x-only or
+    root-only operand included."""
+    F = field(p, k)
+    rng = random.Random(100 * p + 10 * k + du)
+    while True:
+        u = Polynomial(F, [F.random(rng) for _ in range(du)] + [1])
+        if is_irreducible(u):
+            break
+    ring = QuadModRing(F, u, Polynomial(F, [F.random(rng) for _ in range(du)]))
+
+    def part():
+        if rng.random() < 0.3:
+            return Polynomial.zero(F)
+        return Polynomial(F, [F.random(rng) for _ in range(du)])
+
+    def elem(kind):
+        a, b = part(), part()
+        return {"both": (a, b), "x": (a, Polynomial.zero(F)), "root": (Polynomial.zero(F), b)}[kind]
+
+    for trial in range(30):
+        kinds = ("both", "x", "root")
+        a = [elem(kinds[trial % 3]) for _ in range(rng.randrange(1, 12))]
+        b = [elem(kinds[(trial // 3) % 3]) for _ in range(rng.randrange(1, 12))]
+        n = rng.randrange(1, len(a) + len(b))
+        got = ring.series_mul(a, b, n)
+        assert got + [ring.zero] * (n - len(got)) == _quad_series_mul_reference(ring, a, b, n)
+
+
+def test_expanding_a_shared_denominator_inverts_one_series(monkeypatch):
+    """(1 + y)/u has one denominator, so its expansion inverts one series,
+    that of u, and equals the sum of the expansions of 1/u and y/u."""
+    C = curve35()
+    x = Polynomial.x(F3)
+    u = x * x + Polynomial.one(F3)  # irreducible over F_3
+    phi = (C.one() + C.y()) / C.fn(u)
+    for pl in [C.infinite_place(), *C.places_above(x), *C.places_above(x + Polynomial.one(F3))]:
+        _frames(C, pl, 24)
+        calls = []
+        invert = TruncSeries.invert
+
+        def counted(self):
+            calls.append(self)
+            return invert(self)
+
+        monkeypatch.setattr(TruncSeries, "invert", counted)
+        _, ser = C.expand(phi, pl, 24)
+        monkeypatch.setattr(TruncSeries, "invert", invert)
+        assert len(calls) == 1, pl
+        _, a_ser = C.expand(C.one() / C.fn(u), pl, 24)
+        _, b_ser = C.expand(C.y() / C.fn(u), pl, 24)
+        assert (ser - (a_ser + b_ser)).is_zero
+
+
 def test_newton_that_never_settles_raises():
     ring = BaseRing(F5)
     one = TruncSeries.const(ring, 1, 8)
@@ -406,7 +492,7 @@ def test_newton_that_never_settles_raises():
 def test_residue_of_simple_pole():
     C = Curve(F5, (1, 1, 0, 0, 0, 1))
     x = Polynomial.x(F5)
-    omega = C.fn(RationalFunction(Polynomial.one(F5), x)).dx()
+    omega = (C.one() / C.fn(x)).dx()
     p0, p1 = C.places_above(x)
     assert omega.residue(p0) == 1
     assert omega.residue(p1) == 1
@@ -426,9 +512,9 @@ def _random_fn(C: Curve, rng: random.Random, deg: int = 2):
             if not g.is_zero:
                 return g
 
-    a = RationalFunction(rpoly(deg), rnonzero(deg))
-    b = RationalFunction(rpoly(deg), rnonzero(deg))
-    return C.fn(a, b)
+    # a = na/da and b = nb/db with unrelated denominators
+    na, da, nb, db = rpoly(deg), rnonzero(deg), rpoly(deg), rnonzero(deg)
+    return FunctionElement(C, na * db, nb * da, da * db)
 
 
 def test_residue_theorem_on_random_differentials():

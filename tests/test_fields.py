@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nefcert.curves import Curve, FunctionElement
 from nefcert.fields import (
     Polynomial,
-    RationalFunction,
     field,
     field_with_modulus,
     hensel_sqrt,
@@ -587,15 +587,38 @@ def test_hensel_sqrt(seed, du, m):
     assert (y - v) % u == Polynomial.zero(F)
 
 
-# --- rational functions ---------------------------------------------------
+# --- rational functions on a curve: (A + B y) / h --------------------------
+# Fractions live in `curves.FunctionElement`, whose one form is (A + B y)/h
+# with h monic and gcd(A, B, h) = 1; its parts a = A/h and b = B/h in lowest
+# terms are what a certificate stores.
+
+
+def _curve_over(F, rng):
+    """A random genus-2 model y^2 = f(x), f monic of degree 5, over F."""
+    while True:
+        try:
+            return Curve(F, [F.random(rng) for _ in range(5)] + [1])
+        except ValueError:
+            continue
+
+
+def _is_normal(phi) -> bool:
+    return phi.h.is_monic() and poly_gcd(poly_gcd(phi.A, phi.B), phi.h).degree == 0
 
 
 def test_rational_normalization():
     F = field(5)
-    r = RationalFunction(P(F, 0, 2), P(F, 0, 0, 4))  # 2x / 4x^2
-    assert r.num == P(F, 3) and r.den == P(F, 0, 1)  # 3/x since 2/4 = 3
-    assert r.den.is_monic()
-    assert poly_gcd(r.num, r.den).degree <= 0
+    C = Curve(F, (1, 1, 0, 0, 0, 1))
+    x2 = P(F, 0, 0, 4)
+    r = FunctionElement(C, P(F, 0, 2), P(F), x2)  # 2x / 4x^2
+    assert (r.A, r.B, r.h) == (P(F, 3), P(F), P(F, 0, 1))  # 3/x since 2/4 = 3
+    r = FunctionElement(C, P(F, 0, 2), P(F, 0, 0, 2), x2)  # (2x + 2x^2 y) / 4x^2
+    assert (r.A, r.B, r.h) == (P(F, 3), P(F, 0, 3), P(F, 0, 1))
+    assert _is_normal(r)
+    zero = FunctionElement(C, P(F), P(F), x2)
+    assert (zero.A, zero.B, zero.h) == (P(F), P(F), P(F, 1)) and zero == C.zero()
+    with pytest.raises(ZeroDivisionError, match="zero denominator"):
+        FunctionElement(C, P(F, 1), P(F), P(F))
 
 
 @settings(max_examples=100)
@@ -606,26 +629,30 @@ def test_rational_normalization():
 def test_rational_field_ops(fi, seed):
     F = FIELDS[fi]
     rng = random.Random(seed)
+    C = _curve_over(F, rng)
 
-    def rand_rf():
-        num = poly_random(F, rng.randrange(4), rng)
-        den = poly_random(F, rng.randrange(3), rng)
-        while den.is_zero:
-            den = poly_random(F, rng.randrange(3), rng)
-        return RationalFunction(num, den)
+    def rand_fn():
+        h = poly_random(F, rng.randrange(3), rng)
+        while h.is_zero:
+            h = poly_random(F, rng.randrange(3), rng)
+        A, B = poly_random(F, rng.randrange(4), rng), poly_random(F, rng.randrange(3), rng)
+        return FunctionElement(C, A, B, h)
 
-    a, b, c = rand_rf(), rand_rf(), rand_rf()
+    a, b, c = rand_fn(), rand_fn(), rand_fn()
+    assert all(_is_normal(r) for r in (a, b, a + b, a - b, a * b, a.derivative()))
     assert (a + b) - b == a
     assert a * b == b * a
     assert (a + b) * c == a * c + b * c
     if not a.is_zero:
-        assert a * a.inv() == RationalFunction.one(F)
+        assert a * a.inverse() == C.one()
+        assert _is_normal(a.inverse())
     # derivative is a derivation
     assert (a * b).derivative() == a.derivative() * b + a * b.derivative()
 
 
 def _lowest_terms(num, den):
-    """Reference normal form: divide by the full gcd, make den monic."""
+    """Reference normal form of a fraction: divide by the full gcd, make den
+    monic."""
     F = num.field
     if num.is_zero:
         return (), (1,)
@@ -635,13 +662,27 @@ def _lowest_terms(num, den):
     return num.scale(c).coeffs, den.scale(c).coeffs
 
 
+def _normal_form(A, B, h):
+    """Reference normal form of (A + B y)/h: divide by the full gcd of the
+    three, make h monic."""
+    F = h.field
+    g = poly_gcd(poly_gcd(A, B), h)
+    A, B, h = A // g, B // g, h // g
+    c = F.inv(h.lc())
+    return A.scale(c).coeffs, B.scale(c).coeffs, h.scale(c).coeffs
+
+
 @pytest.mark.parametrize("p,k", [(3, 2), (7, 3)])
 def test_rational_ops_match_full_gcd_reference(p, k):
-    """+ - * / reduce only by the gcds that can cancel; the result must be
-    the full-gcd normal form, on operands sharing factors, on operands whose
-    result cancels to zero, and on constants."""
+    """+ - * / reduce only by the gcds that can cancel; each result must be
+    the full-gcd normal form of the unreduced triple, on operands sharing
+    factors, on operands whose result cancels to zero, and on constants.
+    Its parts A/h and B/h are the lowest-terms fractions of the parts'
+    sums and products."""
     F = field(p, k)
     rng = random.Random(p * 1000 + k)
+    C = _curve_over(F, rng)
+    f = C.f
 
     def rand(deg):
         return poly_random(F, deg, rng)
@@ -653,44 +694,61 @@ def test_rational_ops_match_full_gcd_reference(p, k):
         return out
 
     def pairs():
-        for _ in range(60):
+        for _ in range(40):
             h, e = nonzero(rng.randrange(1, 3)), nonzero(rng.randrange(1, 3))
-            n1, d1 = rand(rng.randrange(4)), nonzero(rng.randrange(3))
-            n2, d2 = rand(rng.randrange(4)), nonzero(rng.randrange(3))
+            A1, B1, d1 = rand(rng.randrange(4)), rand(rng.randrange(3)), nonzero(rng.randrange(3))
+            A2, B2, d2 = rand(rng.randrange(4)), rand(rng.randrange(3)), nonzero(rng.randrange(3))
             # factors shared across the operands' numerators and denominators
-            yield (n1 * h, d1 * e), (n2 * e, d2 * h)
+            yield (A1 * h, B1 * h, d1 * e), (A2 * e, B2, d2 * h)
             # denominators sharing a factor, as in Henrici's sum
-            yield (n1, d1 * h), (n2, d2 * h * h)
+            yield (A1, B1, d1 * h), (A2, B2, d2 * h * h)
+            # equal denominators, as in sums within a Riemann-Roch space
+            yield (A1, B1, d1), (A2, B2, d1)
             # unrelated operands
-            yield (n1, d1), (n2, d2)
-            # constants, and a constant against a fraction
+            yield (A1, B1, d1), (A2, B2, d2)
+            # constants, and a constant against a function
             c1, c2 = P(F, F.random(rng)), P(F, F.random(rng))
-            yield (c1, P(F, 1)), (c2, nonzero(0))
-            yield (c1, P(F, 1)), (n2, d2 * h)
+            yield (c1, P(F), P(F, 1)), (c2, P(F), nonzero(0))
+            yield (c1, P(F), P(F, 1)), (A2, B2, d2 * h)
 
-    for (n1, d1), (n2, d2) in pairs():
-        a, b = RationalFunction(n1, d1), RationalFunction(n2, d2)
+    for (A1, B1, h1), (A2, B2, h2) in pairs():
+        a, b = FunctionElement(C, A1, B1, h1), FunctionElement(C, A2, B2, h2)
         cases = [
-            (a + b, n1 * d2 + n2 * d1, d1 * d2),
-            (a - b, n1 * d2 - n2 * d1, d1 * d2),
-            (a * b, n1 * n2, d1 * d2),
-            (a - a, P(F), P(F, 1)),
-            (a + (-a), P(F), P(F, 1)),
+            (a + b, A1 * h2 + A2 * h1, B1 * h2 + B2 * h1, h1 * h2),
+            (a - b, A1 * h2 - A2 * h1, B1 * h2 - B2 * h1, h1 * h2),
+            (a * b, A1 * A2 + f * B1 * B2, A1 * B2 + A2 * B1, h1 * h2),
+            (a - a, P(F), P(F), P(F, 1)),
+            (a + (-a), P(F), P(F), P(F, 1)),
         ]
         if not b.is_zero:
-            cases.append((a / b, n1 * d2, d1 * n2))
-            cases.append((b / b, P(F, 1), P(F, 1)))
-        for got, num, den in cases:
-            assert (got.num.coeffs, got.den.coeffs) == _lowest_terms(num, den)
+            N = A2 * A2 - f * B2 * B2
+            cases.append((a / b, (A1 * A2 - f * B1 * B2) * h2, (A2 * B1 - A1 * B2) * h2, h1 * N))
+            cases.append((b / b, P(F, 1), P(F), P(F, 1)))
+        for got, A, B, h in cases:
+            assert (got.A.coeffs, got.B.coeffs, got.h.coeffs) == _normal_form(A, B, h)
+            assert _lowest_terms(got.A, got.h) == _lowest_terms(A, h)
+            assert _lowest_terms(got.B, got.h) == _lowest_terms(B, h)
+        # the parts of a sum are the sums of the parts
+        (na, da), (nb, db) = _lowest_terms(A1, h1), _lowest_terms(A2, h2)
+        na, da, nb, db = (Polynomial(F, c) for c in (na, da, nb, db))
+        assert _lowest_terms((a + b).A, (a + b).h) == _lowest_terms(na * db + nb * da, da * db)
 
 
 def test_rational_ord():
+    """Orders along u of functions of x alone, read by `Curve.valuation`
+    from A and h: doubled at the ramified place over x, as they are at the
+    split places over x + 1."""
     F = field(3)
+    C = Curve(F, (0, 1, 0, 0, 0, 1))  # y^2 = x^5 + x
     x = Polynomial.x(F)
-    r = RationalFunction(x**3 + x**4, x + P(F, 1))  # x^3(1+x) / (x+1)
-    assert r.ord_at(x) == 3
-    assert r.ord_at(x + Polynomial.one(F)) == 0
-    s = RationalFunction(Polynomial.one(F), x**2)
-    assert s.ord_at(x) == -2
+    one = P(F, 1)
+    r = FunctionElement(C, x**3 + x**4, P(F), x + one)  # x^3(1+x) / (x+1)
+    assert (r.A, r.h) == (x**3, one)
+    (ram,) = C.places_above(x)
+    assert C.valuation(r, ram) == 6
+    assert [C.valuation(r, pl) for pl in C.places_above(x + one)] == [0, 0]
+    s = FunctionElement(C, one, P(F), x**2)
+    assert C.valuation(s, ram) == -4
+    assert [C.valuation(s * C.fn(x + one), pl) for pl in C.places_above(x + one)] == [1, 1]
     with pytest.raises(ValueError, match="ord along a constant"):
-        r.ord_at(P(F, 2))
+        poly_ord(r.A, P(F, 2))

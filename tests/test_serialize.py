@@ -5,7 +5,7 @@ import pytest
 
 from nefcert import serialize
 from nefcert.curves import Curve, Divisor
-from nefcert.fields import Polynomial, field
+from nefcert.fields import Polynomial, field, is_irreducible
 from nefcert.obstruction import certificate_build, rational_places
 from nefcert.serialize import CertificateFormatError
 
@@ -111,8 +111,8 @@ def test_decoders_reject_semantic_garbage():
     for num, den in (([1, 1], [1, 1]), ([2, 0, 1], [1, 1]), ([], [1, 1]), ([], [0, 1])):
         with pytest.raises(ValueError, match="g.a: fraction not in lowest terms"):
             serialize.decode_rational(curve.field, {"num": num, "den": den}, "g.a")
-    kept = serialize.decode_rational(curve.field, {"num": [1, 1], "den": [2, 1]})
-    assert (kept.num.coeffs, kept.den.coeffs) == ((1, 1), (2, 1))
+    num, den = serialize.decode_rational(curve.field, {"num": [1, 1], "den": [2, 1]})
+    assert (num.coeffs, den.coeffs) == ((1, 1), (2, 1))
     # a split place whose square root does not match the curve
     good = serialize.encode_place(rational_places(curve)[1])
     assert good["kind"] == "split"
@@ -120,6 +120,31 @@ def test_decoders_reject_semantic_garbage():
     bad["v"] = [(good["v"][0] + 1) % 9] if good["v"] else [1]
     with pytest.raises(ValueError, match="does not lie on the curve"):
         serialize.decode_place(curve, bad)
+    # a place spelled otherwise than `encode_place` writes it: v on a
+    # ramified or an inert place, u or v at infinity
+    ram = serialize.encode_place(curve.finite_ramified_places()[0])
+    assert ram["v"] == []
+    inert = next(
+        pl
+        for c in range(81)
+        if is_irreducible(u := Polynomial(curve.field, (c % 9, c // 9, 1)))
+        for pl in curve.places_above(u)
+        if pl.kind == "inert"
+    )
+    inert = serialize.encode_place(inert)
+    assert inert["v"] is None
+    for place in (
+        dict(ram, v=[1]),
+        dict(ram, v=None),
+        dict(inert, v=[]),
+        dict(inert, v=[1]),
+        {"kind": "infinite", "u": [1, 1], "v": [2]},
+        {"kind": "infinite", "u": None, "v": []},
+    ):
+        with pytest.raises(ValueError, match="place not in canonical form"):
+            serialize.decode_place(curve, place)
+    inf = {"kind": "infinite", "u": None, "v": None}
+    assert serialize.decode_place(curve, inf) == curve.infinite_place()
     # reducible support polynomial
     with pytest.raises(ValueError, match="monic irreducible"):
         serialize.decode_place(
@@ -154,3 +179,18 @@ def test_fraction_not_in_lowest_terms_fails_its_check(cert_dict, key, check):
     report = certificate_verify(d)
     failed = {c.index: c.detail for c in report.checks if not c.passed}
     assert failed.get(check) == f"{key}: fraction not in lowest terms", failed
+
+
+@pytest.mark.parametrize("key", ["a_div", "d_div"])
+def test_place_not_in_canonical_form_fails_its_check(cert_dict, key):
+    """v = [1] on a ramified place names the same place as v = []; every
+    check that decodes the divisor fails with that reason."""
+    from nefcert.obstruction import certificate_verify
+
+    d = copy.deepcopy(cert_dict)
+    (i,) = [i for i, (pl, _) in enumerate(d[key]) if pl["kind"] == "ramified"]
+    d[key][i][0]["v"] = [1]
+    report = certificate_verify(d)
+    failed = {c.index: c.detail for c in report.checks if not c.passed}
+    assert not report.ok and 2 in failed
+    assert all(detail.endswith("place not in canonical form") for detail in failed.values()), failed
