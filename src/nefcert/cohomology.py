@@ -8,8 +8,9 @@ absorbs.  Reduction against a ladder of sections pushes every class to a
 canonical representative supported at the place over x = infinity, on the
 finitely many exponents the ladder cannot reach; those exponents are in
 bijection with a basis, so classes get exact coordinates.  On top of this
-sit the Serre duality pairing, Cartier-Manin matrices, and the p-power
-(sigma-semilinear) Frobenius maps on H^1 used by the obstruction pipeline.
+sit Cartier-Manin matrices and the p-power (sigma-semilinear) Frobenius maps
+on H^1 used by the obstruction pipeline; the Serre duality pairing, which
+the tests check these against, is in `oracles`.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .curves import (
     RAMIFIED,
     SPLIT,
     Curve,
-    Differential,
     Divisor,
     FunctionElement,
 )
@@ -188,11 +188,6 @@ def rr_space(curve: Curve, divisor: Divisor) -> RRSpace:
 
 def h0(curve: Curve, divisor: Divisor) -> int:
     return rr_space(curve, divisor).dim
-
-
-def h1(curve: Curve, divisor: Divisor) -> int:
-    """dim H^1(O(divisor)), computed by duality as h^0(K - divisor)."""
-    return rr_space(curve, curve.canonical_divisor() - divisor).dim
 
 
 # --- adelic H^1 -------------------------------------------------------------
@@ -473,40 +468,6 @@ def h1_space(curve: Curve, bundle: Divisor) -> H1Space:
     return H1Space(curve, bundle)
 
 
-def serre_pairing(tc: TailClass, omega: Differential) -> int:
-    """Sum over places of Tr(res(tail * omega)), in the base field.
-
-    Descends to the duality pairing of H^1(O(E)) against differentials with
-    divisor >= E.
-    """
-    curve = tc.curve
-    base = curve.field
-    total = 0
-    for pl, ent in tc.tails:
-        ring = curve.residue_ring(pl)
-        es = [e for e, _ in ent]
-        lo_w = -1 - max(es)
-        hi_w = -min(es)
-        _, wind = curve.differential_window(omega, pl, lo_w, hi_w)
-        acc = ring.zero
-        for e, c in ent:
-            acc = ring.add(acc, ring.mul(c, wind[(-1 - e) - lo_w]))
-        total = base.add(total, ring.trace(acc))
-    return total
-
-
-def differential_space(curve: Curve, divisor: Divisor) -> tuple:
-    """Basis of the differentials omega with div(omega) >= divisor."""
-    y_inv = curve.y().inverse()
-    sp = rr_space(curve, curve.canonical_divisor() - divisor)
-    return tuple((phi * y_inv).dx() for phi in sp.basis)
-
-
-def holomorphic_differentials(curve: Curve) -> tuple:
-    """The basis (dx/y, x dx/y) of the regular differentials."""
-    return differential_space(curve, Divisor())
-
-
 # --- Cartier-Manin ----------------------------------------------------------
 
 
@@ -526,41 +487,6 @@ def cartier_manin(curve: Curve) -> tuple:
 def cartier_nonsingular(curve: Curve) -> bool:
     m = cartier_manin(curve)
     return linalg.rank(curve.field, [list(r) for r in m]) == 2
-
-
-def p_rank(curve: Curve) -> int:
-    """Stable rank of the twisted iterates of the Cartier-Manin matrix."""
-    base = curve.field
-    m = [list(r) for r in cartier_manin(curve)]
-    n = m
-    for _ in range(3):
-        n = linalg.mat_mul(base, [[base.frob_inv(c) for c in row] for row in n], m)
-    return linalg.rank(base, n)
-
-
-def cartier_class(g) -> tuple:
-    """Coordinates (c1, c2) of the regular differential dg/g = (c1 + c2 x) dx/y.
-
-    Accepts a trivializing function or a PTorsionBundle.  Raises ValueError
-    when dg/g is not a regular differential (g not taken from a torsion
-    trivialization) or vanishes (g a p-th power).
-    """
-    if hasattr(g, "g"):
-        g = g.g
-    curve = g.curve
-    if g.is_zero:
-        raise ValueError("logarithmic differential of zero")
-    w = g.derivative() * g.inverse()
-    if w.is_zero:
-        raise ValueError("logarithmic differential vanishes")
-    omega = w.dx()
-    if not curve.divisor_of_differential(omega).is_effective:
-        raise ValueError("logarithmic differential is not regular")
-    psi = w * curve.y()
-    co = rr_space(curve, curve.canonical_divisor()).coords(psi)
-    if co is None:
-        raise RuntimeError("regular differential outside the standard basis")
-    return (co[0], co[1])
 
 
 # --- semilinear Frobenius on H^1 --------------------------------------------

@@ -377,6 +377,21 @@ def _retry(job, start: int, cap: int = _PREC_CAP):
             prec *= 2
 
 
+@functools.lru_cache(maxsize=512)
+def _places_above(curve: "Curve", u: Polynomial) -> tuple:
+    """`Curve.places_above`, computed once per (curve, u); a u that is not
+    monic irreducible raises, and the error is not cached."""
+    if not u.is_monic() or not is_irreducible(u):
+        raise ValueError("support must be monic irreducible")
+    fbar = curve.f % u
+    if fbar.is_zero:
+        return (Place(RAMIFIED, u),)
+    r = kappa_sqrt(fbar, u)
+    if r is None:
+        return (Place(INERT, u),)
+    return tuple(sorted([Place(SPLIT, u, r), Place(SPLIT, u, (-r) % u)]))
+
+
 @functools.lru_cache(maxsize=256)
 def _frame_cell(curve: "Curve", place: Place) -> list:
     """[prec, frames]: the highest-precision frames built at the place."""
@@ -486,15 +501,7 @@ class Curve:
 
     def places_above(self, u: Polynomial) -> list[Place]:
         """The places over the monic irreducible u, canonically ordered."""
-        if not u.is_monic() or not is_irreducible(u):
-            raise ValueError("support must be monic irreducible")
-        fbar = self.f % u
-        if fbar.is_zero:
-            return [Place(RAMIFIED, u)]
-        r = kappa_sqrt(fbar, u)
-        if r is None:
-            return [Place(INERT, u)]
-        return sorted([Place(SPLIT, u, r), Place(SPLIT, u, (-r) % u)])
+        return list(_places_above(self, u))
 
     def places_over(self, h: Polynomial) -> list[Place]:
         """All places over irreducible factors of h, canonically ordered."""

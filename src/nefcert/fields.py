@@ -735,10 +735,6 @@ def poly_random(f: Field, degree: int, rng: random.Random) -> Polynomial:
     return Polynomial(f, [rng.randrange(f.q) for _ in range(degree + 1)])
 
 
-def poly_random_monic(f: Field, degree: int, rng: random.Random) -> Polynomial:
-    return Polynomial(f, [rng.randrange(f.q) for _ in range(degree)] + [1])
-
-
 def is_irreducible(f: Polynomial) -> bool:
     """Rabin's irreducibility test."""
     n = f.degree

@@ -12,8 +12,8 @@ also brings places of degree above 2 to reduced pairs
 Sums and negations are built without re-validation; pairs read from
 outside (`MumfordClass(...)`, `from_point`, `random_class`) are checked.
 Global invariants (order of the group, characteristic polynomial of
-Frobenius, order over extensions) come from point counts over the base
-field and its quadratic extension.
+Frobenius) come from point counts over the base field and its quadratic
+extension.
 """
 
 from __future__ import annotations
@@ -403,19 +403,6 @@ def jac_order(curve: Curve) -> int:
     return frobenius_data(curve).order
 
 
-def jac_order_ext(curve: Curve, m: int) -> int:
-    """Order of the group over the degree-m extension, from the zeta data."""
-    data = frobenius_data(curve)
-    return _zeta_data(data.q**m, *_power_traces(data, m)).order
-
-
-def is_ordinary(curve: Curve) -> bool:
-    """Ordinary means the unit-root part of Frobenius has full rank 2,
-    equivalently p does not divide the middle trace term."""
-    data = frobenius_data(curve)
-    return data.a2 % curve.field.p != 0
-
-
 def p_torsion_field_degree(curve: Curve) -> int:
     """Least m with p-torsion rational over the degree-m extension.
 
@@ -442,22 +429,21 @@ def p_torsion_field_degree(curve: Curve) -> int:
 # --- sampling and torsion ------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=None)
-def affine_points(curve: Curve) -> tuple[tuple[int, int], ...]:
-    """All affine points (x0, y0), canonically ordered."""
-    F = curve.field
-    pts = []
-    for x0 in range(F.q):
-        y2 = curve.f.eval(x0)
-        r = F.sqrt(y2)
-        if r is None:
-            continue
-        if r == 0:
-            pts.append((x0, 0))
-        else:
-            pts.append((x0, r))
-            pts.append((x0, F.neg(r)))
-    return tuple(sorted(pts))
+def _reduction_table(F, f, b):
+    """The coefficients of f mod x^2 + b x + c that depend on b alone:
+    s1 = -f3 + 2 f4 b - 3 f5 b^2, s0 = f1 - f2 b + f3 b^2 - f4 b^3 + f5 b^4,
+    t2 = f4 - 2 f5 b and t1 = -f2 + f3 b - f4 b^2 + f5 b^3."""
+    mul, add, sub = F.mul, F.add, F.sub
+    f0, f1, f2, f3, f4, f5 = f
+    b2 = mul(b, b)
+    b3 = mul(b2, b)
+    f4b, f5b2 = mul(f4, b), mul(f5, b2)
+    s1 = sub(add(f4b, f4b), add(f3, add(f5b2, add(f5b2, f5b2))))
+    s0 = add(sub(add(f1, mul(f3, b2)), mul(f2, b)), sub(mul(f5b2, b2), mul(f4, b3)))
+    f5b = mul(f5, b)
+    t2 = sub(f4, add(f5b, f5b))
+    t1 = add(sub(mul(f3, b), f2), sub(mul(f5, b3), mul(f4, b2)))
+    return s1, s0, t2, t1
 
 
 def random_class(curve: Curve, rng: random.Random) -> MumfordClass:
@@ -466,39 +452,66 @@ def random_class(curve: Curve, rng: random.Random) -> MumfordClass:
     Degrees are drawn with weights q^2 : q : 1, so every class is reachable,
     including the ones with no rational-point support.  Each draw is tested
     on the coefficient codes, with nothing built: u = x + a divides f - v0^2
-    when f(-a) = v0^2, and u = x^2 + b x + c divides f - v^2 when the
-    coefficients of f - v^2 reduce to zero by x^2 = -b x - c.  Only the
-    accepted pair becomes a MumfordClass.  The draws, and so the random
-    stream, are those of the test `(f - v * v) % u` on polynomials.
+    when f(-a) = v0^2, and u = x^2 + b x + c divides f - v^2 when f and
+    v = v1 x + v0 agree mod u, where
+
+        f mod u   = (f5 c^2 + s1 c + s0) x + (t2 c^2 + t1 c + f0),
+        v^2 mod u = (2 v0 v1 - b v1^2) x + (v0^2 - c v1^2),
+
+    and s1, s0, t2, t1 depend on b alone (`_reduction_table`): they are
+    filled when the loop first meets b.  The x-coefficients are compared
+    first; they differ on all but about 1/q of the draws.  Only the accepted
+    pair becomes a MumfordClass.
+
+    A value below n is drawn as `rng.randrange(n)` draws it, inline:
+    getrandbits(n.bit_length()), drawn again while it is at least n.  So the
+    draws, and the random stream, are those of the loop on `randrange` and
+    the test `(f - v * v) % u` on polynomials.
     """
     base = curve.field
     q = base.q
     add, sub, mul = base.add, base.sub, base.mul
-    f = curve.f
+    f = curve.f.coeffs
+    f0, f5 = f[0], f[5]
+    tables = [None] * q
+    n = q * q + q + 1
+    kn, kq = n.bit_length(), q.bit_length()
+    bits = rng.getrandbits
     for _ in range(4096):
-        r = rng.randrange(q * q + q + 1)
+        r = bits(kn)
+        while r >= n:
+            r = bits(kn)
         if r == 0:
             return MumfordClass.zero(curve)
         if r <= q:
-            a = rng.randrange(q)
-            v0 = rng.randrange(q)
-            if f.eval(base.neg(a)) == mul(v0, v0):
+            a = bits(kq)
+            while a >= q:
+                a = bits(kq)
+            v0 = bits(kq)
+            while v0 >= q:
+                v0 = bits(kq)
+            if curve.f.eval(base.neg(a)) == mul(v0, v0):
                 return MumfordClass(curve, Polynomial(base, (a, 1)), Polynomial(base, (v0,)))
             continue
-        c = rng.randrange(q)
-        b = rng.randrange(q)
-        v0 = rng.randrange(q)
-        v1 = rng.randrange(q)
-        # f - v^2 with v^2 = v0^2 + 2 v0 v1 x + v1^2 x^2, then reduced mod u
-        g = list(f.coeffs)
-        g[0] = sub(g[0], mul(v0, v0))
-        g[1] = sub(g[1], mul(add(v0, v0), v1))
-        g[2] = sub(g[2], mul(v1, v1))
-        for i in range(len(g) - 1, 1, -1):
-            if g[i]:
-                g[i - 1] = sub(g[i - 1], mul(b, g[i]))
-                g[i - 2] = sub(g[i - 2], mul(c, g[i]))
-        if not g[0] and not g[1]:
+        c = bits(kq)
+        while c >= q:
+            c = bits(kq)
+        b = bits(kq)
+        while b >= q:
+            b = bits(kq)
+        v0 = bits(kq)
+        while v0 >= q:
+            v0 = bits(kq)
+        v1 = bits(kq)
+        while v1 >= q:
+            v1 = bits(kq)
+        t = tables[b]
+        if t is None:
+            t = tables[b] = _reduction_table(base, f, b)
+        s1, s0, t2, t1 = t
+        if add(mul(add(mul(f5, c), s1), c), s0) != mul(v1, sub(add(v0, v0), mul(b, v1))):
+            continue
+        if add(mul(add(mul(t2, c), t1), c), f0) == sub(mul(v0, v0), mul(c, mul(v1, v1))):
             return MumfordClass(curve, Polynomial(base, (c, b, 1)), Polynomial(base, (v0, v1)))
     raise RuntimeError("class sampling failed")
 
@@ -539,32 +552,6 @@ def find_p_torsion(curve: Curve, seed: int = 0) -> MumfordClass:
                 return s
             s = t
     raise RuntimeError("cofactor sampling failed to find p-torsion")
-
-
-def enumerate_classes(curve: Curve) -> list[MumfordClass]:
-    """Every class, by exhaustion over reduced pairs.  Intended as an
-    independent oracle for small fields; cost grows like q^4."""
-    F = curve.field
-    q = F.q
-    if q**4 > 10**7:
-        raise ValueError("field too large")
-    out = [MumfordClass.zero(curve)]
-    for deg in (1, 2):
-        for ucode in range(q**deg):
-            digits, c = [], ucode
-            for _ in range(deg):
-                c, r = divmod(c, q)
-                digits.append(r)
-            u = Polynomial(F, digits + [1])
-            for vcode in range(q**deg):
-                digits, c = [], vcode
-                for _ in range(deg):
-                    c, r = divmod(c, q)
-                    digits.append(r)
-                v = Polynomial(F, digits)
-                if ((curve.f - v * v) % u).is_zero:
-                    out.append(MumfordClass(curve, u, v))
-    return out
 
 
 # --- transfers between divisors and classes -------------------------------------

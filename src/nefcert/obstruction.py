@@ -403,14 +403,15 @@ def rational_places(curve: Curve) -> tuple:
     return tuple(sorted(out, key=Place.sort_key))
 
 
-def _subtract_points(curve: Curve, w, chosen, neg: dict):
+def _subtract_points(curve: Curve, w, chosen, neg: list):
     """W - sum [P_i - oo] over distinct rational places P_i, as a (u, v) pair
     of coefficient codes.
 
-    w is the code pair of W and neg maps each place to that of -[P - oo]
-    (zero at infinity).  The points are taken in pairs: the two negated
-    points of a pair add to a chord (one point with infinity, zero for P and
-    -P), and one more addition subtracts that from the running class.
+    w is the code pair of W, chosen holds the indices of the P_i, and neg[i]
+    is the code pair of -[P - oo] for the place of index i (zero at
+    infinity).  The points are taken in pairs: the two negated points of a
+    pair add to a chord (one point with infinity, zero for P and -P), and
+    one more addition subtracts that from the running class.
     """
     F, f = curve.field, curve.f.coeffs
     u, v = w
@@ -438,9 +439,13 @@ def choose_delta(
     computes W - sum [P_i - oo] by six additions and five chords on
     coefficient codes (`_subtract_points`), where reducing the whole divisor
     of the try would take a dozen or more; no class object is built.  The
-    random draws are unchanged and a class has one reduced pair, so the
-    result is too.  Raises ExtendFieldError("extend field") when the field
-    has too few points or the budget runs out.
+    draws sample indices into the rational places, which picks what
+    sampling the places themselves would (`sample` draws depend only on the
+    population size and k), so the tries look up and compare integers and
+    places are read only on a hit.  A class has one reduced pair, so the
+    result does not depend on how W - sum [P_i - oo] is computed.  Raises
+    ExtendFieldError("extend field") when the field has too few points or
+    the budget runs out.
     """
     curve = E.curve
     w_div = n_div - L.rep
@@ -453,16 +458,17 @@ def choose_delta(
     inf = curve.infinite_place()
     w_cls = divisor_class_to_mumford(curve, w_div - Divisor([(inf, 12)]))
     w = (w_cls.u.coeffs, w_cls.v.coeffs)
-    point = {pl: ((1,), ()) if pl == inf else (pl.u.coeffs, pl.v.coeffs) for pl in pts}
-    lookup = {uv: pl for pl, uv in point.items()}
-    neg = {pl: (u, tuple(curve.field.neg(c) for c in v)) for pl, (u, v) in point.items()}
+    point = [((1,), ()) if pl == inf else (pl.u.coeffs, pl.v.coeffs) for pl in pts]
+    lookup = {uv: i for i, uv in enumerate(point)}
+    neg = [(u, tuple(curve.field.neg(c) for c in v)) for u, v in point]
+    indices = range(len(pts))
     rng = random.Random(seed)
     for _ in range(tries):
-        chosen = rng.sample(pts, 11)
+        chosen = rng.sample(indices, 11)
         last = lookup.get(_subtract_points(curve, w, chosen, neg))
         if last is None or last in chosen:
             continue
-        d_div = Divisor([(pl, 1) for pl in chosen] + [(last, 1)])
+        d_div = Divisor([(pts[i], 1) for i in chosen] + [(pts[last], 1)])
         dsp = rr_space(curve, w_div - d_div)
         if dsp.dim != 1:
             continue

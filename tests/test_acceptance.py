@@ -19,13 +19,11 @@ from nefcert.cohomology import (
     h1_space,
     p_torsion_bundle,
     rr_space,
-    serre_pairing,
 )
 from nefcert.curves import Curve, Differential, Divisor
 from nefcert.fields import Polynomial, field, is_irreducible
 from nefcert.jacobian import (
     MumfordClass,
-    enumerate_classes,
     jac_order,
     random_class,
 )
@@ -46,6 +44,7 @@ from nefcert.obstruction import (
     normal_bundle_divisor,
     rational_places,
 )
+from nefcert.oracles import enumerate_classes, serre_pairing
 
 
 def _report(num: int, desc: str, ok: bool):

@@ -7,18 +7,12 @@ from hypothesis import strategies as st
 from nefcert import linalg
 from nefcert.cohomology import (
     TailClass,
-    cartier_class,
     cartier_manin,
     cartier_nonsingular,
-    differential_space,
     frobenius_h1,
     h0,
-    h1,
     h1_space,
-    holomorphic_differentials,
-    p_rank,
     rr_space,
-    serre_pairing,
     torsion_trivialization,
 )
 from nefcert.curves import Curve, Divisor
@@ -26,8 +20,16 @@ from nefcert.fields import Polynomial, field, is_irreducible
 from nefcert.jacobian import (
     find_p_torsion,
     frobenius_data,
-    is_ordinary,
     mumford_to_divisor,
+)
+from nefcert.oracles import (
+    cartier_class,
+    differential_space,
+    h1,
+    holomorphic_differentials,
+    is_ordinary,
+    p_rank,
+    serre_pairing,
 )
 
 F3 = field(3)

@@ -53,6 +53,21 @@ def test_constructor_rejects_bad_models():
         Curve(F5, (1, 0, 0, 0, 0, 1))
 
 
+def test_places_above_hands_out_copies_and_checks_every_call():
+    """The places are cached per (curve, u): a returned list can be changed
+    without changing the next answer, and a support that is not monic
+    irreducible raises on every call."""
+    C = curve35()
+    x = Polynomial.x(F3)
+    C.places_above(x).clear()
+    again = C.places_above(x)
+    assert [p.kind for p in again] == [SPLIT, SPLIT]
+    assert again is not C.places_above(x)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="monic irreducible"):
+            C.places_above(x * x)
+
+
 def test_places_above_kinds_and_canonical_root():
     C = curve35()
     x = Polynomial.x(F3)

@@ -21,10 +21,10 @@ from nefcert.fields import (
     poly_ord,
     poly_ord_cofactor,
     poly_random,
-    poly_random_monic,
     poly_roots,
     poly_xgcd,
 )
+from nefcert.oracles import poly_random_monic
 
 FIELDS = [field(3), field(5), field(11), field(3, 2), field(5, 2), field(3, 3)]
 

@@ -12,19 +12,16 @@ from nefcert.jacobian import (
     _cantor_compose,
     _cantor_reduce,
     _power_traces,
-    affine_points,
     class_order,
     divisor_class_to_mumford,
-    enumerate_classes,
     find_p_torsion,
     frobenius_data,
-    is_ordinary,
     jac_order,
-    jac_order_ext,
     mumford_to_divisor,
     p_torsion_field_degree,
     random_class,
 )
+from nefcert.oracles import affine_points, enumerate_classes, is_ordinary, jac_order_ext
 
 F3 = field(3)
 
@@ -248,9 +245,30 @@ def _polynomial_random_class(curve: Curve, rng: random.Random) -> MumfordClass:
     raise RuntimeError("class sampling failed")
 
 
-@pytest.mark.parametrize("p,k", [(3, 2), (5, 2), (3, 3)])
-def test_random_class_matches_the_polynomial_rejection_loop(p, k):
-    """Same classes from the same seeds, and the same random stream after."""
+def _outcome(sample, curve: Curve, rng: random.Random):
+    """The class a sampler returns, or the message of its RuntimeError."""
+    try:
+        return sample(curve, rng)
+    except RuntimeError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize(
+    "p,k,seeds,expected",
+    [
+        pytest.param(3, 2, range(40), {1, 2}, id="3-2"),
+        pytest.param(5, 2, range(40), {1, 2}, id="5-2"),
+        pytest.param(3, 3, range(40), {1, 2}, id="3-3"),
+        pytest.param(7, 1, range(40), {1, 2}, id="7-1"),
+        # at q = 343 most calls spend all 4096 draws; seed 0 does, 21 and 63
+        # draw classes of degree 2 and 1 on the first curve
+        pytest.param(7, 3, (0, 21, 63), {1, 2, "class sampling failed"}, id="7-3"),
+    ],
+)
+def test_random_class_matches_the_polynomial_rejection_loop(p, k, seeds, expected):
+    """Same classes, or the same failure, from the same seeds, and the same
+    random stream after: the inline draws are those of `randrange` on the
+    interpreter running the test."""
     F = field(p, k)
     setup = random.Random(p * 10 + k)
     curves = []
@@ -259,16 +277,16 @@ def test_random_class_matches_the_polynomial_rejection_loop(p, k):
             curves.append(Curve(F, tuple(F.random(setup) for _ in range(6))))
         except ValueError:
             continue
-    degrees = set()
+    outcomes = set()
     for C in curves:
-        for seed in range(40):
+        for seed in seeds:
             fast, ref = random.Random(seed), random.Random(seed)
             for _ in range(2):
-                cls = random_class(C, fast)
-                assert cls == _polynomial_random_class(C, ref)
-                degrees.add(cls.u.degree)
+                got = _outcome(random_class, C, fast)
+                assert got == _outcome(_polynomial_random_class, C, ref)
+                outcomes.add(got.u.degree if isinstance(got, MumfordClass) else got)
             assert fast.getstate() == ref.getstate()
-    assert degrees >= {1, 2}
+    assert outcomes >= expected
 
 
 # --- the closed-form group law against the Cantor oracle -----------------------

@@ -13,9 +13,7 @@ import pytest
 import nefcert
 from nefcert import linalg, obstruction, serialize
 from nefcert.cohomology import (
-    cartier_class,
     h0,
-    h1,
     p_torsion_bundle,
     rr_space,
 )
@@ -24,7 +22,6 @@ from nefcert.fields import Polynomial, field, is_irreducible
 from nefcert.jacobian import (
     class_order,
     divisor_class_to_mumford,
-    enumerate_classes,
 )
 from nefcert.obstruction import (
     ExtendFieldError,
@@ -45,6 +42,7 @@ from nefcert.obstruction import (
     obstruction_scalar,
     rational_places,
 )
+from nefcert.oracles import cartier_class, enumerate_classes, h1
 from nefcert.series import PrecisionError
 
 
@@ -507,6 +505,66 @@ def test_choose_delta_properties(setting):
     assert d2 == d_div and (delta - delta2).is_zero
 
 
+def _place_keyed_choose_delta(E, n_div, L, seed, tries):
+    """Reference: the try loop of `choose_delta` as it was before it sampled
+    indices, drawing the places themselves and keying its tables by them."""
+    curve = E.curve
+    w_div = n_div - L.rep
+    pts = rational_places(curve)
+    inf = curve.infinite_place()
+    w_cls = divisor_class_to_mumford(curve, w_div - Divisor([(inf, 12)]))
+    w = (w_cls.u.coeffs, w_cls.v.coeffs)
+    point = {pl: ((1,), ()) if pl == inf else (pl.u.coeffs, pl.v.coeffs) for pl in pts}
+    lookup = {uv: pl for pl, uv in point.items()}
+    neg = {pl: (u, tuple(curve.field.neg(c) for c in v)) for pl, (u, v) in point.items()}
+    rng = random.Random(seed)
+    for _ in range(tries):
+        chosen = rng.sample(pts, 11)
+        last = lookup.get(_subtract_points(curve, w, chosen, neg))
+        if last is None or last in chosen:
+            continue
+        d_div = Divisor([(pl, 1) for pl in chosen] + [(last, 1)])
+        dsp = rr_space(curve, w_div - d_div)
+        if dsp.dim != 1:
+            continue
+        return dsp.basis[0], d_div
+    raise ExtendFieldError("extend field")
+
+
+def _delta_outcome(choose, args):
+    """(delta, d_div) from a choose_delta loop, or None when it exhausts."""
+    try:
+        return choose(*args)
+    except ExtendFieldError:
+        return None
+
+
+@pytest.mark.parametrize("p,seed", [(3, 6), (7, 4)])
+def test_choose_delta_matches_the_place_keyed_loop(monkeypatch, p, seed):
+    """Sampling indices picks the places that sampling the places did: on
+    every `choose_delta` call of the searches at (3,6) and (7,4), two that
+    exhaust their tries and the one that succeeds, the same (delta, d_div)
+    or the same failure."""
+    calls = []
+
+    def recording(*args):
+        out = _delta_outcome(choose_delta, args)
+        calls.append((args, out))
+        if out is None:
+            raise ExtendFieldError("extend field")
+        return out
+
+    monkeypatch.setattr(obstruction, "choose_delta", recording)
+    certificate_build(p, seed)
+    assert [out is None for _, out in calls] == [True, True, False]
+    for args, out in calls:
+        ref = _delta_outcome(_place_keyed_choose_delta, args)
+        if out is None:
+            assert ref is None
+        else:
+            assert ref[1] == out[1] and (ref[0] - out[0]).is_zero
+
+
 @pytest.mark.parametrize("which", ["cert", "cert25"])
 def test_point_subtraction_matches_divisor_reduction(request, which):
     """W - sum [P_i - oo] by chord pairs equals the reduction of the whole
@@ -520,10 +578,10 @@ def test_point_subtraction_matches_divisor_reduction(request, which):
     pts = rational_places(curve)
     w_cls = divisor_class_to_mumford(curve, w_div - Divisor([(inf, 12)]))
     w = (w_cls.u.coeffs, w_cls.v.coeffs)
-    neg_codes = {}
+    neg_codes = []
     for pl in pts:
         cls = -divisor_class_to_mumford(curve, Divisor([(pl, 1), (inf, -1)]))
-        neg_codes[pl] = (cls.u.coeffs, cls.v.coeffs)
+        neg_codes.append((cls.u.coeffs, cls.v.coeffs))
     (ram,) = [pl for pl in pts if pl.kind == RAMIFIED]
     split = [pl for pl in pts if pl.kind == SPLIT]
     pos, neg = split[0], next(pl for pl in split[1:] if pl.u == split[0].u)
@@ -545,7 +603,7 @@ def test_point_subtraction_matches_divisor_reduction(request, which):
         expect = divisor_class_to_mumford(
             curve, w_div - Divisor((pl, 1) for pl in chosen) - Divisor([(inf, 1)])
         )
-        got = _subtract_points(curve, w, chosen, neg_codes)
+        got = _subtract_points(curve, w, [pts.index(pl) for pl in chosen], neg_codes)
         assert got == (expect.u.coeffs, expect.v.coeffs)
 
 
