@@ -22,14 +22,12 @@ from .fields import (
     embedding,
     field,
     is_irreducible,
-    kappa_sqrt,
     poly_factor,
     poly_gcd,
     poly_ord,
     poly_ord_cofactor,
 )
 from .series import (
-    BaseRing,
     PolyModRing,
     PrecisionError,
     QuadModRing,
@@ -386,7 +384,7 @@ def _places_above(curve: "Curve", u: Polynomial) -> tuple:
     fbar = curve.f % u
     if fbar.is_zero:
         return (Place(RAMIFIED, u),)
-    r = kappa_sqrt(fbar, u)
+    r = PolyModRing(curve.field, u).sqrt(fbar)
     if r is None:
         return (Place(INERT, u),)
     return tuple(sorted([Place(SPLIT, u, r), Place(SPLIT, u, (-r) % u)]))
@@ -413,7 +411,7 @@ def _frames(curve: "Curve", place: Place, prec: int):
             frames = series_infinite(ring, curve.f, prec)
         else:
             if place.kind == SPLIT:
-                y0 = ring.kappa(place.v)
+                y0 = ring.embed_poly(place.v % place.u)
             else:
                 y0 = ring.root if place.kind == INERT else None
             frames = series_finite(ring, curve.f, place.u, y0, prec)
@@ -486,18 +484,16 @@ class Curve:
     def residue_ring(self, place: Place):
         """Coefficient ring of local expansions at the place.
 
-        The only code that chooses a ring: the base field for places of
-        degree 1 (and at infinity), F_q[x]/(u) for split and ramified places
-        of higher degree, its quadratic extension by a root of f at inert
-        places.  The series constructors take the ring from here.
-        """
-        if place.kind == INFINITE:
-            return BaseRing(self.field)
+        The only code that chooses a ring: the curve's field itself at
+        places of degree 1 and at infinity, F_q[x]/(u) for split and
+        ramified places of higher degree, its quadratic extension by a root
+        of f at inert places.  The series constructors take the ring from
+        here."""
         if place.kind == INERT:
             return QuadModRing(self.field, place.u, self.f % place.u)
-        if place.u.degree > 1:
+        if place.kind != INFINITE and place.u.degree > 1:
             return PolyModRing(self.field, place.u)
-        return BaseRing(self.field, place.u)
+        return self.field
 
     def places_above(self, u: Polynomial) -> list[Place]:
         """The places over the monic irreducible u, canonically ordered."""

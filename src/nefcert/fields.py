@@ -11,8 +11,12 @@ The remainder loops (`%`, `//`, `poly_gcd`, `Polynomial.pow_mod`,
 `Polynomial` only for what they return.
 
 Also provides univariate polynomials over such fields (gcd, xgcd, factoring,
-irreducibility testing, modular square roots, Hensel lifting of square roots).
-Functions on a curve, fractions included, live in `curves.FunctionElement`.
+irreducibility testing, Hensel lifting of square roots) and the one
+Tonelli-Shanks loop, which `Field.sqrt` and `series.PolyModRing.sqrt` share.
+A field is also the coefficient ring of local expansions at its rational
+places; the residue fields F_q[x]/(u) of the other places are
+`series.PolyModRing`.  Functions on a curve, fractions included, live in
+`curves.FunctionElement`.
 """
 
 from __future__ import annotations
@@ -155,34 +159,67 @@ class Field:
         """
         if a == 0:
             return 0
-        q = self.q
-        if self.pow(a, (q - 1) // 2) != 1:
+        if self.legendre(a) != 1:
             return None
-        if q % 4 == 3:
-            r = self.pow(a, (q + 1) // 4)
-        else:
-            # Tonelli-Shanks with a deterministic non-residue scan
-            s, m = 0, q - 1
-            while m % 2 == 0:
-                s += 1
-                m //= 2
-            z = 2
-            while self.legendre(z) != -1:
-                z += 1
-            c = self.pow(z, m)
-            r = self.pow(a, (m + 1) // 2)
-            t = self.pow(a, m)
-            while t != 1:
-                t2, i = t, 0
-                while t2 != 1:
-                    t2 = self.mul(t2, t2)
-                    i += 1
-                b = self.pow(c, 1 << (s - i - 1))
-                r = self.mul(r, b)
-                c = self.mul(b, b)
-                t = self.mul(t, c)
-                s = i
+        # the non-residue, if asked for, is the first non-square from code 2 on
+        scan = (z for z in range(2, self.q) if self.legendre(z) == -1)
+        r = tonelli_shanks(a, self.q, 1, self.mul, self.pow, scan.__next__)
         return min(r, self.neg(r))
+
+    # --- the ring protocol of local expansions (`series`) -------------------
+    # At places of degree 1 and at infinity the residue field is the field
+    # itself, and series coefficients are its codes.
+    zero = 0
+    one = 1
+
+    def embed(self, code: int) -> int:
+        return code
+
+    def embed_int(self, n: int) -> int:
+        return n % self.p
+
+    def embed_poly(self, a: Polynomial) -> int:
+        """The element that a, reduced modulo a linear u, stands for."""
+        return a[0]
+
+    def is_zero(self, a: int) -> bool:
+        return a == 0
+
+    def trace(self, a: int) -> int:
+        return a
+
+    def to_codes(self, a: int) -> tuple:
+        return (a,)
+
+    def series_mul(self, a: list, b: list, n: int) -> list:
+        """The first n coefficients of the product of two coefficient lists."""
+        return self.poly_mul(a, b)[:n]
+
+
+def tonelli_shanks(a, q: int, one, mul, pow_, nonresidue):
+    """A square root of the nonzero square a of a field with q elements, q
+    odd, from the field's mul and pow_ (Tonelli-Shanks).  nonresidue() gives
+    a non-square; it is asked for only when q = 1 mod 4."""
+    if q % 4 == 3:
+        return pow_(a, (q + 1) // 4)
+    s, m = 0, q - 1
+    while m % 2 == 0:
+        s += 1
+        m //= 2
+    c = pow_(nonresidue(), m)
+    r = pow_(a, (m + 1) // 2)
+    t = pow_(a, m)
+    while t != one:
+        t2, i = t, 0
+        while t2 != one:
+            t2 = mul(t2, t2)
+            i += 1
+        b = pow_(c, 1 << (s - i - 1))
+        r = mul(r, b)
+        c = mul(b, b)
+        t = mul(t, c)
+        s = i
+    return r
 
 
 class PrimeField(Field):
@@ -276,13 +313,16 @@ class ExtensionField(Field):
             digits.append(tuple(row))
         self._digits = digits
         n = q - 1
-        g, exp = 1, [1]
-        while len(exp) < n:  # powers of the first g of multiplicative order n
+        # the first g of multiplicative order n: g^(n/r) != 1 for each prime r | n
+        base, primes = field(p), _factor_int(n)
+        mod, one = Polynomial(base, modulus), Polynomial.one(base)
+        g = 2
+        while any(Polynomial(base, digits[g]).pow_mod(n // r, mod) == one for r in primes):
             g += 1
-            exp, x = [1], g
-            while x != 1:
-                exp.append(x)
-                x = self._raw_mul(x, g)
+        exp, x = [1], g
+        while x != 1:
+            exp.append(x)
+            x = self._raw_mul(x, g)
         log = [0] * q
         for i, v in enumerate(exp):
             log[v] = i
@@ -904,93 +944,6 @@ def embedding(src: Field, dst: Field):
             table.append(acc)
         _EMBED_CACHE[key] = table
     return table.__getitem__
-
-
-# --- residue-field helpers: kappa = F_q[x]/(u), u monic irreducible ----------
-
-
-def kappa_inv(a: Polynomial, u: Polynomial) -> Polynomial:
-    g, s, _ = poly_xgcd(a % u, u)
-    if g.degree != 0:
-        raise ZeroDivisionError("not invertible modulo u")
-    return s % u
-
-
-def kappa_pow(a: Polynomial, e: int, u: Polynomial) -> Polynomial:
-    if e < 0:
-        return kappa_inv(a, u).pow_mod(-e, u)
-    return a.pow_mod(e, u)
-
-
-def kappa_trace(a: Polynomial, u: Polynomial) -> int:
-    """Trace from F_q[x]/(u) down to F_q, as a field code."""
-    field = a.field
-    q = field.q
-    d = u.degree
-    acc = Polynomial.zero(field)
-    b = a % u
-    for _ in range(d):
-        acc = acc + b
-        b = b.pow_mod(q, u)
-    if acc.degree > 0:
-        raise RuntimeError("trace did not land in the base field")
-    return acc[0]
-
-
-def kappa_sqrt(a: Polynomial, u: Polynomial) -> Optional[Polynomial]:
-    """Canonical square root in F_q[x]/(u), or None for non-squares.
-
-    Tonelli-Shanks in the multiplicative group of order q^deg(u) - 1; of the
-    two roots the one with the smaller coefficient code is returned.
-    """
-    field = a.field
-    a = a % u
-    if a.is_zero:
-        return a
-    if u.degree == 1:  # kappa is F_q itself
-        r = field.sqrt(a.coeffs[0])
-        return None if r is None else Polynomial(field, (r,))
-    Q = field.q ** u.degree
-    one = Polynomial.one(field)
-
-    def is_sq(b: Polynomial) -> bool:
-        return kappa_pow(b, (Q - 1) // 2, u) == one
-
-    if not is_sq(a):
-        return None
-    if Q % 4 == 3:
-        r = kappa_pow(a, (Q + 1) // 4, u)
-    else:
-        s, m = 0, Q - 1
-        while m % 2 == 0:
-            s += 1
-            m //= 2
-        # for even deg(u) every constant is a square in kappa: skip them
-        z = None
-        for code in range(field.q if u.degree % 2 == 0 else 1, Q):
-            c, digits = code, []
-            while c:
-                c, rdig = divmod(c, field.q)
-                digits.append(rdig)
-            cand = Polynomial(field, digits)
-            if not is_sq(cand):
-                z = cand
-                break
-        c = kappa_pow(z, m, u)
-        r = kappa_pow(a, (m + 1) // 2, u)
-        t = kappa_pow(a, m, u)
-        while t != one:
-            t2, i = t, 0
-            while t2 != one:
-                t2 = (t2 * t2) % u
-                i += 1
-            b = kappa_pow(c, 1 << (s - i - 1), u)
-            s = i
-            r = (r * b) % u
-            c = (b * b) % u
-            t = (t * c) % u
-    rn = (-r) % u
-    return min(r, rn, key=lambda w: w.coeffs[::-1])
 
 
 def hensel_sqrt(f: Polynomial, u: Polynomial, v: Polynomial, m: int) -> Polynomial:

@@ -446,6 +446,13 @@ def _reduction_table(F, f, b):
     return s1, s0, t2, t1
 
 
+@functools.lru_cache(maxsize=16)
+def _reduction_tables(curve: Curve) -> list:
+    """The `_reduction_table` of each b met so far on the curve, by b (None
+    where not yet met): filled across the `random_class` calls of a search."""
+    return [None] * curve.field.q
+
+
 def random_class(curve: Curve, rng: random.Random) -> MumfordClass:
     """A random group element, by rejection sampling over reduced pairs.
 
@@ -458,8 +465,8 @@ def random_class(curve: Curve, rng: random.Random) -> MumfordClass:
         f mod u   = (f5 c^2 + s1 c + s0) x + (t2 c^2 + t1 c + f0),
         v^2 mod u = (2 v0 v1 - b v1^2) x + (v0^2 - c v1^2),
 
-    and s1, s0, t2, t1 depend on b alone (`_reduction_table`): they are
-    filled when the loop first meets b.  The x-coefficients are compared
+    and s1, s0, t2, t1 depend on b alone (`_reduction_table`), kept per
+    curve from the first draw that meets b.  The x-coefficients are compared
     first; they differ on all but about 1/q of the draws.  Only the accepted
     pair becomes a MumfordClass.
 
@@ -473,7 +480,7 @@ def random_class(curve: Curve, rng: random.Random) -> MumfordClass:
     add, sub, mul = base.add, base.sub, base.mul
     f = curve.f.coeffs
     f0, f5 = f[0], f[5]
-    tables = [None] * q
+    tables = _reduction_tables(curve)
     n = q * q + q + 1
     kn, kq = n.bit_length(), q.bit_length()
     bits = rng.getrandbits

@@ -2,10 +2,13 @@
 
 Local computations at a place of a hyperelliptic curve happen in the
 completed local ring, which is a power series ring over the residue field.
-The residue field is either the base field itself, a quotient F_q[x]/(u), or
-a quadratic extension of such a quotient.  Ring adapter classes give these
-three a uniform element interface so one series engine serves all of them.
-`Curve.residue_ring` is the only code that chooses the adapter of a place.
+The residue field is either the base field itself, a quotient
+kappa = F_q[x]/(u), or a quadratic extension of such a quotient.  The three
+share one element interface (zero, one, embed, add, mul, inv, trace,
+series_mul, ...), so one series engine serves all of them: a `Field` is its
+own ring, `PolyModRing` holds the arithmetic of kappa, square roots
+included, and `QuadModRing` builds on a `PolyModRing`.
+`Curve.residue_ring` is the only code that chooses the ring of a place.
 Products of series run on the field's code kernel: over the base field
 as one `Field.poly_mul`, over F_q[x]/(u) as one `Field.poly_mul` of
 Kronecker-packed codes, and over the quadratic extension as three such
@@ -28,84 +31,17 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from .fields import Field, Polynomial, kappa_inv, kappa_pow, kappa_trace
+from .fields import Field, Polynomial, poly_xgcd, tonelli_shanks
 
 
 class PrecisionError(Exception):
     """A series does not carry enough terms to answer the query."""
 
 
-class BaseRing:
-    """Coefficients in the finite field itself, stored as element codes.
-
-    u is the linear polynomial of the place (None at infinity); it only
-    serves the residue map, so equality and hashing look at the field alone.
-    """
-
-    __slots__ = ("field", "u")
-
-    def __init__(self, field: Field, u: Polynomial | None = None):
-        self.field = field
-        self.u = u
-
-    def __eq__(self, other):
-        return type(other) is BaseRing and other.field == self.field
-
-    def __hash__(self):
-        return hash(("base", self.field))
-
-    def __repr__(self):
-        return f"BaseRing(F_{self.field.q})"
-
-    @property
-    def zero(self):
-        return 0
-
-    @property
-    def one(self):
-        return 1
-
-    def embed(self, code: int):
-        return code
-
-    def embed_int(self, n: int):
-        return n % self.field.p
-
-    def kappa(self, a: Polynomial):
-        return (a % self.u)[0]
-
-    def add(self, a, b):
-        return self.field.add(a, b)
-
-    def neg(self, a):
-        return self.field.neg(a)
-
-    def mul(self, a, b):
-        return self.field.mul(a, b)
-
-    def inv(self, a):
-        return self.field.inv(a)
-
-    def trace(self, a) -> int:
-        return a
-
-    def is_zero(self, a) -> bool:
-        return a == 0
-
-    def frob(self, a):
-        return self.field.frob(a)
-
-    def to_codes(self, a) -> tuple:
-        return (a,)
-
-    def series_mul(self, a: list, b: list, n: int) -> list:
-        """The first n coefficients of the product of two coefficient
-        lists, on the field's code kernel."""
-        return self.field.poly_mul(a, b)[:n]
-
-
 class PolyModRing:
-    """Coefficients in F_q[x]/(u), stored as reduced polynomials."""
+    """Coefficients in kappa = F_q[x]/(u), u monic irreducible, stored as
+    reduced polynomials: the arithmetic of kappa itself.  inv, pow, trace
+    and sqrt take any polynomial and reduce it mod u."""
 
     __slots__ = ("field", "u")
 
@@ -136,8 +72,8 @@ class PolyModRing:
     def embed_int(self, n: int):
         return Polynomial.const(self.field, n % self.field.p)
 
-    def kappa(self, a: Polynomial):
-        return a % self.u
+    def embed_poly(self, a: Polynomial):
+        return a
 
     def add(self, a, b):
         return a + b
@@ -149,16 +85,63 @@ class PolyModRing:
         return (a * b) % self.u
 
     def inv(self, a):
-        return kappa_inv(a, self.u)
+        g, s, _ = poly_xgcd(a % self.u, self.u)
+        if g.degree != 0:
+            raise ZeroDivisionError("not invertible modulo u")
+        return s % self.u
+
+    def pow(self, a, e: int):
+        if e < 0:
+            return self.inv(a).pow_mod(-e, self.u)
+        return a.pow_mod(e, self.u)
 
     def trace(self, a) -> int:
-        return kappa_trace(a, self.u)
+        """Trace from kappa down to F_q, as a field code."""
+        u, q = self.u, self.field.q
+        acc, b = self.zero, a % u
+        for _ in range(u.degree):
+            acc = acc + b
+            b = b.pow_mod(q, u)
+        if acc.degree > 0:
+            raise RuntimeError("trace did not land in the base field")
+        return acc[0]
+
+    def sqrt(self, a) -> Polynomial | None:
+        """The canonical square root of a in kappa, or None for non-squares:
+        of the two roots, the one with the smaller reversed coefficients."""
+        F, u = self.field, self.u
+        a = a % u
+        if a.is_zero:
+            return a
+        if u.degree == 1:  # kappa is F_q itself
+            r = F.sqrt(a[0])
+            return None if r is None else Polynomial(F, (r,))
+        Q, one = F.q**u.degree, self.one
+
+        def is_sq(b: Polynomial) -> bool:
+            return self.pow(b, (Q - 1) // 2) == one
+
+        def nonresidue():
+            # by code; for even deg(u) every constant is a square in kappa
+            for code in range(F.q if u.degree % 2 == 0 else 1, Q):
+                c, digits = code, []
+                while c:
+                    c, d = divmod(c, F.q)
+                    digits.append(d)
+                z = Polynomial(F, digits)
+                if not is_sq(z):
+                    return z
+
+        if not is_sq(a):
+            return None
+        r = tonelli_shanks(a, Q, one, self.mul, self.pow, nonresidue)
+        return min(r, (-r) % u, key=lambda w: w.coeffs[::-1])
 
     def is_zero(self, a) -> bool:
         return a.is_zero
 
     def frob(self, a):
-        return kappa_pow(a, self.field.p, self.u)
+        return self.pow(a, self.field.p)
 
     def to_codes(self, a) -> tuple:
         return tuple(a[i] for i in range(self.u.degree))
@@ -231,8 +214,8 @@ class QuadModRing:
     def embed_int(self, n: int):
         return self.embed(n % self.field.p)
 
-    def kappa(self, a: Polynomial):
-        return (a % self.u, Polynomial.zero(self.field))
+    def embed_poly(self, a: Polynomial):
+        return (a, Polynomial.zero(self.field))
 
     def add(self, a, b):
         return (a[0] + b[0], a[1] + b[1])
@@ -250,13 +233,13 @@ class QuadModRing:
     def inv(self, a):
         u = self.u
         n = (a[0] * a[0] - a[1] * a[1] * self.fbar) % u
-        ni = kappa_inv(n, u)
+        ni = self._half.inv(n)
         return ((a[0] * ni) % u, (-a[1] * ni) % u)
 
     def trace(self, a) -> int:
         # Tr down to F_q factors through the degree-2 step, which sends
         # a + b*root to 2a.
-        return kappa_trace(a[0] + a[0], self.u)
+        return self._half.trace(a[0] + a[0])
 
     def is_zero(self, a) -> bool:
         return a[0].is_zero and a[1].is_zero
@@ -264,12 +247,9 @@ class QuadModRing:
     def frob(self, a):
         # (a + b*root)^p = a^p + b^p * root^p and root^2 = fbar, so the
         # root part picks up fbar^((p-1)/2).
-        p = self.field.p
-        fp = kappa_pow(self.fbar, (p - 1) // 2, self.u)
-        return (
-            kappa_pow(a[0], p, self.u),
-            (kappa_pow(a[1], p, self.u) * fp) % self.u,
-        )
+        half = self._half
+        fp = half.pow(self.fbar, (self.field.p - 1) // 2)
+        return (half.frob(a[0]), half.mul(half.frob(a[1]), fp))
 
     def to_codes(self, a) -> tuple:
         d = self.u.degree
@@ -546,7 +526,7 @@ def series_finite(ring, f: Polynomial, u: Polynomial, y0, prec: int):
     def step(x: TruncSeries) -> TruncSeries:
         return x - (poly_series(ring, g, x) - te) * poly_series(ring, dg, x).invert()
 
-    x0 = ring.kappa(Polynomial.x(f.field))
+    x0 = ring.embed_poly(Polynomial.x(f.field) % u)
     xs = _newton(TruncSeries.const(ring, x0, 1), step, prec)
     if y0 is None:
         ys = TruncSeries.t_power(ring, 1, prec)

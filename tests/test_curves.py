@@ -25,7 +25,7 @@ from nefcert.fields import (
     is_irreducible,
     poly_ord,
 )
-from nefcert.series import BaseRing, PolyModRing, QuadModRing, TruncSeries, _newton, poly_series
+from nefcert.series import PolyModRing, QuadModRing, TruncSeries, _newton, poly_series
 
 F3 = field(3)
 F5 = field(5)
@@ -280,6 +280,7 @@ def test_local_expansions_satisfy_curve_equation():
             ring, sy = C.expand(C.y(), pl, 14)
             _, sf = C.expand(C.fn(C.f), pl, 14)
             assert ring == C.residue_ring(pl)
+            assert (ring is C.field) == (pl.degree == 1)  # the field is its own ring
             assert (sy * sy - sf).is_zero
             if pl.kind == INFINITE:
                 # t = x^2 / y is the parameter at infinity
@@ -330,14 +331,14 @@ def _reference_frames(C: Curve, pl, prec: int):
     g, e = (f, 2) if pl.kind == RAMIFIED else (pl.u, 1)
     te, dg = TruncSeries.t_power(ring, e, prec), g.derivative()
     xs = _fixed_point(
-        TruncSeries.const(ring, ring.kappa(Polynomial.x(C.field)), prec),
+        TruncSeries.const(ring, ring.embed_poly(Polynomial.x(C.field) % pl.u), prec),
         lambda x: x - (poly_series(ring, g, x) - te) * poly_series(ring, dg, x).invert(),
     )
     if pl.kind == RAMIFIED:
         return ring, xs, TruncSeries.t_power(ring, 1, prec)
     fs = poly_series(ring, f, xs)
     half = TruncSeries.const(ring, ring.inv(ring.embed_int(2)), prec)
-    y0 = ring.kappa(pl.v) if pl.kind == SPLIT else ring.root
+    y0 = ring.embed_poly(pl.v) if pl.kind == SPLIT else ring.root
     ys = _fixed_point(TruncSeries.const(ring, y0, prec), lambda y: (y + fs * y.invert()) * half)
     return ring, xs, ys
 
@@ -403,7 +404,7 @@ def test_series_products_match_the_schoolbook_product():
 
     # (ring, a random element) per representation
     rings = [
-        (BaseRing(F9), lambda: F9.random(rng)),
+        (F9, lambda: F9.random(rng)),
         (PolyModRing(F9, u2), lambda: poly(F9, 2)),
         (PolyModRing(F7, u3), lambda: poly(F7, 3)),
         (QuadModRing(F7, u3, Polynomial(F7, (3,))), lambda: (poly(F7, 3), poly(F7, 3))),
@@ -498,7 +499,7 @@ def test_expanding_a_shared_denominator_inverts_one_series(monkeypatch):
 
 
 def test_newton_that_never_settles_raises():
-    ring = BaseRing(F5)
+    ring = F5
     one = TruncSeries.const(ring, 1, 8)
     with pytest.raises(RuntimeError, match="did not stabilize"):
         _newton(TruncSeries.const(ring, 0, 1), lambda x: x + one, 8)

@@ -289,6 +289,33 @@ def test_random_class_matches_the_polynomial_rejection_loop(p, k, seeds, expecte
     assert outcomes >= expected
 
 
+def test_reduction_tables_are_filled_once_per_curve(monkeypatch):
+    """The per-b tables of `random_class` are kept per curve: two calls on
+    one q = 343 curve, each spending all 4096 draws and so meeting every b,
+    build the 343 tables once between them, not once per call."""
+    F = field(7, 3)
+    setup = random.Random(73)
+    while True:
+        try:
+            C = Curve(F, tuple(F.random(setup) for _ in range(6)))
+            break
+        except ValueError:
+            continue
+    jacobian._reduction_tables.cache_clear()
+    built = []
+    table = jacobian._reduction_table
+
+    def counted(F, f, b):
+        built.append(b)
+        return table(F, f, b)
+
+    monkeypatch.setattr(jacobian, "_reduction_table", counted)
+    rng = random.Random(0)
+    for _ in range(2):
+        assert _outcome(random_class, C, rng) == "class sampling failed"
+    assert sorted(built) == list(range(F.q))
+
+
 # --- the closed-form group law against the Cantor oracle -----------------------
 
 

@@ -893,24 +893,32 @@ def _sweep():
 
 
 def test_verify_is_total_on_single_leaf_mutations(cert):
-    """Every single-leaf mutation of the q = 9 certificate ends in a report or
-    a format error.  f coefficients outside F_9 (1000, -1) fail check 1 with
-    a reason instead of indexing the field tables out of range."""
+    """Every single-leaf mutation of the q = 9 certificate, all 436 cases of
+    the sweep, ends in a report or a format error.  Only the mutations that
+    leave the certificate as it was, or change its unchecked `seed`, pass.
+    f coefficients outside F_9 (1000, -1) fail check 1 with a reason
+    instead of indexing the field tables out of range."""
     sweep = _sweep()
     d = serialize.certificate_to_dict(cert)
     cases = sweep.cases(d)
-    sample = random.Random(10).sample(cases, 40)
-    sample += [c for c in cases if c[0] in (("f", 0), ("f", 3), ("f", 5)) and c[1] in ("1000", "-1")]
-    for path, op, change in sample:
+    reports, passed = 0, []
+    for path, op, change in cases:
+        m = sweep.mutated(d, path, change)
         try:
-            report = certificate_verify(sweep.mutated(d, path, change))
+            report = certificate_verify(m)
         except serialize.CertificateFormatError:
             continue
+        reports += 1
         assert len(report.checks) == 7, path
+        if report.ok:
+            assert path == ("seed",) or m == d, (path, op)
+            passed.append(path)
         if path[0] == "f" and op in ("1000", "-1"):
             first = report.checks[0]
             assert not first.passed and first.detail == "coefficient out of field range"
             assert all(c.detail == "no curve to check against" for c in report.checks[1:])
+    assert (len(cases), reports) == (436, 340)
+    assert passed.count(("seed",)) == 4 and len(passed) == 13
 
 
 def test_verify_output_is_the_same_under_optimize(cert, tmp_path):
