@@ -1,16 +1,16 @@
 """Exact cohomology for the genus-2 models of `curves`.
 
 Riemann-Roch spaces are solved as kernels of explicit congruence conditions
-on numerator pairs (A + B y) / h.  H^1 of a line bundle O(E) uses the adelic
-description: a class is a finite family of pole tails, one Laurent polynomial
-per place, taken modulo tails of global functions and modulo anything O(E)
-absorbs.  Reduction against a ladder of sections pushes every class to a
-canonical representative supported at the place over x = infinity, on the
-finitely many exponents the ladder cannot reach; those exponents are in
-bijection with a basis, so classes get exact coordinates.  On top of this
-sit Cartier-Manin matrices and the p-power (sigma-semilinear) Frobenius maps
-on H^1 used by the obstruction pipeline; the Serre duality pairing, which
-the tests check these against, is in `oracles`.
+on numerator pairs (A + B y) / h.  H^1 of a line bundle O(E) is given by its
+gap exponents at the place over x = infinity: the tails t^e there, t the
+local parameter, for the pole orders -e that sections cannot reach, are a
+basis.  The p-power (sigma-semilinear) Frobenius on H^1 used by the
+obstruction pipeline is read off Serre duality and the Cartier operator
+from one local expansion at a rational place (Tate, "Residues of
+differentials on curves", 1968); Cartier-Manin matrices and the torsion
+trivializations sit next to it.  The adelic classes and the Serre duality
+pairing, which the tests check the Frobenius matrices against, are in
+`oracles`.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .curves import (
     Curve,
     Divisor,
     FunctionElement,
+    _retry,
 )
 from .fields import Field, Polynomial, hensel_sqrt
 
@@ -190,287 +191,55 @@ def h0(curve: Curve, divisor: Divisor) -> int:
     return rr_space(curve, divisor).dim
 
 
-# --- adelic H^1 -------------------------------------------------------------
+# --- H^1 by its gaps at infinity ---------------------------------------------
 
 
-class TailClass:
-    """A class in H^1 of O(bundle), given by pole tails of an adele.
+class H1Space(NamedTuple):
+    """H^1 of O(bundle), by its gap exponents at the place over infinity.
 
-    `tails` maps finitely many places to Laurent polynomials in the local
-    parameter: sorted (exponent, coefficient) pairs with coefficients in the
-    residue ring of the place.  Coefficients at exponents >= -bundle.mult(P)
-    are absorbed by the bundle and dropped on construction.
+    The gaps are the -k for the k > bundle(infinity) at which h^0 does not
+    grow as the multiplicity of the bundle at infinity is raised to k.  With
+    t = x^2/y the local parameter there, the tails t^e at infinity, e in
+    `gaps`, are a basis of H^1(O(bundle)); there are exactly h^1 of them.
     """
 
-    __slots__ = ("curve", "bundle", "tails")
-
-    def __init__(self, curve: Curve, bundle: Divisor, data: dict):
-        items = []
-        for place in sorted(data):
-            ring = curve.residue_ring(place)
-            cap = -bundle.mult(place)
-            ent = tuple(
-                (e, c)
-                for e, c in sorted(data[place].items())
-                if e < cap and not ring.is_zero(c)
-            )
-            if ent:
-                items.append((place, ent))
-        self.curve = curve
-        self.bundle = bundle
-        self.tails = tuple(items)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.tails
-
-    def data(self) -> dict:
-        return {pl: dict(ent) for pl, ent in self.tails}
-
-    def _check(self, other: "TailClass") -> None:
-        if self.curve != other.curve or self.bundle != other.bundle:
-            raise ValueError("mismatched bundles")
-
-    def __add__(self, other: "TailClass") -> "TailClass":
-        self._check(other)
-        data = self.data()
-        for pl, ent in other.tails:
-            ring = self.curve.residue_ring(pl)
-            d = data.setdefault(pl, {})
-            for e, c in ent:
-                d[e] = ring.add(d.get(e, ring.zero), c)
-        return TailClass(self.curve, self.bundle, data)
-
-    def __neg__(self) -> "TailClass":
-        data = {}
-        for pl, ent in self.tails:
-            ring = self.curve.residue_ring(pl)
-            data[pl] = {e: ring.neg(c) for e, c in ent}
-        return TailClass(self.curve, self.bundle, data)
-
-    def __sub__(self, other: "TailClass") -> "TailClass":
-        return self + (-other)
-
-    def scale(self, code: int) -> "TailClass":
-        data = {}
-        for pl, ent in self.tails:
-            ring = self.curve.residue_ring(pl)
-            cc = ring.embed(code)
-            data[pl] = {e: ring.mul(cc, c) for e, c in ent}
-        return TailClass(self.curve, self.bundle, data)
-
-    def frobenius(self) -> "TailClass":
-        """The p-power image, a class in H^1 of O(p * bundle)."""
-        p = self.curve.field.p
-        data = {}
-        for pl, ent in self.tails:
-            ring = self.curve.residue_ring(pl)
-            data[pl] = {e * p: ring.frob(c) for e, c in ent}
-        return TailClass(self.curve, self.bundle * p, data)
-
-    def mult_fn(self, phi: FunctionElement) -> "TailClass":
-        """Multiplication by phi, landing in H^1 of O(bundle - div(phi))."""
-        curve = self.curve
-        new_bundle = self.bundle - curve.divisor(phi)
-        data: dict = {}
-        for pl, ent in self.tails:
-            ring = curve.residue_ring(pl)
-            cap = -new_bundle.mult(pl)
-            lo_e = min(e for e, _ in ent)
-            vphi = curve.valuation(phi, pl)
-            hi_w = cap - lo_e
-            if hi_w <= vphi:
-                continue
-            _, wind = curve.window(phi, pl, vphi, hi_w)
-            acc: dict = {}
-            for e, c in ent:
-                for k, w in enumerate(wind):
-                    ee = e + vphi + k
-                    if ee >= cap:
-                        break
-                    if ring.is_zero(w):
-                        continue
-                    acc[ee] = ring.add(acc.get(ee, ring.zero), ring.mul(c, w))
-            if acc:
-                data[pl] = acc
-        return TailClass(curve, new_bundle, data)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TailClass)
-            and self.curve == other.curve
-            and self.bundle == other.bundle
-            and self.tails == other.tails
-        )
-
-    def __hash__(self):
-        return hash((self.curve, self.bundle, self.tails))
-
-    def __repr__(self):
-        return f"TailClass({self.bundle!r}, {self.tails!r})"
-
-
-class H1Space:
-    """Canonical coordinates on H^1 of O(bundle).
-
-    Canonical representatives are tails at the infinite place supported on
-    the gap exponents: the pole orders no section of O(bundle + k*infinity)
-    attains.  There are exactly h^1 of them.
-    """
-
-    def __init__(self, curve: Curve, bundle: Divisor):
-        self.curve = curve
-        self.bundle = bundle
-        self._inf = curve.infinite_place()
-        self.n_inf = bundle.mult(self._inf)
-        self.finite_part = Divisor(
-            [(pl, m) for pl, m in bundle.items if pl.kind != INFINITE]
-        )
-        degf = self.finite_part.degree
-        gaps = []
-        prev = rr_space(curve, self._plus_inf(self.n_inf)).dim
-        for k in range(self.n_inf + 1, max(self.n_inf, 3 - degf) + 1):
-            cur = rr_space(curve, self._plus_inf(k)).dim
-            if cur == prev:
-                gaps.append(-k)
-            prev = cur
-        self.gaps = tuple(sorted(gaps))
-        dual = rr_space(curve, curve.canonical_divisor() - bundle).dim
-        if len(self.gaps) != dual:
-            raise RuntimeError("gap count disagrees with duality")
-        self._ladders: dict = {}
-
-    def _plus_inf(self, k: int) -> Divisor:
-        return self.finite_part + Divisor([(self._inf, k)])
+    gaps: tuple
 
     @property
     def dim(self) -> int:
         return len(self.gaps)
 
-    def zero(self) -> TailClass:
-        return TailClass(self.curve, self.bundle, {})
-
-    def basis(self) -> tuple:
-        return tuple(
-            TailClass(self.curve, self.bundle, {self._inf: {e: 1}}) for e in self.gaps
-        )
-
-    def from_coords(self, vec) -> TailClass:
-        data = {e: c for e, c in zip(self.gaps, vec) if c}
-        return TailClass(self.curve, self.bundle, {self._inf: data} if data else {})
-
-    def _ladder(self, lo: int):
-        got = self._ladders.get(lo)
-        if got is not None:
-            return got
-        curve = self.curve
-        hi = -self.n_inf
-        rows = []
-        for phi in rr_space(curve, self._plus_inf(-lo)).basis:
-            _, wind = curve.window(phi, self._inf, lo, hi)
-            rows.append(wind)
-        if rows:
-            red, pivots = linalg.rref(curve.field, rows)
-            red = red[: len(pivots)]
-        else:
-            red, pivots = [], []
-        free = {lo + i for i in range(hi - lo)} - {lo + c for c in pivots}
-        if free != {e for e in self.gaps if e >= lo}:
-            raise RuntimeError("ladder misses a gap")
-        self._ladders[lo] = (pivots, red)
-        return pivots, red
-
-    def reduce(self, tc: TailClass) -> TailClass:
-        """The canonical representative of the class of tc."""
-        if tc.curve != self.curve or tc.bundle != self.bundle:
-            raise ValueError("mismatched bundles")
-        curve = self.curve
-        base = curve.field
-        inf = self._inf
-        data = tc.data()
-        inf_tail = data.pop(inf, {})
-        if data:
-            # Stage 1: subtract a global function matching every finite tail.
-            # It may have poles as deep as the tails themselves plus a pole
-            # at infinity large enough to make the matching system solvable.
-            adj = {pl: m for pl, m in self.finite_part.items}
-            wins = []
-            for pl in sorted(data):
-                cap = -self.bundle.mult(pl)
-                lo_p = min(data[pl])
-                wins.append((pl, lo_p, cap))
-                adj[pl] = -lo_p
-            m1 = max(self.n_inf, 0) + abs(self.finite_part.degree) + 5
-            adj[inf] = m1
-            space = rr_space(curve, Divisor(adj))
-            cols = []
-            for phi in space.basis:
-                col: list[int] = []
-                for pl, lo_p, cap in wins:
-                    ring, wind = curve.window(phi, pl, lo_p, cap)
-                    for c in wind:
-                        col += list(ring.to_codes(c))
-                cols.append(col)
-            rhs: list[int] = []
-            for pl, lo_p, cap in wins:
-                ring = curve.residue_ring(pl)
-                d = data[pl]
-                for e in range(lo_p, cap):
-                    rhs += list(ring.to_codes(d.get(e, ring.zero)))
-            rows = [[col[i] for col in cols] for i in range(len(rhs))]
-            sol = linalg.solve(base, rows, rhs)
-            if sol is None:
-                raise RuntimeError("finite tails not matchable by sections")
-            hfn = curve.zero()
-            for cj, phi in zip(sol, space.basis):
-                if cj:
-                    hfn = hfn + phi.scale(cj)
-            if not hfn.is_zero:
-                for pl, lo_p, cap in wins:
-                    ring, wind = curve.window(hfn, pl, lo_p, cap)
-                    d = data[pl]
-                    for k, c in enumerate(wind):
-                        if c != d.get(lo_p + k, ring.zero):
-                            raise RuntimeError("stage-1 mismatch")
-                vh = curve.valuation(hfn, inf)
-                hi = -self.n_inf
-                if vh < hi:
-                    _, wind = curve.window(hfn, inf, vh, hi)
-                    for k, c in enumerate(wind):
-                        if c:
-                            e = vh + k
-                            inf_tail[e] = base.sub(inf_tail.get(e, 0), c)
-        # Stage 2: reduce the tail at infinity against the section ladder.
-        inf_tail = {e: c for e, c in inf_tail.items() if c}
-        if inf_tail:
-            lo = min(inf_tail)
-            hi = -self.n_inf
-            vec = [inf_tail.get(e, 0) for e in range(lo, hi)]
-            pivots, red = self._ladder(lo)
-            for i, pc in enumerate(pivots):
-                c = vec[pc]
-                if c:
-                    row = red[i]
-                    vec = [base.sub(a, base.mul(c, b)) for a, b in zip(vec, row)]
-            inf_tail = {lo + i: c for i, c in enumerate(vec) if c}
-            if not set(inf_tail) <= set(self.gaps):
-                raise RuntimeError("non-gap exponent after reduction")
-        return TailClass(curve, self.bundle, {inf: inf_tail} if inf_tail else {})
-
-    def coords(self, tc: TailClass) -> tuple:
-        red = self.reduce(tc)
-        d = red.data().get(self._inf, {})
-        return tuple(d.get(e, 0) for e in self.gaps)
-
 
 @functools.lru_cache(maxsize=256)
 def h1_space(curve: Curve, bundle: Divisor) -> H1Space:
-    return H1Space(curve, bundle)
+    inf = curve.infinite_place()
+    n_inf = bundle.mult(inf)
+    finite = [(pl, m) for pl, m in bundle.items if pl.kind != INFINITE]
+    degf = sum(m * pl.degree for pl, m in finite)
+    gaps = []
+    prev = rr_space(curve, bundle).dim
+    for k in range(n_inf + 1, max(n_inf, 3 - degf) + 1):
+        cur = rr_space(curve, Divisor(finite + [(inf, k)])).dim
+        if cur == prev:
+            gaps.append(-k)
+        prev = cur
+    if len(gaps) != rr_space(curve, curve.canonical_divisor() - bundle).dim:
+        raise RuntimeError("gap count disagrees with duality")
+    return H1Space(tuple(sorted(gaps)))
+
+
+def differential_space(curve: Curve, divisor: Divisor) -> tuple:
+    """Basis of the differentials omega with div(omega) >= divisor: phi dx/y
+    for phi in the canonical basis of L(K - divisor), K = div(dx/y)."""
+    y_inv = curve.y().inverse()
+    sp = rr_space(curve, curve.canonical_divisor() - divisor)
+    return tuple((phi * y_inv).dx() for phi in sp.basis)
 
 
 # --- Cartier-Manin ----------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=256)
 def cartier_manin(curve: Curve) -> tuple:
     """The 2x2 matrix (c_{ip-j})_{i,j in {1,2}} of coefficients of f^((p-1)/2).
 
@@ -504,14 +273,6 @@ class SemilinearMap(NamedTuple):
     matrix: tuple
     source_dim: int
     target_dim: int
-
-    def apply(self, vec) -> tuple:
-        w = list(vec)
-        for _ in range(self.twist):
-            w = [self.field.frob(c) for c in w]
-        for _ in range(-self.twist):
-            w = [self.field.frob_inv(c) for c in w]
-        return tuple(linalg.mat_vec(self.field, [list(r) for r in self.matrix], w))
 
     @property
     def rank(self) -> int:
@@ -569,38 +330,92 @@ def p_torsion_bundle(curve: Curve, cls) -> PTorsionBundle:
     return PTorsionBundle(cls, rep, g, p)
 
 
+def _rational_places(curve: Curve):
+    """The places of degree 1: over x = a for the codes a = 0, 1, ... in
+    turn, then the place at infinity."""
+    base = curve.field
+    for a in range(base.q):
+        for pl in curve.places_above(Polynomial(base, (base.neg(a), 1))):
+            if pl.degree == 1:
+                yield pl
+    yield curve.infinite_place()
+
+
 def frobenius_h1(
     curve: Curve,
     source: Divisor,
     trivialization: FunctionElement | PTorsionBundle | None = None,
 ) -> SemilinearMap:
-    """Matrix of xi -> xi^p / trivialization on canonical H^1 coordinates.
+    """Matrix of xi -> xi^p / g from H^1(O(source)) to H^1(O), in the gap
+    bases of `h1_space`, with g the trivialization: div(g) = -p * source.
 
-    The p-power map sends H^1(O(source)) to H^1(O(p * source)); dividing by
-    the trivialization moves the image to H^1 of
-    p * source + div(trivialization).  For the trivial source bundle no
-    trivialization is needed; for any other source omitting it raises
-    ValueError("missing trivialization").
+    For the trivial source g may be omitted (it is 1); for any other source
+    omitting it raises ValueError("missing trivialization").  The matrix is
+    read off Serre duality.  For omega_j in the regular differentials and C
+    the Cartier operator,
+
+        <xi^p / g, omega_j> = res(xi * C(omega_j / g))^p,
+
+    and C(omega_j / g) = sum_l c_jl beta_l over the basis beta_l of the
+    differentials with divisor >= source.  At a rational place with local
+    parameter s where g is a unit, C(sum_n a_n s^n ds) has coefficient
+    a_(pm+p-1)^(1/p) at s^m, so the c_jl^p solve
+    sum_l c_jl^p b_lm^p = a_(pm+p-1) for omega_j / g, where b_lm is the
+    coefficient of s^m in beta_l / ds and m runs over the pivot exponents of
+    the beta_l there.  At infinity R_kl = <t^(e_k), beta_l> and
+    P_ij = <t^(e_i), omega_j> are single coefficients, and the matrix M
+    solves P^T M = r with r_jk = sum_l c_jl^p R_kl^p: no p-th root is taken.
+
+    Raises ValueError when div(g) is not -p * source, or when g is a unit
+    at no rational place.
     """
+    base = curve.field
+    p = base.p
     if isinstance(trivialization, PTorsionBundle):
         trivialization = trivialization.g
     if trivialization is None:
         if not source.is_zero:
             raise ValueError("missing trivialization")
-        ginv = None
-        target = source
+        g = curve.one()
+    elif curve.has_divisor(trivialization, source * -p):
+        g = trivialization
     else:
-        ginv = trivialization.inverse()
-        target = source * curve.field.p - curve.divisor(ginv)
-    src = h1_space(curve, source)
-    tgt = h1_space(curve, target)
-    cols = []
-    for xi in src.basis():
-        eta = xi.frobenius()
-        if ginv is not None:
-            eta = eta.mult_fn(ginv)
-        cols.append(tgt.coords(eta))
-    matrix = tuple(
-        tuple(cols[j][i] for j in range(src.dim)) for i in range(tgt.dim)
-    )
-    return SemilinearMap(curve.field, 1, matrix, src.dim, tgt.dim)
+        raise ValueError("div(g) is not -p * source")
+    src, tgt = h1_space(curve, source), h1_space(curve, Divisor())
+    betas, omegas = differential_space(curve, source), differential_space(curve, Divisor())
+    inf = curve.infinite_place()
+
+    def pairings(diffs, gaps):
+        """[[res(t^e omega) at infinity for omega in diffs] for e in gaps]:
+        the coefficient of t^(-1-e) in omega / dt."""
+        lo, hi = -1 - max(gaps), -min(gaps)
+        wins = [curve.differential_window(om, inf, lo, hi)[1] for om in diffs]
+        return [[w[-1 - e - lo] for w in wins] for e in gaps]
+
+    for pl in _rational_places(curve):
+        if curve.valuation(g, pl) != 0:
+            continue
+        # a differential with divisor >= source has order <= 2 where source
+        # is 0, so its expansions on [0, 3) have a pivot each
+        bs = [curve.differential_window(b, pl, 0, 3)[1] for b in betas]
+        pivots = linalg.rref(base, bs)[1]
+        if len(pivots) != len(betas):
+            raise RuntimeError("differentials dependent at a place")
+        n = p * (pivots[-1] + 1)
+
+        def job(prec):
+            gs = curve.expand(g, pl, prec)[1]
+            return [(curve.expand_differential(om, pl, prec)[1] / gs).window(0, n) for om in omegas]
+
+        bp = [[base.frob(b[m]) for b in bs] for m in pivots]
+        cp = [
+            linalg.solve(base, bp, [w[p * m + p - 1] for m in pivots])
+            for w in _retry(job, n + 8)
+        ]
+        rp = [[base.frob(c) for c in row] for row in pairings(betas, src.gaps)]
+        r = [linalg.mat_vec(base, rp, c) for c in cp]
+        pt = [list(col) for col in zip(*pairings(omegas, tgt.gaps))]
+        cols = [linalg.solve(base, pt, [row[k] for row in r]) for k in range(src.dim)]
+        matrix = tuple(tuple(col[i] for col in cols) for i in range(tgt.dim))
+        return SemilinearMap(base, 1, matrix, src.dim, tgt.dim)
+    raise ValueError("g is a unit at no rational place")

@@ -13,7 +13,8 @@ Sums and negations are built without re-validation; pairs read from
 outside (`MumfordClass(...)`, `from_point`, `random_class`) are checked.
 Global invariants (order of the group, characteristic polynomial of
 Frobenius) come from point counts over the base field and its quadratic
-extension.
+extension; the degree of the field of the p-torsion comes from the
+Cartier-Manin matrix.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import random
 from typing import NamedTuple
 
 from . import linalg
+from .cohomology import cartier_manin
 from .curves import Curve, Divisor, INERT, INFINITE, RAMIFIED, SPLIT
 from .fields import Polynomial, _factor_int, field, poly_factor, poly_xgcd
 
@@ -406,23 +408,26 @@ def jac_order(curve: Curve) -> int:
 def p_torsion_field_degree(curve: Curve) -> int:
     """Least m with p-torsion rational over the degree-m extension.
 
-    Works in the 2x2 companion of the unit-root factor T^2 - a1 T + a2 of
-    the characteristic polynomial mod p; the connected part contributes
-    nothing.  Requires an ordinary curve.
+    By Manin's theorem the q-power Frobenius acts on the p-torsion of an
+    ordinary curve, mod p, with the eigenvalues of the Cartier-Manin norm
+    N = H^(sigma^(k-1)) ... H^sigma H (H itself over a prime field), so m
+    is the least one with N^m - I singular.  Requires an ordinary curve.
     """
-    p = curve.field.p
-    data = frobenius_data(curve)
-    if data.a2 % p == 0:
+    F = curve.field
+    H = [list(r) for r in cartier_manin(curve)]
+    N = H
+    for _ in range(F.k - 1):
+        H = [[F.frob(c) for c in row] for row in H]
+        N = linalg.mat_mul(F, H, N)
+    if linalg.rank(F, N) < 2:
         raise ValueError("expected ordinary")
-    F = field(p)
-    M = [[0, -data.a2 % p], [1, data.a1 % p]]
-    A = M
-    for m in range(1, p * p):
-        # 1 is an eigenvalue of A = M^m: A - I is singular
+    A = N
+    for m in range(1, F.p * F.p):
+        # 1 is an eigenvalue of A = N^m: A - I is singular
         (a, b), (c, d) = A
         if linalg.rank(F, [[F.sub(a, 1), b], [c, F.sub(d, 1)]]) < 2:
             return m
-        A = linalg.mat_mul(F, A, M)
+        A = linalg.mat_mul(F, A, N)
     raise AssertionError("unit-root eigenvalues must have order dividing p^2 - 1")
 
 

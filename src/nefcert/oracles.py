@@ -2,10 +2,11 @@
 
 Exhaustive class enumeration and the rational points by brute force, group
 orders over extensions, the ordinary test from the zeta data, h^1 by
-duality, the Serre duality pairing and the differentials it pairs with, the
-p-rank and the Cartier class of dg/g, and random monic polynomials.  No
-command of the CLI imports this module, so none of it is compiled or
-loaded on a cold `search` or `verify`.
+duality, adelic H^1 classes as pole tails with the Serre duality pairing
+and the regular differentials it pairs them with, the Frobenius matrix on
+H^1 from residues at infinity, the p-rank and the Cartier class of dg/g,
+and random monic polynomials.  No command of the CLI imports this module,
+so none of it is compiled or loaded on a cold `search` or `verify`.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import functools
 import random
 
 from . import linalg
-from .cohomology import TailClass, cartier_manin, rr_space
+from .cohomology import cartier_manin, differential_space, h1_space, rr_space
 from .curves import Curve, Differential, Divisor
 from .fields import Field, Polynomial
 from .jacobian import MumfordClass, _power_traces, _zeta_data, frobenius_data
@@ -88,6 +89,88 @@ def h1(curve: Curve, divisor: Divisor) -> int:
     return rr_space(curve, curve.canonical_divisor() - divisor).dim
 
 
+class TailClass:
+    """A class in H^1 of O(bundle), given by pole tails of an adele.
+
+    `tails` maps finitely many places to Laurent polynomials in the local
+    parameter: sorted (exponent, coefficient) pairs with coefficients in the
+    residue ring of the place.  Coefficients at exponents >= -bundle.mult(P)
+    are absorbed by the bundle and dropped on construction.  The basis class
+    of a gap e of `cohomology.h1_space` is the tail {infinity: {e: 1}}.
+    """
+
+    __slots__ = ("curve", "bundle", "tails")
+
+    def __init__(self, curve: Curve, bundle: Divisor, data: dict):
+        items = []
+        for place in sorted(data):
+            ring = curve.residue_ring(place)
+            cap = -bundle.mult(place)
+            ent = tuple(
+                (e, c)
+                for e, c in sorted(data[place].items())
+                if e < cap and not ring.is_zero(c)
+            )
+            if ent:
+                items.append((place, ent))
+        self.curve = curve
+        self.bundle = bundle
+        self.tails = tuple(items)
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.tails
+
+    def data(self) -> dict:
+        return {pl: dict(ent) for pl, ent in self.tails}
+
+    def _check(self, other: "TailClass") -> None:
+        if self.curve != other.curve or self.bundle != other.bundle:
+            raise ValueError("mismatched bundles")
+
+    def __add__(self, other: "TailClass") -> "TailClass":
+        self._check(other)
+        data = self.data()
+        for pl, ent in other.tails:
+            ring = self.curve.residue_ring(pl)
+            d = data.setdefault(pl, {})
+            for e, c in ent:
+                d[e] = ring.add(d.get(e, ring.zero), c)
+        return TailClass(self.curve, self.bundle, data)
+
+    def __neg__(self) -> "TailClass":
+        data = {}
+        for pl, ent in self.tails:
+            ring = self.curve.residue_ring(pl)
+            data[pl] = {e: ring.neg(c) for e, c in ent}
+        return TailClass(self.curve, self.bundle, data)
+
+    def __sub__(self, other: "TailClass") -> "TailClass":
+        return self + (-other)
+
+    def scale(self, code: int) -> "TailClass":
+        data = {}
+        for pl, ent in self.tails:
+            ring = self.curve.residue_ring(pl)
+            cc = ring.embed(code)
+            data[pl] = {e: ring.mul(cc, c) for e, c in ent}
+        return TailClass(self.curve, self.bundle, data)
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, TailClass)
+            and self.curve == other.curve
+            and self.bundle == other.bundle
+            and self.tails == other.tails
+        )
+
+    def __hash__(self):
+        return hash((self.curve, self.bundle, self.tails))
+
+    def __repr__(self):
+        return f"TailClass({self.bundle!r}, {self.tails!r})"
+
+
 def serre_pairing(tc: TailClass, omega: Differential) -> int:
     """Sum over places of Tr(res(tail * omega)), in the base field.
 
@@ -110,16 +193,29 @@ def serre_pairing(tc: TailClass, omega: Differential) -> int:
     return total
 
 
-def differential_space(curve: Curve, divisor: Divisor) -> tuple:
-    """Basis of the differentials omega with div(omega) >= divisor."""
-    y_inv = curve.y().inverse()
-    sp = rr_space(curve, curve.canonical_divisor() - divisor)
-    return tuple((phi * y_inv).dx() for phi in sp.basis)
-
-
 def holomorphic_differentials(curve: Curve) -> tuple:
     """The basis (dx/y, x dx/y) of the regular differentials."""
     return differential_space(curve, Divisor())
+
+
+def frobenius_by_residues(curve: Curve, source: Divisor, g) -> tuple:
+    """The matrix of `cohomology.frobenius_h1` from the pairing's definition.
+
+    With t = x^2/y, the gap classes t^e_k of H^1(O(source)) and t^e_i of
+    H^1(O), and the regular differentials omega_j, the image t^(p e_k) / g
+    of t^e_k pairs as r_jk = res(t^(p e_k) omega_j / g) at infinity, and
+    the matrix M solves P^T M = r for P_ij = res(t^e_i omega_j) there.
+    Every residue is taken by `Curve.residue`.
+    """
+    base = curve.field
+    inf = curve.infinite_place()
+    t = curve.x() * curve.x() / curve.y()
+    oms = holomorphic_differentials(curve)
+    src, tgt = h1_space(curve, source).gaps, h1_space(curve, Divisor()).gaps
+    pt = [[curve.residue(om, inf, num=(t**e,)) for e in tgt] for om in oms]
+    r = [[curve.residue(om, inf, num=(t ** (base.p * e),), den=(g,)) for e in src] for om in oms]
+    cols = [linalg.solve(base, pt, [row[k] for row in r]) for k in range(len(src))]
+    return tuple(tuple(col[i] for col in cols) for i in range(len(tgt)))
 
 
 def p_rank(curve: Curve) -> int:

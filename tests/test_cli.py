@@ -241,7 +241,7 @@ def test_config_echo_is_pinned(capsys, monkeypatch):
 
 # Source lines of the `nefcert` modules a cold `search` or `verify` loads,
 # as README.md states under "Start-up cost".
-COLD_IMPORT_LINES = 5053
+COLD_IMPORT_LINES = 4873
 
 
 def test_cold_import_path_is_lean():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nefcert import jacobian
+from nefcert import jacobian, linalg
 from nefcert.curves import Curve, Divisor
 from nefcert.fields import Polynomial, embedding, field, poly_gcd
 from nefcert.jacobian import (
@@ -181,6 +181,48 @@ def test_ordinarity_and_torsion_field_degree():
         find_p_torsion(curve35())
     # 3 divides the order 12, so the torsion is already rational
     assert p_torsion_field_degree(curve3x()) == 1
+
+
+def _torsion_degree_by_counts(curve: Curve) -> int:
+    """The least m with 1 an eigenvalue of M^m, M the companion matrix of the
+    unit-root factor T^2 - a1 T + a2 of the characteristic polynomial of
+    Frobenius mod p, with a1 and a2 from point counts."""
+    p = curve.field.p
+    data = frobenius_data(curve)
+    F = field(p)
+    M = [[0, -data.a2 % p], [1, data.a1 % p]]
+    A = M
+    for m in range(1, p * p):
+        (a, b), (c, d) = A
+        if linalg.rank(F, [[F.sub(a, 1), b], [c, F.sub(d, 1)]]) < 2:
+            return m
+        A = linalg.mat_mul(F, A, M)
+    raise AssertionError("no power of the unit-root companion has eigenvalue 1")
+
+
+def test_torsion_field_degree_matches_the_point_count_reference():
+    """Manin: the degree read from the Cartier-Manin matrix equals the one
+    from the zeta data on 220 random ordinary curves over F_3 .. F_27, and
+    it refuses the non-ordinary curves met on the way."""
+    ordinary = 0
+    primes = [(p, 1) for p in (3, 5, 7, 11, 13, 17, 19, 23)]
+    for p, k in primes + [(3, 2), (5, 2), (3, 3)]:
+        F = field(p, k)
+        rng = random.Random(100 * p + k)
+        seen = 0
+        while seen < 20:
+            try:
+                C = Curve(F, tuple(rng.randrange(F.q) for _ in range(5)) + (1,))
+            except ValueError:
+                continue
+            if not is_ordinary(C):
+                with pytest.raises(ValueError, match="expected ordinary"):
+                    p_torsion_field_degree(C)
+                continue
+            assert p_torsion_field_degree(C) == _torsion_degree_by_counts(C), (p, k, C)
+            seen += 1
+        ordinary += seen
+    assert ordinary == 220
 
 
 def test_find_p_torsion():

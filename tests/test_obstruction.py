@@ -13,6 +13,7 @@ import pytest
 import nefcert
 from nefcert import linalg, obstruction, serialize
 from nefcert.cohomology import (
+    frobenius_h1,
     h0,
     p_torsion_bundle,
     rr_space,
@@ -42,7 +43,7 @@ from nefcert.obstruction import (
     obstruction_scalar,
     rational_places,
 )
-from nefcert.oracles import cartier_class, enumerate_classes, h1
+from nefcert.oracles import cartier_class, enumerate_classes, frobenius_by_residues, h1
 from nefcert.series import PrecisionError
 
 
@@ -692,6 +693,16 @@ def cert_p13_s0():
     return certificate_build(13, seed=0)
 
 
+@pytest.fixture(scope="module")
+def cert_p43_s0():
+    return certificate_build(43, seed=0)
+
+
+@pytest.fixture(scope="module")
+def cert_p47_s1():
+    return certificate_build(47, seed=1)
+
+
 def _sha256(cert) -> str:
     return hashlib.sha256(serialize.canonical_bytes(serialize.certificate_to_dict(cert))).hexdigest()
 
@@ -703,6 +714,8 @@ PINNED = {
     "cert_p7_s4": "3a34c7d4cc86fd4b164423c30a6771a777a719eeb9263a7ea72f1d86349331ff",
     "cert_p7_s0": "02de0c1b48806fffe6643464bfef9bc20c1c6242047b3914e3b0505fa64b5908",
     "cert_p13_s0": "d5401b9b6e2014c577fff80f5b64b7247737ce18341a44b08508f2f518f848e2",
+    "cert_p43_s0": "65330fee30f21e266830e5d75cd6ce6d01fb9f2543f64c6cc6d4a154dc52cb40",
+    "cert_p47_s1": "993b6b40ad007c7c25816cfe19b9b3df1fce6bb1befa73f4cbf8c13e16496758",
 }
 
 
@@ -712,9 +725,21 @@ def test_certificate_bytes_are_pinned(request, which, digest):
     is wrong in a consistent way (a field kernel, beta) still round-trips;
     their canonical bytes are pinned instead.  (3,6) and (7,4) reach theirs
     only after retries: three `choose_delta` calls each, after pencils or
-    point configurations that fail.  (13,0) is the one search over a prime
-    field."""
+    point configurations that fail.  (13,0), (43,0) and (47,1) are searches
+    over prime fields; at p = 43 and 47 the Frobenius matrix on H^1(-L) is
+    read at a place whose expansion runs to p terms."""
     assert _sha256(request.getfixturevalue(which)) == digest
+
+
+@pytest.mark.parametrize("which", ["cert", "cert25", "cert_p7_s0", "cert_p7_s4", "cert_p13_s0"])
+def test_stored_frobenius_matches_the_pairing_definition(request, which):
+    """The certificate's Frobenius matrix, which check 5 recomputes, equals
+    the one the residues at infinity of the pairing's definition give."""
+    cert = request.getfixturevalue(which)
+    curve = Curve(field(cert.p, cert.k), cert.f)
+    source = -p_torsion_bundle(curve, cert.l_cls).rep
+    assert frobenius_by_residues(curve, source, cert.g) == cert.frob.matrix
+    assert frobenius_h1(curve, source, cert.g) == cert.frob
 
 
 def _has_divisor_cases(curve, div):
@@ -881,6 +906,9 @@ def test_certificate_mutations_fail_at_the_intended_check(cert, mutate, expect):
     assert not report.ok
     failed = [c.index for c in report.checks if not c.passed]
     assert expect in failed
+    if mutate == "g":
+        # the Frobenius matrix is read off div(g) = p * L, so check 5 fails too
+        assert report.checks[4].detail == "div(g) is not -p * source" and 5 in failed
 
 
 def _sweep():
