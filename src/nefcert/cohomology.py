@@ -24,6 +24,7 @@ from .curves import (
     RAMIFIED,
     SPLIT,
     Curve,
+    Differential,
     Divisor,
     FunctionElement,
     _retry,
@@ -82,9 +83,6 @@ class RRSpace(NamedTuple):
         if sol is None:
             return None
         return tuple(sol)
-
-    def contains(self, phi: FunctionElement) -> bool:
-        return self.coords(phi) is not None
 
 
 def _append_congruence(rows, mod: Polynomial, nun: int, cols) -> None:
@@ -187,10 +185,6 @@ def rr_space(curve: Curve, divisor: Divisor) -> RRSpace:
     )
 
 
-def h0(curve: Curve, divisor: Divisor) -> int:
-    return rr_space(curve, divisor).dim
-
-
 # --- H^1 by its gaps at infinity ---------------------------------------------
 
 
@@ -234,6 +228,13 @@ def differential_space(curve: Curve, divisor: Divisor) -> tuple:
     y_inv = curve.y().inverse()
     sp = rr_space(curve, curve.canonical_divisor() - divisor)
     return tuple((phi * y_inv).dx() for phi in sp.basis)
+
+
+def is_regular(omega: Differential) -> bool:
+    """Whether omega = w dx is regular: omega = (w y) dx/y and div(dx/y) = K,
+    so omega is regular exactly when w y lies in L(K) = <1, x>."""
+    curve = omega.curve
+    return rr_space(curve, curve.canonical_divisor()).coords(omega.w * curve.y()) is not None
 
 
 # --- Cartier-Manin ----------------------------------------------------------
@@ -284,10 +285,6 @@ class SemilinearMap(NamedTuple):
     def injective(self) -> bool:
         return self.rank == self.source_dim
 
-    @property
-    def is_zero(self) -> bool:
-        return all(not c for row in self.matrix for c in row)
-
 
 def torsion_trivialization(
     curve: Curve, rep: Divisor, order: int
@@ -303,7 +300,7 @@ def torsion_trivialization(
     if sp.dim == 0:
         raise ValueError("class is not killed by the stated order")
     g = sp.basis[0]
-    if curve.divisor(g) != rep * order:
+    if not curve.has_divisor(g, rep * order):
         raise RuntimeError("trivialization divisor differs from order * rep")
     return g
 

@@ -254,10 +254,6 @@ class FunctionElement:
             self.h * other.h,
         )
 
-    def conj(self) -> "FunctionElement":
-        """Image under the hyperelliptic involution y -> -y."""
-        return FunctionElement(self.curve, self.A, -self.B, self.h, reduce=False)
-
     def norm_numerator(self) -> Polynomial:
         """A^2 - f B^2: the norm of (A + B y)/h to F_q(x) is this over h^2."""
         return self.A * self.A - self.curve.f * self.B * self.B
@@ -329,30 +325,9 @@ class Differential:
         self.curve = curve
         self.w = w
 
-    def __add__(self, other: "Differential") -> "Differential":
-        return Differential(self.curve, self.w + other.w)
-
-    def __sub__(self, other: "Differential") -> "Differential":
-        return Differential(self.curve, self.w - other.w)
-
-    def __neg__(self) -> "Differential":
-        return Differential(self.curve, -self.w)
-
-    def mul_fn(self, phi: FunctionElement) -> "Differential":
-        return Differential(self.curve, self.w * phi)
-
-    def scale(self, c: int) -> "Differential":
-        return Differential(self.curve, self.w.scale(c))
-
     @property
     def is_zero(self) -> bool:
         return self.w.is_zero
-
-    def divisor(self) -> Divisor:
-        return self.curve.divisor(self.w) + self.curve.divisor_dx()
-
-    def residue(self, place: Place) -> int:
-        return self.curve.residue(self, place)
 
     def __eq__(self, other):
         return isinstance(other, Differential) and self.curve == other.curve and self.w == other.w
@@ -509,11 +484,6 @@ class Curve:
     def finite_ramified_places(self) -> list[Place]:
         return sorted(Place(RAMIFIED, g) for g, _ in poly_factor(self.f))
 
-    def divisor_dx(self) -> Divisor:
-        items = [(pl, 1) for pl in self.finite_ramified_places()]
-        items.append((self.infinite_place(), -3))
-        return Divisor(items)
-
     def canonical_divisor(self) -> Divisor:
         """div(dx/y) = 2 * (place at infinity)."""
         return Divisor([(self.infinite_place(), 2)])
@@ -597,9 +567,6 @@ class Curve:
             places.update(self.places_over(phi.h))
         return all(self.valuation(phi, pl) == mult.get(pl, 0) for pl in places)
 
-    def divisor_of_differential(self, omega: Differential) -> Divisor:
-        return self.divisor(omega.w) + self.divisor_dx()
-
     # --- point counting --------------------------------------------------------
 
     def point_count(self, m: int = 1) -> int:
@@ -658,15 +625,6 @@ class Curve:
         # instead of a wrong residue being read.
         return _retry(job, start=4)
 
-    def window(self, phi: FunctionElement, place: Place, lo: int, hi: int):
-        """(ring, coefficients of phi on exponents [lo, hi)) at the place."""
-
-        def job(prec):
-            ring, ser = self.expand(phi, place, prec)
-            return ring, ser.window(lo, hi)
-
-        return _retry(job, start=max(16, hi + 8))
-
     def differential_window(self, omega: Differential, place: Place, lo: int, hi: int):
         """(ring, coefficients of omega/dt on exponents [lo, hi))."""
 
@@ -675,12 +633,3 @@ class Curve:
             return ring, ser.window(lo, hi)
 
         return _retry(job, start=max(16, hi + 8))
-
-    def residue_support(self, omega: Differential) -> list[Place]:
-        """Places where omega can have a pole."""
-        if omega.is_zero:
-            return []
-        h = omega.w.h
-        out = set(self.places_over(h)) if h.degree > 0 else set()
-        out.add(self.infinite_place())
-        return sorted(out)

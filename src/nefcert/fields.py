@@ -58,8 +58,11 @@ def _factor_int(n: int) -> list[int]:
 class Field:
     """Finite field F_{p^k}; elements are integer codes in range(q).
 
-    Subclasses implement the code-level arithmetic; zero is code 0 and one is
-    code 1 in every field.
+    Subclasses implement the code-level arithmetic (add, sub, neg, mul, inv,
+    pow, decode); zero is code 0 and one is code 1 in every field.  Their
+    coefficient kernels are poly_mul(a, b), the product of two nonempty
+    coefficient sequences (low to high), and poly_divmod(a, b), the
+    (quotient, remainder) lists for len(a) >= len(b) and b[-1] != 0.
     """
 
     __slots__ = ("p", "k", "q", "modulus")
@@ -85,42 +88,7 @@ class Field:
     def __hash__(self) -> int:
         return hash((self.p, self.k, self.modulus))
 
-    # --- interface implemented by subclasses -------------------------------
-    def add(self, a: int, b: int) -> int:
-        raise NotImplementedError
-
-    def sub(self, a: int, b: int) -> int:
-        raise NotImplementedError
-
-    def neg(self, a: int) -> int:
-        raise NotImplementedError
-
-    def mul(self, a: int, b: int) -> int:
-        raise NotImplementedError
-
-    def inv(self, a: int) -> int:
-        raise NotImplementedError
-
-    def pow(self, a: int, e: int) -> int:
-        raise NotImplementedError
-
-    def decode(self, a: int) -> tuple[int, ...]:
-        """Coefficient vector over F_p, length k."""
-        raise NotImplementedError
-
-    def poly_mul(self, a, b) -> list[int]:
-        """Product of two nonempty coefficient sequences (low-to-high)."""
-        raise NotImplementedError
-
-    def poly_divmod(self, a, b) -> tuple[list[int], list[int]]:
-        """(quotient, remainder) of coefficient sequences; requires
-        len(a) >= len(b) and a nonzero leading coefficient b[-1]."""
-        raise NotImplementedError
-
     # --- generic ------------------------------------------------------------
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def frob(self, a: int) -> int:
         """Absolute Frobenius a -> a^p."""
         if self.k == 1:
@@ -187,9 +155,6 @@ class Field:
 
     def trace(self, a: int) -> int:
         return a
-
-    def to_codes(self, a: int) -> tuple:
-        return (a,)
 
     def series_mul(self, a: list, b: list, n: int) -> list:
         """The first n coefficients of the product of two coefficient lists."""

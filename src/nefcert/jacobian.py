@@ -6,11 +6,11 @@ degree at most 2, deg v < deg u, and u dividing f - v^2.  The group law
 field arithmetic, one routine per case: the chord and the tangent for two
 points, composition of coprime u's or doubling followed by one reduction
 step, and sums whose u's share a root, which split off the common point
-first.  Cantor's composition is only the tests' oracle; Cantor's reduction
-also brings places of degree above 2 to reduced pairs
+first.  Cantor's composition is the tests' oracle (`oracles`); Cantor's
+reduction also brings places of degree above 2 to reduced pairs
 (`divisor_class_to_mumford`).
 Sums and negations are built without re-validation; pairs read from
-outside (`MumfordClass(...)`, `from_point`, `random_class`) are checked.
+outside (`MumfordClass(...)`, `random_class`) are checked.
 Global invariants (order of the group, characteristic polynomial of
 Frobenius) come from point counts over the base field and its quadratic
 extension; the degree of the field of the p-torsion comes from the
@@ -26,7 +26,7 @@ from typing import NamedTuple
 from . import linalg
 from .cohomology import cartier_manin
 from .curves import Curve, Divisor, INERT, INFINITE, RAMIFIED, SPLIT
-from .fields import Polynomial, _factor_int, field, poly_factor, poly_xgcd
+from .fields import Polynomial, _factor_int, field, poly_factor
 
 
 class MumfordClass:
@@ -57,14 +57,6 @@ class MumfordClass:
     @classmethod
     def zero(cls, curve: Curve) -> "MumfordClass":
         return cls._reduced(curve, Polynomial.one(curve.field), Polynomial.zero(curve.field))
-
-    @classmethod
-    def from_point(cls, curve: Curve, x0: int, y0: int) -> "MumfordClass":
-        """Class of (x0, y0) minus the infinite place."""
-        F = curve.field
-        u = Polynomial(F, (F.neg(x0), 1))
-        v = Polynomial.const(F, y0)
-        return cls(curve, u, v)
 
     @property
     def is_zero(self) -> bool:
@@ -144,7 +136,8 @@ class MumfordClass:
 #   doubling where v vanishes at a root of u (a ramified point) leaves twice
 #   the other point.
 #
-# Cantor's composition and reduction, below, are the tests' oracle.
+# Cantor's composition (`oracles.cantor_compose`) and reduction, below, are
+# the tests' oracle.
 
 
 _ZERO = ((1,), ())
@@ -309,20 +302,6 @@ def _reduce(F, f, n, ua, ub, l3, l2, l1, l0):
     return (w0, w1, 1), _v(sub(mul(m2, w0), l0), sub(mul(m2, w1), m1))
 
 
-def _cantor_compose(f: Polynomial, c1, c2):
-    u1, v1 = c1
-    u2, v2 = c2
-    d1, e1, e2 = poly_xgcd(u1, u2)
-    d, c1_, c2_ = poly_xgcd(d1, v1 + v2)
-    u3 = (u1 * u2) // (d * d)
-    num = c1_ * (e1 * u1 * v2 + e2 * u2 * v1) + c2_ * (v1 * v2 + f)
-    q, r = divmod(num, d)
-    if not r.is_zero:
-        raise RuntimeError("cantor composition is exact")
-    v3 = q % u3
-    return u3, v3
-
-
 def _cantor_reduce(f: Polynomial, u: Polynomial, v: Polynomial):
     g = 2
     while u.degree > g:
@@ -346,11 +325,6 @@ class FrobeniusData(NamedTuple):
     a1: int
     a2: int
     order: int
-
-    @property
-    def charpoly(self) -> tuple[int, int, int, int, int]:
-        """T^4 - a1 T^3 + a2 T^2 - q a1 T + q^2, low degree first."""
-        return (self.q**2, -self.q * self.a1, self.a2, -self.a1, 1)
 
 
 @functools.lru_cache(maxsize=None)
@@ -405,13 +379,15 @@ def jac_order(curve: Curve) -> int:
     return frobenius_data(curve).order
 
 
-def p_torsion_field_degree(curve: Curve) -> int:
-    """Least m with p-torsion rational over the degree-m extension.
+def p_torsion_field_degree(curve: Curve, max_q: int) -> int | None:
+    """Least m with p-torsion rational over the degree-m extension, or None
+    when that extension has more than max_q elements.
 
     By Manin's theorem the q-power Frobenius acts on the p-torsion of an
     ordinary curve, mod p, with the eigenvalues of the Cartier-Manin norm
     N = H^(sigma^(k-1)) ... H^sigma H (H itself over a prime field), so m
-    is the least one with N^m - I singular.  Requires an ordinary curve.
+    is the least one with N^m - I singular; the eigenvalues lie in F_(p^2),
+    so m < p^2.  Requires an ordinary curve.
     """
     F = curve.field
     H = [list(r) for r in cartier_manin(curve)]
@@ -421,14 +397,15 @@ def p_torsion_field_degree(curve: Curve) -> int:
         N = linalg.mat_mul(F, H, N)
     if linalg.rank(F, N) < 2:
         raise ValueError("expected ordinary")
-    A = N
-    for m in range(1, F.p * F.p):
+    A, m = N, 1
+    while F.q**m <= max_q:
         # 1 is an eigenvalue of A = N^m: A - I is singular
         (a, b), (c, d) = A
         if linalg.rank(F, [[F.sub(a, 1), b], [c, F.sub(d, 1)]]) < 2:
             return m
         A = linalg.mat_mul(F, A, N)
-    raise AssertionError("unit-root eigenvalues must have order dividing p^2 - 1")
+        m += 1
+    return None
 
 
 # --- sampling and torsion ------------------------------------------------------

@@ -14,7 +14,7 @@ functional beta on the 15-dimensional section space of 2K + N: local
 splittings v / v(F) for chart vector fields v differ by tangent-valued
 tails, and beta(psi) is one sum of exact residues of the tails against psi
 over the tail places, read from the expansions of psi and of the tails'
-factors.  Coefficients on a basis are computed only on demand.
+factors.
 
 On top of the functional sits the search: an order-p class L with
 trivialization g, a section delta of N - L whose zero divisor consists of 12
@@ -36,6 +36,7 @@ from .cohomology import (
     cartier_manin,
     cartier_nonsingular,
     frobenius_h1,
+    is_regular,
     p_torsion_bundle,
     rr_space,
 )
@@ -106,27 +107,15 @@ class EmbeddingData(NamedTuple):
     """A bidegree-(2,3) model of the curve in P^1 x P^1.
 
     rows holds the defining form: entry i is the x-polynomial coefficient of
-    the i-th power of the pencil coordinate s.  k_basis and a_basis span the
-    two pencils; s_fn is the ratio of the degree-3 pencil sections.
+    the i-th power of the pencil coordinate s.  s_fn is the ratio of the
+    degree-3 pencil sections, and s_polar its polar divisor.
     """
 
     curve: Curve
     a_div: Divisor
-    k_basis: tuple
-    a_basis: tuple
     s_fn: FunctionElement
     rows: tuple
     s_polar: Divisor
-
-    @property
-    def ruling_degrees(self) -> tuple:
-        """Degrees of the two ruling restrictions O(1,0)|_C, O(0,1)|_C."""
-        return (self.s_polar.degree, 2)
-
-    @property
-    def tangent_summand_degrees(self) -> tuple:
-        """Degrees of the two line bundle summands of TX|_C."""
-        return (4, 6)
 
 
 def embed_bidegree_2_3(curve: Curve, a_div: Divisor) -> EmbeddingData:
@@ -174,40 +163,16 @@ def embed_bidegree_2_3(curve: Curve, a_div: Divisor) -> EmbeddingData:
     # degrees 3 of s and 2 of x, hence gcd(3, 2) = 1: the map is birational
     # onto a (2,3) curve.  That curve has arithmetic genus (2-1)(3-1) = 2 =
     # g(C), so it is smooth and the birational map is an isomorphism.
-
-    k_basis = tuple(rr_space(curve, kdiv).basis)
-    return EmbeddingData(
-        curve, a_div, k_basis, tuple(pencil.basis), s_fn, rows, s_polar
-    )
+    return EmbeddingData(curve, a_div, s_fn, rows, s_polar)
 
 
-def normal_bundle_divisor(E: EmbeddingData, rng: random.Random | None = None) -> Divisor:
-    """A degree-12 effective divisor representing O(C)|_C = O(2,3)|_C.
-
-    The default is the intersection with the coordinate form (the product of
-    the two polar loci); with an rng, a random auxiliary bidegree-(2,3) form
-    is intersected instead, giving another representative of the same class.
-    """
-    curve = E.curve
+def normal_bundle_divisor(E: EmbeddingData) -> Divisor:
+    """The degree-12 effective divisor representing O(C)|_C = O(2,3)|_C cut
+    by the coordinate form, the product of the two polar loci."""
     # effective of degree 2*3 + 3*2 = 12: embed_bidegree_2_3 checked the
     # polar degree 3 of s, and x has one pole, of order 2, at the place over
     # infinity on every model (deg f = 5 ramifies it over the x-line)
-    n0 = E.s_polar * 2 + Divisor([(curve.infinite_place(), 6)])
-    if rng is None:
-        return n0
-    for _ in range(64):
-        rows = tuple(
-            Polynomial(curve.field, [curve.field.random(rng) for _ in range(4)])
-            for _ in range(3)
-        )
-        g_fn = _bi_eval(curve, rows, E.s_fn, curve.x())
-        if g_fn.is_zero:
-            continue
-        nd = curve.divisor(g_fn) + n0
-        if nd.degree != 12 or not nd.is_effective:
-            raise RuntimeError("auxiliary form gives no effective degree-12 divisor")
-        return nd
-    raise RuntimeError("auxiliary form sampling failed")
+    return E.s_polar * 2 + Divisor([(E.curve.infinite_place(), 6)])
 
 
 # --- the extension-class functional ------------------------------------------
@@ -222,30 +187,13 @@ class BetaFunctional:
     places of res(phi * psi * y^-1 dx), read from the factors' expansions.
     """
 
-    __slots__ = ("curve", "n_div", "space_div", "tails", "_coeffs")
+    __slots__ = ("curve", "n_div", "space_div", "tails")
 
     def __init__(self, curve: Curve, n_div: Divisor, space_div: Divisor, tails: tuple):
         self.curve = curve
         self.n_div = n_div
         self.space_div = space_div
         self.tails = tails
-        self._coeffs = None
-
-    @property
-    def dim(self) -> int:
-        return rr_space(self.curve, self.space_div).dim
-
-    @property
-    def coeffs(self) -> tuple:
-        """Values on the basis of the section space, computed on first use."""
-        if self._coeffs is None:
-            basis = rr_space(self.curve, self.space_div).basis
-            self._coeffs = tuple(self.value(phi) for phi in basis)
-        return self._coeffs
-
-    @property
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
 
     def value(self, psi: FunctionElement) -> int:
         if rr_space(self.curve, self.space_div).coords(psi) is None:
@@ -256,18 +204,6 @@ class BetaFunctional:
         for pl, num, den in self.tails:
             out = curve.field.add(out, curve.residue(omega, pl, num, den))
         return out
-
-    def restrict_nonzero(self, b_div: Divisor) -> bool:
-        """Whether the functional stays nonzero on sections vanishing on b_div."""
-        base = self.curve.field
-        full = rr_space(self.curve, self.space_div)
-        for phi in rr_space(self.curve, self.space_div - b_div).basis:
-            out = 0
-            for c, a in zip(self.coeffs, full.coords(phi)):
-                out = base.add(out, base.mul(c, a))
-            if out != 0:
-                return True
-        return False
 
 
 def _charts(E: EmbeddingData) -> tuple:
@@ -627,10 +563,9 @@ def certificate_build(p: int, seed: int, budget: SearchBudget = SearchBudget()) 
         if not cartier_nonsingular(c0):
             stats["non_ordinary"] += 1
             continue
-        m = p_torsion_field_degree(c0)
-        k = m
+        k = m = p_torsion_field_degree(c0, budget.max_q)  # None: beyond max_q
         curve = None
-        while p ** k <= budget.max_q:
+        while m is not None and p**k <= budget.max_q:
             cand = Curve(field(p, k), coeffs)
             if cand.point_count(1) >= budget.min_points:
                 curve = cand
@@ -648,7 +583,7 @@ def certificate_build(p: int, seed: int, budget: SearchBudget = SearchBudget()) 
                 stats["frobenius_rejections"] += 1
                 continue
             gamma = Differential(curve, bundle.g.derivative() * bundle.g.inverse())
-            if gamma.is_zero or not curve.divisor_of_differential(gamma).is_effective:
+            if gamma.is_zero or not is_regular(gamma):
                 raise RuntimeError("dg/g is not a nonzero regular differential")
             alpha_sp = rr_space(curve, curve.canonical_divisor() + bundle.rep)
             if alpha_sp.dim != 1:
@@ -813,8 +748,7 @@ def certificate_verify(cert) -> VerifyReport:
             raise ValueError("zero trivialization")
         ok = curve.has_divisor(g_fn, l_rep * p)
         dlog = Differential(curve, g_fn.derivative() * g_fn.inverse())
-        ok = ok and not dlog.is_zero and curve.divisor_of_differential(dlog).is_effective
-        return ok and dlog == gamma
+        return ok and not dlog.is_zero and is_regular(dlog) and dlog == gamma
 
     def obstruction():
         (emb, n0), l_rep, gamma = need("embedding"), need("L"), need("gamma")

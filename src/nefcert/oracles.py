@@ -1,12 +1,14 @@
 """Independent oracles and small invariants that only the tests use.
 
-Exhaustive class enumeration and the rational points by brute force, group
-orders over extensions, the ordinary test from the zeta data, h^1 by
-duality, adelic H^1 classes as pole tails with the Serre duality pairing
-and the regular differentials it pairs them with, the Frobenius matrix on
-H^1 from residues at infinity, the p-rank and the Cartier class of dg/g,
-and random monic polynomials.  No command of the CLI imports this module,
-so none of it is compiled or loaded on a cold `search` or `verify`.
+Exhaustive class enumeration and the rational points by brute force,
+Cantor's composition, group orders over extensions, the ordinary test from
+the zeta data, h^1 by duality, the full divisor of a differential, adelic
+H^1 classes as pole tails with the Serre duality pairing and the regular
+differentials it pairs them with, the Frobenius matrix on H^1 from residues
+at infinity, the p-rank and the Cartier class of dg/g, the extension-class
+functional beta on a basis, and random monic polynomials.  No command of
+the CLI imports this module, so none of it is compiled or loaded on a cold
+`search` or `verify`.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import random
 from . import linalg
 from .cohomology import cartier_manin, differential_space, h1_space, rr_space
 from .curves import Curve, Differential, Divisor
-from .fields import Field, Polynomial
+from .fields import Field, Polynomial, poly_xgcd
 from .jacobian import MumfordClass, _power_traces, _zeta_data, frobenius_data
 
 
@@ -68,6 +70,21 @@ def enumerate_classes(curve: Curve) -> list[MumfordClass]:
     return out
 
 
+def cantor_compose(f: Polynomial, c1, c2):
+    """Cantor's composition of the pairs c1 = (u1, v1) and c2 = (u2, v2),
+    before reduction."""
+    u1, v1 = c1
+    u2, v2 = c2
+    d1, e1, e2 = poly_xgcd(u1, u2)
+    d, c1_, c2_ = poly_xgcd(d1, v1 + v2)
+    u3 = (u1 * u2) // (d * d)
+    num = c1_ * (e1 * u1 * v2 + e2 * u2 * v1) + c2_ * (v1 * v2 + f)
+    q, r = divmod(num, d)
+    if not r.is_zero:
+        raise RuntimeError("cantor composition is exact")
+    return u3, q % u3
+
+
 def jac_order_ext(curve: Curve, m: int) -> int:
     """Order of the group over the degree-m extension, from the zeta data."""
     data = frobenius_data(curve)
@@ -87,6 +104,14 @@ def is_ordinary(curve: Curve) -> bool:
 def h1(curve: Curve, divisor: Divisor) -> int:
     """dim H^1(O(divisor)), computed by duality as h^0(K - divisor)."""
     return rr_space(curve, curve.canonical_divisor() - divisor).dim
+
+
+def differential_divisor(omega: Differential) -> Divisor:
+    """div(w dx) = div(w) + div(dx), and div(dx) is the ramified places
+    minus 3 times the place at infinity."""
+    curve = omega.curve
+    dx = [(pl, 1) for pl in curve.finite_ramified_places()]
+    return curve.divisor(omega.w) + Divisor(dx + [(curve.infinite_place(), -3)])
 
 
 class TailClass:
@@ -243,14 +268,29 @@ def cartier_class(g) -> tuple:
     w = g.derivative() * g.inverse()
     if w.is_zero:
         raise ValueError("logarithmic differential vanishes")
-    omega = w.dx()
-    if not curve.divisor_of_differential(omega).is_effective:
-        raise ValueError("logarithmic differential is not regular")
-    psi = w * curve.y()
-    co = rr_space(curve, curve.canonical_divisor()).coords(psi)
+    # w dx = (w y) dx/y is regular exactly when w y lies in L(K) = <1, x>
+    co = rr_space(curve, curve.canonical_divisor()).coords(w * curve.y())
     if co is None:
-        raise RuntimeError("regular differential outside the standard basis")
+        raise ValueError("logarithmic differential is not regular")
     return (co[0], co[1])
+
+
+# --- the extension-class functional ---------------------------------------------
+
+
+def beta_values(beta) -> tuple:
+    """beta on the canonical basis of the sections of 2K + N, each value by
+    `BetaFunctional.value`, the evaluation check 4 runs."""
+    return tuple(beta.value(phi) for phi in rr_space(beta.curve, beta.space_div).basis)
+
+
+def beta_by_coords(beta, values: tuple, psi) -> int:
+    """beta(psi) from the basis values and the coordinates of psi."""
+    base = beta.curve.field
+    out = 0
+    for c, a in zip(values, rr_space(beta.curve, beta.space_div).coords(psi)):
+        out = base.add(out, base.mul(c, a))
+    return out
 
 
 # --- polynomials --------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Canonical JSON encoding of certificates.
 
 Encoding is total and deterministic: the same certificate always produces
-the same bytes (sorted keys, no whitespace, trailing newline).  Decoding is
-split in two: `parse_certificate` only enforces the structural shape and
-raises CertificateFormatError, while the field decoders (`decode_divisor`
+the same bytes (sorted keys, no whitespace, trailing newline), and those are
+the only bytes that parse.  Decoding is split in two: `parse_certificate`
+only enforces the structural shape and the byte spelling and raises
+CertificateFormatError, while the field decoders (`decode_divisor`
 etc.) reconstruct curve-level objects and raise ValueError when the data is
 shaped correctly but mathematically inconsistent.  The verifier treats the
 former as malformed input and the latter as failed checks.
@@ -248,7 +249,9 @@ def ensure_certificate_shape(d) -> dict:
 
 def parse_certificate(data) -> dict:
     """bytes/str -> shape-checked dict; malformed input raises
-    CertificateFormatError."""
+    CertificateFormatError.  Only the canonical bytes of the dict parse:
+    indentation, another key order or a missing final newline would spell
+    the same certificate another way."""
     if isinstance(data, bytes):
         try:
             data = data.decode("utf-8")
@@ -258,7 +261,9 @@ def parse_certificate(data) -> dict:
         d = json.loads(data)
     except json.JSONDecodeError as err:
         raise CertificateFormatError(f"invalid JSON: {err}") from err
-    return ensure_certificate_shape(d)
+    ensure_certificate_shape(d)
+    _want(data == canonical_bytes(d).decode(), "not in canonical form")
+    return d
 
 
 # --- curve-level decoders (semantic errors raise ValueError) -------------------

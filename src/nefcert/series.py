@@ -140,12 +140,6 @@ class PolyModRing:
     def is_zero(self, a) -> bool:
         return a.is_zero
 
-    def frob(self, a):
-        return self.pow(a, self.field.p)
-
-    def to_codes(self, a) -> tuple:
-        return tuple(a[i] for i in range(self.u.degree))
-
     def series_mul(self, a: list, b: list, n: int) -> list:
         """The first n coefficients of the product, as one code product by
         Kronecker substitution: coefficient i fills block i of width
@@ -243,17 +237,6 @@ class QuadModRing:
 
     def is_zero(self, a) -> bool:
         return a[0].is_zero and a[1].is_zero
-
-    def frob(self, a):
-        # (a + b*root)^p = a^p + b^p * root^p and root^2 = fbar, so the
-        # root part picks up fbar^((p-1)/2).
-        half = self._half
-        fp = half.pow(self.fbar, (self.field.p - 1) // 2)
-        return (half.frob(a[0]), half.mul(half.frob(a[1]), fp))
-
-    def to_codes(self, a) -> tuple:
-        d = self.u.degree
-        return tuple(a[0][i] for i in range(d)) + tuple(a[1][i] for i in range(d))
 
     def series_mul(self, a: list, b: list, n: int) -> list:
         """The first n coefficients of the product, from three products over

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import nefcert
+from nefcert import serialize
 from nefcert.cli import main
 
 
@@ -57,14 +58,14 @@ def test_verify_exit_codes(tmp_path, capsys):
     d = json.loads(path.read_text())
     d["delta_coords"][0] = (d["delta_coords"][0] + 1) % 9
     bad = tmp_path / "tampered.json"
-    bad.write_text(json.dumps(d))
+    bad.write_bytes(serialize.canonical_bytes(d))
     code, out, _ = run(capsys, ["verify", str(bad)])
     assert code == 1
     assert "verdict: FAIL" in out
 
     for code_outside_f9 in (9, -1):
         d["delta_coords"][0] = code_outside_f9
-        bad.write_text(json.dumps(d))
+        bad.write_bytes(serialize.canonical_bytes(d))
         code, out, err = run(capsys, ["verify", str(bad)])
         assert code == 2
         assert out == ""
@@ -85,7 +86,7 @@ def test_verify_exit_codes(tmp_path, capsys):
     ):
         spelled = json.loads(json.dumps(d))
         change(spelled)
-        bad.write_text(json.dumps(spelled))
+        bad.write_bytes(serialize.canonical_bytes(spelled))
         code, out, err = run(capsys, ["verify", str(bad)])
         assert code == 2
         assert out == ""
@@ -95,7 +96,7 @@ def test_verify_exit_codes(tmp_path, capsys):
     # check that decodes it
     spelled = json.loads(json.dumps(d))
     spelled["alpha"]["a"] = {"num": [1, 1], "den": [1, 1]}
-    bad.write_text(json.dumps(spelled))
+    bad.write_bytes(serialize.canonical_bytes(spelled))
     code, out, _ = run(capsys, ["verify", str(bad)])
     assert code == 1
     assert "[FAIL] check 4: the obstruction scalar is nonzero (alpha.a: fraction not in lowest terms)" in out
@@ -106,7 +107,7 @@ def test_verify_exit_codes(tmp_path, capsys):
         spelled = json.loads(json.dumps(d))
         (i,) = [i for i, (pl, _) in enumerate(spelled[key]) if pl["kind"] == "ramified"]
         spelled[key][i][0]["v"] = [1]
-        bad.write_text(json.dumps(spelled))
+        bad.write_bytes(serialize.canonical_bytes(spelled))
         code, out, _ = run(capsys, ["verify", str(bad)])
         assert code == 1
         assert "verdict: FAIL" in out
@@ -122,6 +123,32 @@ def test_verify_exit_codes(tmp_path, capsys):
     assert code == 2
 
 
+def test_verify_accepts_only_the_canonical_bytes(tmp_path, capsys):
+    """The same certificate spelled with indentation, with its keys in
+    another order, or without the final newline is malformed (exit 2)."""
+    path = tmp_path / "cert.json"
+    run(capsys, ["search", "--p", "3", "--seed", "0", "--out", str(path)])
+    raw = path.read_bytes()
+    d = json.loads(raw)
+    reordered = dict(reversed(list(d.items())))
+    spellings = [
+        json.dumps(d, sort_keys=True, indent=1).encode() + b"\n",
+        json.dumps(reordered, separators=(",", ":")).encode() + b"\n",
+        json.dumps(d, sort_keys=True).encode() + b"\n",
+        raw[:-1],
+    ]
+    bad = tmp_path / "spelled.json"
+    for blob in spellings:
+        assert blob != raw and json.loads(blob) == d
+        bad.write_bytes(blob)
+        code, out, err = run(capsys, ["verify", str(bad)])
+        assert code == 2, blob[:40]
+        assert out == ""
+        assert "malformed certificate: not in canonical form" in err
+    code, _, _ = run(capsys, ["verify", str(path)])
+    assert code == 0
+
+
 def test_verify_rejects_a_field_beyond_the_search_bound(tmp_path, capsys):
     """k = 20 on an F_9 certificate is refused by its shape, before any field
     of 3^20 elements is searched for or tabulated."""
@@ -129,7 +156,7 @@ def test_verify_rejects_a_field_beyond_the_search_bound(tmp_path, capsys):
     run(capsys, ["search", "--p", "3", "--seed", "0", "--out", str(path)])
     d = json.loads(path.read_text())
     d["k"] = 20
-    path.write_text(json.dumps(d))
+    path.write_bytes(serialize.canonical_bytes(d))
     env = dict(os.environ, PYTHONPATH=str(Path(nefcert.__file__).parents[1]))
     cmd = [sys.executable, "-m", "nefcert.cli", "verify", str(path)]
     out = subprocess.run(cmd, capture_output=True, env=env, timeout=10)
@@ -241,7 +268,7 @@ def test_config_echo_is_pinned(capsys, monkeypatch):
 
 # Source lines of the `nefcert` modules a cold `search` or `verify` loads,
 # as README.md states under "Start-up cost".
-COLD_IMPORT_LINES = 4873
+COLD_IMPORT_LINES = 4683
 
 
 def test_cold_import_path_is_lean():

@@ -9,7 +9,6 @@ from nefcert.cohomology import (
     cartier_manin,
     cartier_nonsingular,
     frobenius_h1,
-    h0,
     h1_space,
     p_torsion_bundle,
     rr_space,
@@ -25,6 +24,7 @@ from nefcert.jacobian import (
 from nefcert.oracles import (
     TailClass,
     cartier_class,
+    differential_divisor,
     differential_space,
     frobenius_by_residues,
     h1,
@@ -74,7 +74,7 @@ def test_section_ladder_dimensions():
         assert dims == [1, 1, 2, 2, 3, 4, 5, 6]
         # no sections once the divisor forces a zero at a point
         P = C.places_above(Polynomial.x(C.field))[0]
-        assert h0(C, Divisor([(P, -1)])) == 0
+        assert rr_space(C, Divisor([(P, -1)])).dim == 0
 
 
 def test_riemann_roch_identity_on_random_divisors():
@@ -84,7 +84,7 @@ def test_riemann_roch_identity_on_random_divisors():
         rng = random.Random(p)
         for _ in range(40):
             D = _random_divisor(C, rng)
-            assert h0(C, D) - h0(C, K - D) == D.degree - 1
+            assert rr_space(C, D).dim - rr_space(C, K - D).dim == D.degree - 1
 
 
 def test_rr_coords_recover_combinations():
@@ -102,7 +102,6 @@ def test_rr_coords_recover_combinations():
     # a function with a deeper pole at infinity lies outside
     outside = rr_space(C, Divisor([(inf, 8)])).basis[-1]
     assert sp.coords(outside) is None
-    assert not sp.contains(outside)
     # and one with a finite pole does too
     P = C.places_above(Polynomial(C.field, (1, 1)))[0]
     bad = rr_space(C, Divisor([(P, 1), (inf, 6)])).basis[-1]
@@ -121,7 +120,7 @@ def test_h1_gap_exponents_and_duality():
         rng = random.Random(17)
         for _ in range(8):
             E = _random_divisor(C, rng)
-            assert h1_space(C, E).dim == h0(C, C.canonical_divisor() - E)
+            assert h1_space(C, E).dim == rr_space(C, C.canonical_divisor() - E).dim
 
 
 def _pairing_matrix(C: Curve, E: Divisor):
@@ -180,7 +179,7 @@ def test_tails_of_a_global_function_pair_to_zero():
     for pl in list(C.divisor(phi).support):
         v = C.valuation(phi, pl)
         if v < 0:
-            ring, wind = C.window(phi, pl, v, 0)
+            wind = C.expand(phi, pl, 16)[1].window(v, 0)
             data[pl] = {v + k: c for k, c in enumerate(wind)}
     oms = holomorphic_differentials(C)
     assert [serre_pairing(TailClass(C, Divisor(), data), om) for om in oms] == [0, 0]
@@ -273,7 +272,7 @@ def test_frobenius_h1_on_torsion_bundle():
     assert h1(C, src) == 1
     fr = frobenius_h1(C, src, trivialization=g)
     assert (fr.source_dim, fr.target_dim) == (1, 2)
-    assert fr.injective and not fr.is_zero
+    assert fr.injective  # of rank 1, so the matrix is nonzero
     with pytest.raises(ValueError, match="missing trivialization"):
         frobenius_h1(C, src)
 
@@ -383,7 +382,7 @@ def test_holomorphic_differentials_basis():
     oms = holomorphic_differentials(C)
     assert len(oms) == 2
     for om in oms:
-        assert C.divisor_of_differential(om).is_effective
+        assert differential_divisor(om).is_effective
     # they are dx/y and x dx/y
     assert oms[0].w == C.y().inverse()
     assert oms[1].w == C.x() * C.y().inverse()
@@ -397,4 +396,4 @@ def test_riemann_roch_identity_property(seed, ninf):
     items = [(C.infinite_place(), ninf), (_random_place(C, rng), rng.randrange(-2, 3))]
     D = Divisor(items)
     K = C.canonical_divisor()
-    assert h0(C, D) - h0(C, K - D) == D.degree - 1
+    assert rr_space(C, D).dim - rr_space(C, K - D).dim == D.degree - 1

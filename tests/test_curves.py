@@ -25,6 +25,7 @@ from nefcert.fields import (
     is_irreducible,
     poly_ord,
 )
+from nefcert.oracles import differential_divisor
 from nefcert.series import PolyModRing, QuadModRing, TruncSeries, _newton, poly_series
 
 F3 = field(3)
@@ -230,7 +231,7 @@ def test_principal_divisors_and_canonical_class():
     assert divy == expected
     assert divy.degree == 0
     omega = C.y().inverse().dx()
-    assert C.divisor_of_differential(omega) == C.canonical_divisor()
+    assert differential_divisor(omega) == C.canonical_divisor()
     assert C.canonical_divisor().degree == 2 * C.genus - 2
 
 
@@ -510,10 +511,10 @@ def test_residue_of_simple_pole():
     x = Polynomial.x(F5)
     omega = (C.one() / C.fn(x)).dx()
     p0, p1 = C.places_above(x)
-    assert omega.residue(p0) == 1
-    assert omega.residue(p1) == 1
-    assert omega.residue(C.infinite_place()) == F5.neg(2)
-    assert omega.residue(C.places_above(x + Polynomial.one(F5))[0]) == 0
+    assert C.residue(omega, p0) == 1
+    assert C.residue(omega, p1) == 1
+    assert C.residue(omega, C.infinite_place()) == F5.neg(2)
+    assert C.residue(omega, C.places_above(x + Polynomial.one(F5))[0]) == 0
 
 
 def _random_fn(C: Curve, rng: random.Random, deg: int = 2):
@@ -545,8 +546,9 @@ def test_residue_theorem_on_random_differentials():
                 continue
             omega = phi.dx()
             total = 0
-            for pl in C.residue_support(omega):
-                total = F.add(total, omega.residue(pl))
+            # the poles of phi dx lie over the denominator of phi and at infinity
+            for pl in C.places_over(phi.h) + [C.infinite_place()]:
+                total = F.add(total, C.residue(omega, pl))
             assert total == 0
             checked += 1
     assert checked >= 25
