@@ -14,13 +14,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from nefcert.obstruction import (
-    CURVE_TRIES,
-    SearchBudget,
-    SearchExhausted,
-    certificate_build,
-    certificate_verify,
-)
+from nefcert.obstruction import SearchExhausted, certificate_build, certificate_verify
 from nefcert.serialize import canonical_bytes, certificate_to_dict
 
 
@@ -29,11 +23,9 @@ def main() -> int:
     ap.add_argument("--primes", default="3,5,7", help="comma-separated odd primes")
     ap.add_argument("--seeds", type=int, default=3, help="seeds 0..N-1 per prime")
     ap.add_argument("--out", default="", help="directory for certificate files")
-    ap.add_argument("--curve-tries", type=int, default=CURVE_TRIES)
     args = ap.parse_args()
 
     primes = [int(tok) for tok in args.primes.split(",") if tok.strip()]
-    budget = SearchBudget(curve_tries=args.curve_tries)
     out_dir = Path(args.out) if args.out else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -43,7 +35,7 @@ def main() -> int:
         for seed in range(args.seeds):
             t0 = time.monotonic()
             try:
-                cert = certificate_build(p, seed=seed, budget=budget)
+                cert = certificate_build(p, seed=seed)
             except SearchExhausted as exc:
                 failures += 1
                 print(f"p={p} seed={seed} EXHAUSTED {exc.stats}")

@@ -4,9 +4,9 @@ Four subcommands: `search` hunts for a certificate and writes it (or a
 structured failure report) as canonical JSON; `verify` recomputes every
 check of a stored certificate; `lattice` prints the exceptional-curve
 bookkeeping for blown-up surfaces; `curve-info` prints the invariants of a
-single hyperelliptic curve.  Every run echoes its fully resolved
-configuration to stderr, and file outputs depend only on (command, flags,
-seed), byte for byte.
+single hyperelliptic curve.  Every run echoes the arguments its command
+parsed to stderr, and file outputs depend only on (command, flags, seed),
+byte for byte.
 
 Exit codes: 0 success / certificate passes, 1 failure / certificate fails,
 2 malformed input or bad flags.
@@ -17,41 +17,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import NamedTuple
 
-from .fields import _is_prime, field
-from .obstruction import (
-    CURVE_TRIES,
-    DELTA_TRIES,
-    MAX_Q,
-    SearchBudget,
-    SearchExhausted,
-    certificate_build,
-    certificate_verify,
-)
+from .fields import field
+from .obstruction import MAX_Q, SearchExhausted, certificate_build, certificate_verify
 
 FAILURE_SCHEMA = "nefcert-failure/1"
-
-
-class RunConfig(NamedTuple):
-    """Fully resolved invocation; defaults match the parser's."""
-
-    command: str
-    p: int = 3
-    seed: int = 0
-    budget: SearchBudget = SearchBudget()
-    guard: int = 10**7
-    d: int = 3
-    base: str = "p1xp1"
-    f: tuple = ()
-    path: str = ""
-    out: str = ""
-    format: str = "text"
-
-    def echo(self):
-        d = self._asdict()
-        d["budget"] = self.budget._asdict()  # json writes a tuple as a list
-        print("config: " + json.dumps(d, sort_keys=True), file=sys.stderr)
 
 
 def _parse_coeffs(text: str) -> tuple:
@@ -72,20 +42,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=int, default=3, help="odd prime characteristic (default 3)")
     sp.add_argument("--seed", type=int, default=0, help="64-bit search seed (default 0)")
     sp.add_argument("--out", default="", help="output file (default: stdout)")
-    sp.add_argument(
-        "--guard",
-        type=int,
-        default=10**7,
-        help="point-counting work limit; caps the usable field size (default 1e7)",
-    )
-    sp.add_argument(
-        "--curve-tries", type=int, default=CURVE_TRIES,
-        help="curves sampled before giving up",
-    )
-    sp.add_argument(
-        "--delta-tries", type=int, default=DELTA_TRIES,
-        help="point configurations per section round",
-    )
     sp.add_argument("--format", choices=("json", "text"), default="text")
 
     vp = sub.add_parser("verify", help="recheck a stored certificate")
@@ -103,10 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--f", type=_parse_coeffs, required=True,
         help="coefficients of f, low degree first, comma-separated",
     )
-    cp.add_argument(
-        "--guard", type=int, default=10**7,
-        help="point-counting work limit (default 1e7)",
-    )
     cp.add_argument("--format", choices=("json", "text"), default="text")
     return ap
 
@@ -120,17 +72,11 @@ def _emit(payload: bytes, out: str):
         sys.stdout.flush()
 
 
-def _isqrt_floor(n: int) -> int:
-    import math
-
-    return math.isqrt(max(n, 0))
-
-
-def cmd_search(cfg: RunConfig) -> int:
+def cmd_search(cfg: argparse.Namespace) -> int:
     from . import serialize
 
     try:
-        cert = certificate_build(cfg.p, cfg.seed, cfg.budget)
+        cert = certificate_build(cfg.p, cfg.seed)
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
@@ -158,7 +104,7 @@ def cmd_search(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+def cmd_verify(cfg: argparse.Namespace) -> int:
     from . import serialize
 
     try:
@@ -190,7 +136,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     return 0 if report.ok else 1
 
 
-def cmd_lattice(cfg: RunConfig) -> int:
+def cmd_lattice(cfg: argparse.Namespace) -> int:
     from .lattice import (
         P1XP1,
         P2,
@@ -243,16 +189,13 @@ def cmd_lattice(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_curve_info(cfg: RunConfig) -> int:
+def cmd_curve_info(cfg: argparse.Namespace) -> int:
     from .curves import Curve
     from .cohomology import cartier_manin, cartier_nonsingular
     from .jacobian import jac_order
 
     try:
-        if not _is_prime(cfg.p):
-            raise ValueError("not prime")
-        base = field(cfg.p)
-        curve = Curve(base, cfg.f)
+        curve = Curve(field(cfg.p), cfg.f)
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
@@ -268,7 +211,7 @@ def cmd_curve_info(cfg: RunConfig) -> int:
         "cartier_manin": [list(r) for r in cm],
         "ordinary": ordinary,
     }
-    if cfg.p**4 <= cfg.guard:
+    if cfg.p * cfg.p <= MAX_Q:  # F_{p^2} within the search's field bound
         payload["points_quadratic"] = curve.point_count(2)
         payload["jacobian_order"] = jac_order(curve)
     if cfg.format == "json":
@@ -288,29 +231,15 @@ def cmd_curve_info(cfg: RunConfig) -> int:
 def main(argv=None) -> int:
     ap = build_parser()
     ns = ap.parse_args(argv)
-    kwargs = {"command": ns.command, "format": ns.format}
+    # json writes curve-info's tuple f as a list
+    print("config: " + json.dumps(vars(ns), sort_keys=True), file=sys.stderr)
     if ns.command == "search":
-        budget = SearchBudget(
-            curve_tries=ns.curve_tries,
-            delta_tries=ns.delta_tries,
-            max_q=min(MAX_Q, _isqrt_floor(ns.guard)),
-        )
-        kwargs.update(p=ns.p, seed=ns.seed, out=ns.out, guard=ns.guard, budget=budget)
-    elif ns.command == "verify":
-        kwargs.update(path=ns.path)
-    elif ns.command == "lattice":
-        kwargs.update(base=ns.base, d=ns.d)
-    else:
-        kwargs.update(p=ns.p, f=ns.f, guard=ns.guard)
-    cfg = RunConfig(**kwargs)
-    cfg.echo()
-    if ns.command == "search":
-        return cmd_search(cfg)
+        return cmd_search(ns)
     if ns.command == "verify":
-        return cmd_verify(cfg)
+        return cmd_verify(ns)
     if ns.command == "lattice":
-        return cmd_lattice(cfg)
-    return cmd_curve_info(cfg)
+        return cmd_lattice(ns)
+    return cmd_curve_info(ns)
 
 
 if __name__ == "__main__":

@@ -60,6 +60,18 @@ from .jacobian import (
 
 SCHEMA_VERSION = "nefcert-certificate/1"
 
+# Stage limits of the certificate search.  Search curves are defined over
+# F_p, so group orders come from point counts over F_p and F_{p^2}; MAX_Q
+# bounds the field F_q the search works in, whose own point count takes q
+# evaluations, and the certificate shape check reads it too.
+CURVE_TRIES = 64
+MAX_Q = 3000
+TORSION_TRIES = 8
+PENCIL_TRIES = 12
+DELTA_ROUNDS = 4
+DELTA_TRIES = 150
+MIN_POINTS = 14
+
 
 class ExtendFieldError(RuntimeError):
     """Raised when a search stage needs more rational points than the
@@ -358,13 +370,7 @@ def _subtract_points(curve: Curve, w, chosen, neg: list):
     return u, v
 
 
-def choose_delta(
-    E: EmbeddingData,
-    n_div: Divisor,
-    L: PTorsionBundle,
-    seed: int,
-    tries: int = 200,
-):
+def choose_delta(E: EmbeddingData, n_div: Divisor, L: PTorsionBundle, seed: int):
     """A section delta of N - L whose divisor consists of 12 distinct
     degree-1 places, by seeded search over point configurations.
 
@@ -399,7 +405,7 @@ def choose_delta(
     neg = [(u, tuple(curve.field.neg(c) for c in v)) for u, v in point]
     indices = range(len(pts))
     rng = random.Random(seed)
-    for _ in range(tries):
+    for _ in range(DELTA_TRIES):
         chosen = rng.sample(indices, 11)
         last = lookup.get(_subtract_points(curve, w, chosen, neg))
         if last is None or last in chosen:
@@ -440,27 +446,6 @@ def obstruction_scalar(
 # --- certificates -------------------------------------------------------------
 
 
-# Default stage limits, read by the CLI flags and the certificate shape
-# check.  Search curves are defined over F_p, so group orders come from
-# point counts over F_p and F_{p^2}; MAX_Q bounds the field F_q the search
-# works in, whose own point count takes q evaluations.
-CURVE_TRIES = 64
-MAX_Q = 3000
-DELTA_TRIES = 150
-
-
-class SearchBudget(NamedTuple):
-    """Stage iteration limits for the certificate search."""
-
-    curve_tries: int = CURVE_TRIES
-    max_q: int = MAX_Q
-    torsion_tries: int = 8
-    pencil_tries: int = 12
-    delta_rounds: int = 4
-    delta_tries: int = DELTA_TRIES
-    min_points: int = 14
-
-
 class SearchExhausted(RuntimeError):
     """Search failed within budget; carries per-stage statistics."""
 
@@ -499,8 +484,8 @@ def _torsion_try(curve: Curve, seed: int, stats: dict):
         return None
 
 
-def _torsion_candidates(curve: Curve, tries, limit: int, stats: dict):
-    """The first `limit` distinct multiples j * cls (j = 1..p-1) of the
+def _torsion_candidates(curve: Curve, tries, stats: dict):
+    """The first TORSION_TRIES distinct multiples j * cls (j = 1..p-1) of the
     p-torsion classes found from the seeds in `tries`, in order.  A try runs
     only when the candidates of the tries before it are used up, and it is
     taken from `tries`, so the caller can see which tries never ran."""
@@ -514,30 +499,28 @@ def _torsion_candidates(curve: Curve, tries, limit: int, stats: dict):
             if cj not in found:
                 found.append(cj)
                 yield cj
-                if len(found) == limit:
+                if len(found) == TORSION_TRIES:
                     return
 
 
-def certificate_build(p: int, seed: int, budget: SearchBudget = SearchBudget()) -> Certificate:
+def certificate_build(p: int, seed: int) -> Certificate:
     """Seeded search for a full certificate at the prime p.
 
-    Samples ordinary curves, extends the field until rational p-torsion and
-    enough rational points exist, then walks torsion classes, pencils and
-    point configurations until the obstruction scalar is nonzero.  Fully
-    deterministic in (p, seed, budget); raises SearchExhausted with stage
-    statistics when the budget runs out.
+    Samples up to CURVE_TRIES ordinary curves, extends the field until
+    rational p-torsion and enough rational points exist, then walks torsion
+    classes, pencils and point configurations until the obstruction scalar
+    is nonzero, within the stage limits above.  Fully deterministic in
+    (p, seed); raises ValueError unless p is an odd prime, and
+    SearchExhausted with stage statistics when the limits run out.
 
-    The seeds of a curve's `torsion_tries` tries of `find_p_torsion` are
+    The seeds of a curve's TORSION_TRIES tries of `find_p_torsion` are
     drawn up front, and a try runs only when the candidate loop needs its
     classes; `find_p_torsion` seeds its own generator, so the order in which
     tries run does not change the random stream.  When a curve is given up,
     the tries that never ran are run to count their misses, so the
     statistics count every try, as when all of them ran first.
     """
-    if not _is_prime(p):
-        raise ValueError("not prime")
-    if p == 2:
-        raise ValueError("characteristic two unsupported")
+    base = field(p)
     rng = random.Random(seed)
     stats = {
         "curves_sampled": 0,
@@ -551,8 +534,7 @@ def certificate_build(p: int, seed: int, budget: SearchBudget = SearchBudget()) 
         "delta_exhausted": 0,
         "obstruction_zero": 0,
     }
-    base = field(p)
-    for _ in range(budget.curve_tries):
+    for _ in range(CURVE_TRIES):
         stats["curves_sampled"] += 1
         coeffs = tuple(rng.randrange(p) for _ in range(5)) + (1,)
         try:
@@ -563,11 +545,11 @@ def certificate_build(p: int, seed: int, budget: SearchBudget = SearchBudget()) 
         if not cartier_nonsingular(c0):
             stats["non_ordinary"] += 1
             continue
-        k = m = p_torsion_field_degree(c0, budget.max_q)  # None: beyond max_q
+        k = m = p_torsion_field_degree(c0, MAX_Q)  # None: beyond MAX_Q
         curve = None
-        while m is not None and p**k <= budget.max_q:
+        while m is not None and p**k <= MAX_Q:
             cand = Curve(field(p, k), coeffs)
-            if cand.point_count(1) >= budget.min_points:
+            if cand.point_count(1) >= MIN_POINTS:
                 curve = cand
                 break
             k += m
@@ -575,8 +557,8 @@ def certificate_build(p: int, seed: int, budget: SearchBudget = SearchBudget()) 
             stats["no_field"] += 1
             continue
 
-        tries = iter([rng.randrange(1 << 32) for _ in range(budget.torsion_tries)])
-        for cls in _torsion_candidates(curve, tries, budget.torsion_tries, stats):
+        tries = iter([rng.randrange(1 << 32) for _ in range(TORSION_TRIES)])
+        for cls in _torsion_candidates(curve, tries, stats):
             bundle = p_torsion_bundle(curve, cls)
             frob = frobenius_h1(curve, -bundle.rep, bundle)
             if not frob.injective:
@@ -591,7 +573,7 @@ def certificate_build(p: int, seed: int, budget: SearchBudget = SearchBudget()) 
             alpha = alpha_sp.basis[0]
 
             pts = rational_places(curve)
-            for _ in range(budget.pencil_tries):
+            for _ in range(PENCIL_TRIES):
                 trio = rng.sample(pts, 3)
                 a_div = Divisor((pl, 1) for pl in trio)
                 try:
@@ -607,11 +589,9 @@ def certificate_build(p: int, seed: int, budget: SearchBudget = SearchBudget()) 
                         stats["degenerate_charts"] += 1
                         continue
                     raise
-                for _ in range(budget.delta_rounds):
+                for _ in range(DELTA_ROUNDS):
                     try:
-                        delta, d_div = choose_delta(
-                            emb, n0, bundle, rng.randrange(1 << 32), budget.delta_tries
-                        )
+                        delta, d_div = choose_delta(emb, n0, bundle, rng.randrange(1 << 32))
                     except ExtendFieldError:
                         stats["delta_exhausted"] += 1
                         break
@@ -686,6 +666,16 @@ def _stage(compute, prefix: str = "") -> tuple:
         return None, prefix + str(err)
 
 
+def _require_monic(fn: FunctionElement, name: str):
+    """g and delta each span a one-dimensional space, and search writes the
+    `kernel_basis` generator, whose last nonzero coordinate is 1: in
+    (A + B y)/h, B is monic, or A when B = 0.  Any other multiple would
+    spell the same certificate another way.  (Check 4 compares alpha with
+    the generator it builds anyway.)"""
+    if (fn.A if fn.B.is_zero else fn.B).lc() != 1:
+        raise ValueError(f"{name} is not scaled to a monic leading coefficient")
+
+
 def certificate_verify(cert) -> VerifyReport:
     """Recompute the seven certificate hypotheses from scratch.
 
@@ -746,6 +736,7 @@ def certificate_verify(cert) -> VerifyReport:
         g_fn, gamma, l_rep = need("g"), need("gamma"), need("L")
         if g_fn.is_zero:
             raise ValueError("zero trivialization")
+        _require_monic(g_fn, "g")
         ok = curve.has_divisor(g_fn, l_rep * p)
         dlog = Differential(curve, g_fn.derivative() * g_fn.inverse())
         return ok and not dlog.is_zero and is_regular(dlog) and dlog == gamma
@@ -754,8 +745,8 @@ def certificate_verify(cert) -> VerifyReport:
         (emb, n0), l_rep, gamma = need("embedding"), need("L"), need("gamma")
         alpha = serialize.decode_fn(curve, d["alpha"], "alpha")
         alpha_sp = rr_space(curve, curve.canonical_divisor() + l_rep)
-        if alpha_sp.dim != 1 or alpha.is_zero or alpha_sp.coords(alpha) is None:
-            raise ValueError("alpha is not the adjoint torsion section")
+        if alpha_sp.dim != 1 or alpha != alpha_sp.basis[0]:
+            raise ValueError("alpha is not the generator of the adjoint torsion sections")
         dsp = rr_space(curve, n0 - l_rep)
         if dsp.dim != len(d["delta_coords"]):
             raise ValueError("delta coordinate length mismatch")
@@ -765,6 +756,7 @@ def certificate_verify(cert) -> VerifyReport:
         d_div = need("D")
         if not curve.has_divisor(delta, d_div - (n0 - l_rep)):
             raise ValueError("delta does not vanish exactly on the stated points")
+        _require_monic(delta, "delta")
         value = obstruction_scalar(beta_functional(emb), delta, gamma, alpha)
         return value == d["obstruction"] and value != 0
 

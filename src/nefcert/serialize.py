@@ -259,7 +259,9 @@ def parse_certificate(data) -> dict:
             raise CertificateFormatError(f"not UTF-8: {err}") from err
     try:
         d = json.loads(data)
-    except json.JSONDecodeError as err:
+    except (ValueError, RecursionError) as err:
+        # besides JSONDecodeError (a ValueError): an integer literal past
+        # CPython's digit limit, and nesting past the recursion limit
         raise CertificateFormatError(f"invalid JSON: {err}") from err
     ensure_certificate_shape(d)
     _want(data == canonical_bytes(d).decode(), "not in canonical form")
@@ -325,13 +327,25 @@ def decode_place(curve: Curve, data) -> Place:
 
 
 def decode_divisor(curve: Curve, data) -> Divisor:
-    return Divisor([(decode_place(curve, item[0]), item[1]) for item in data])
+    """The divisor, which must be stored as `encode_divisor` writes it:
+    `Divisor` sorts its places, merges a repeated place and drops a zero
+    multiplicity, so any other list would spell the same certificate
+    another way."""
+    div = Divisor([(decode_place(curve, item[0]), item[1]) for item in data])
+    if encode_divisor(div) != data:
+        raise ValueError("divisor not in canonical form")
+    return div
 
 
 def decode_mumford(curve: Curve, data) -> MumfordClass:
-    return MumfordClass(
+    """The class, which must be stored as `encode_mumford` writes it:
+    `MumfordClass` reduces v mod u, so v + u would spell it another way."""
+    cls = MumfordClass(
         curve, decode_poly(curve.field, data["u"]), decode_poly(curve.field, data["v"])
     )
+    if encode_mumford(cls) != data:
+        raise ValueError("Mumford pair not in canonical form")
+    return cls
 
 
 def decode_semilinear(base: Field, data) -> SemilinearMap:

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import nefcert
-from nefcert import serialize
+from nefcert import obstruction, serialize
 from nefcert.cli import main
 
 
@@ -165,6 +165,29 @@ def test_verify_rejects_a_field_beyond_the_search_bound(tmp_path, capsys):
     assert b"malformed certificate: field too large" in out.stderr
 
 
+@pytest.mark.parametrize("case", ["long-integer", "deep-nesting"])
+def test_verify_exits_2_on_json_past_the_parser_limits(tmp_path, case):
+    """An integer literal past CPython's 4300-digit limit (ValueError) and
+    nesting past the recursion limit (RecursionError) are malformed input,
+    not a traceback."""
+    root = Path(nefcert.__file__).parents[2]
+    if case == "long-integer":
+        data = (root / "perfbench/inputs/cert-p3-s0.json").read_bytes()
+        assert b'"seed":0}' in data
+        data = data.replace(b'"seed":0}', b'"seed":' + b"1" * 5000 + b"}")
+    else:
+        data = b"[" * 100000 + b"]" * 100000
+    path = tmp_path / "cert.json"
+    path.write_bytes(data)
+    env = dict(os.environ, PYTHONPATH=str(Path(nefcert.__file__).parents[1]))
+    cmd = [sys.executable, "-m", "nefcert.cli", "verify", str(path)]
+    out = subprocess.run(cmd, capture_output=True, env=env, timeout=60)
+    assert out.returncode == 2
+    assert out.stdout == b""
+    assert b"malformed certificate: invalid JSON" in out.stderr
+    assert b"Traceback" not in out.stderr
+
+
 def test_verify_json_format(tmp_path, capsys):
     path = tmp_path / "cert.json"
     run(capsys, ["search", "--p", "3", "--seed", "0", "--out", str(path)])
@@ -175,12 +198,10 @@ def test_verify_json_format(tmp_path, capsys):
     assert [c["index"] for c in payload["checks"]] == list(range(1, 8))
 
 
-def test_search_failure_report(tmp_path, capsys):
+def test_search_failure_report(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(obstruction, "CURVE_TRIES", 0)
     path = tmp_path / "fail.json"
-    code, _, err = run(
-        capsys,
-        ["search", "--p", "3", "--seed", "0", "--curve-tries", "0", "--out", str(path)],
-    )
+    code, _, err = run(capsys, ["search", "--p", "3", "--seed", "0", "--out", str(path)])
     assert code == 1
     assert "search exhausted" in err
     report = json.loads(path.read_text())
@@ -198,9 +219,17 @@ def test_search_rejects_bad_prime(capsys):
 
 
 def test_invalid_flags_exit_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["search", "--frequency", "11"])
-    assert exc.value.code == 2
+    for argv in (
+        ["search", "--frequency", "11"],
+        # the search limits are constants
+        ["search", "--curve-tries", "0"],
+        ["search", "--guard", "100"],
+        ["search", "--delta-tries", "10"],
+        ["curve-info", "--f", "0,1,0,0,0,1", "--guard", "100"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
     with pytest.raises(SystemExit) as exc:
         main(["lattice", "--base", "p3"])
     assert exc.value.code == 2
@@ -244,31 +273,33 @@ def test_curve_info_rejects_singular_model(capsys):
 
 
 def test_config_echo_is_pinned(capsys, monkeypatch):
-    """The stderr `config:` line, byte for byte, for a search and a verify."""
+    """The stderr `config:` line, byte for byte, for each command: the
+    arguments it parsed, as sorted JSON, and nothing it did not read."""
     monkeypatch.chdir(Path(nefcert.__file__).parents[2])
-    budget = (
-        '{"curve_tries": 64, "delta_rounds": 4, "delta_tries": 150, "max_q": 3000,'
-        ' "min_points": 14, "pencil_tries": 12, "torsion_tries": 8}'
-    )
     code, _, err = run(capsys, ["search", "--p", "3", "--seed", "0"])
     assert code == 0
     assert err.splitlines()[0] == (
-        f'config: {{"base": "p1xp1", "budget": {budget}, "command": "search",'
-        ' "d": 3, "f": [], "format": "text", "guard": 10000000, "out": "", "p": 3,'
-        ' "path": "", "seed": 0}'
+        'config: {"command": "search", "format": "text", "out": "", "p": 3, "seed": 0}'
     )
     code, _, err = run(capsys, ["verify", "perfbench/inputs/cert-p3-s0.json"])
     assert code == 0
     assert err == (
-        f'config: {{"base": "p1xp1", "budget": {budget}, "command": "verify",'
-        ' "d": 3, "f": [], "format": "text", "guard": 10000000, "out": "", "p": 3,'
-        ' "path": "perfbench/inputs/cert-p3-s0.json", "seed": 0}\n'
+        'config: {"command": "verify", "format": "text",'
+        ' "path": "perfbench/inputs/cert-p3-s0.json"}\n'
+    )
+    code, _, err = run(capsys, ["lattice"])
+    assert code == 0
+    assert err == 'config: {"base": "p1xp1", "command": "lattice", "d": 3, "format": "text"}\n'
+    code, _, err = run(capsys, ["curve-info", "--f", "0,1,0,0,0,1"])
+    assert code == 0
+    assert err == (
+        'config: {"command": "curve-info", "f": [0, 1, 0, 0, 0, 1], "format": "text", "p": 3}\n'
     )
 
 
 # Source lines of the `nefcert` modules a cold `search` or `verify` loads,
 # as README.md states under "Start-up cost".
-COLD_IMPORT_LINES = 4683
+COLD_IMPORT_LINES = 4618
 
 
 def test_cold_import_path_is_lean():

@@ -9,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nefcert
 from nefcert import linalg, obstruction, serialize
@@ -31,7 +33,6 @@ from nefcert.obstruction import (
     _charts,
     _splitting_tails,
     _subtract_points,
-    SearchBudget,
     SearchExhausted,
     beta_functional,
     certificate_build,
@@ -532,7 +533,7 @@ def test_choose_delta_properties(setting):
     assert d2 == d_div and (delta - delta2).is_zero
 
 
-def _place_keyed_choose_delta(E, n_div, L, seed, tries):
+def _place_keyed_choose_delta(E, n_div, L, seed):
     """Reference: the try loop of `choose_delta` as it was before it sampled
     indices, drawing the places themselves and keying its tables by them."""
     curve = E.curve
@@ -545,7 +546,7 @@ def _place_keyed_choose_delta(E, n_div, L, seed, tries):
     lookup = {uv: pl for pl, uv in point.items()}
     neg = {pl: (u, tuple(curve.field.neg(c) for c in v)) for pl, (u, v) in point.items()}
     rng = random.Random(seed)
-    for _ in range(tries):
+    for _ in range(obstruction.DELTA_TRIES):
         chosen = rng.sample(pts, 11)
         last = lookup.get(_subtract_points(curve, w, chosen, neg))
         if last is None or last in chosen:
@@ -871,21 +872,23 @@ def test_torsion_misses_count_every_try_of_an_exhausted_search(monkeypatch):
     misses: every try of every such curve is counted, as when all of them
     ran before the candidates were looked at."""
     events = _log_torsion_stage(monkeypatch, fail=lambda seed: seed % 3 == 0)
-    budget = SearchBudget(curve_tries=20, torsion_tries=2, pencil_tries=0)
+    monkeypatch.setattr(obstruction, "TORSION_TRIES", 2)
+    monkeypatch.setattr(obstruction, "PENCIL_TRIES", 0)
+    monkeypatch.setattr(obstruction, "CURVE_TRIES", 20)
     with pytest.raises(SearchExhausted) as exc:
-        certificate_build(3, seed=0, budget=budget)
+        certificate_build(3, seed=0)
     tries = [e for e in events if e[0] == "try"]
     curves = {id(e[1]): e[1] for e in tries}  # the log keeps each curve alive
     assert len(curves) >= 2
     for curve in curves.values():
-        assert sum(e[1] is curve for e in tries) == budget.torsion_tries
+        assert sum(e[1] is curve for e in tries) == 2
     assert exc.value.stats["torsion_misses"] == sum(e[3] for e in tries) > 0
     # some tries ran only to be counted: after their curve's candidates were used
     late = [
         e
         for i, e in enumerate(events)
         if e[0] == "try"
-        and sum(f[0] == "bundle" and f[1] is e[1] for f in events[:i]) == budget.torsion_tries
+        and sum(f[0] == "bundle" and f[1] is e[1] for f in events[:i]) == 2
     ]
     assert any(e[3] for e in late)
 
@@ -925,7 +928,12 @@ def test_certificate_mutations_fail_at_the_intended_check(cert, mutate, expect):
         num[0] = (num[0] + 1) % q
         dd["g"]["a"]["num"] = num
     elif mutate == "d_div":
-        dd["d_div"][0] = dd["d_div"][1]
+        # one point of D moved to a rational place outside D: the list stays
+        # canonical, so it decodes and only the class of N - D changes
+        support = cert.d_div.support
+        outside = next(pl for pl in rational_places(cert.g.curve) if pl not in support)
+        moved = Divisor([(outside, 1)] + [(pl, 1) for pl in support[1:]])
+        dd["d_div"] = serialize.encode_divisor(moved)
     else:
         dd["frob"][mutate.removeprefix("frob.")] += 1
     report = certificate_verify(dd)
@@ -935,6 +943,9 @@ def test_certificate_mutations_fail_at_the_intended_check(cert, mutate, expect):
     if mutate == "g":
         # the Frobenius matrix is read off div(g) = p * L, so check 5 fails too
         assert report.checks[4].detail == "div(g) is not -p * source" and 5 in failed
+    if mutate == "d_div":
+        # check 2 ran its class-order test: no stage failed before it
+        assert report.checks[1].detail == ""
 
 
 def _sweep():
@@ -973,6 +984,61 @@ def test_verify_is_total_on_single_leaf_mutations(cert):
             assert all(c.detail == "no curve to check against" for c in report.checks[1:])
     assert (len(cases), reports) == (436, 340)
     assert passed.count(("seed",)) == 4 and len(passed) == 13
+
+
+@pytest.mark.parametrize("datum", ["delta", "alpha", "g"])
+def test_one_dimensional_data_have_one_scale(cert, datum):
+    """g, alpha and delta are each stored as the generator search writes;
+    twice each, with the obstruction or the Frobenius matrix rescaled to
+    match, spells the same certificate another way, and only the check
+    that reads the datum fails, with that reason."""
+    d = serialize.certificate_to_dict(cert)
+    F = field(cert.p, cert.k)
+    scale = 2
+    if datum == "delta":
+        d["delta_coords"] = [F.mul(x, scale) for x in d["delta_coords"]]
+        d["obstruction"] = F.mul(d["obstruction"], scale)
+        expect, reason = 4, "delta is not scaled to a monic leading coefficient"
+    elif datum == "alpha":
+        d["alpha"] = serialize.encode_fn(cert.alpha.scale(scale))
+        d["obstruction"] = F.mul(d["obstruction"], scale)
+        expect, reason = 4, "alpha is not the generator of the adjoint torsion sections"
+    else:
+        d["g"] = serialize.encode_fn(cert.g.scale(scale))
+        inv = F.inv(scale)
+        d["frob"]["matrix"] = [[F.mul(x, inv) for x in row] for row in d["frob"]["matrix"]]
+        expect, reason = 3, "g is not scaled to a monic leading coefficient"
+    report = certificate_verify(d)
+    failed = {c.index: c.detail for c in report.checks if not c.passed}
+    assert failed == {expect: reason}
+
+
+def test_verify_is_total_on_any_integer_leaf(cert, cert_p13_s0):
+    """Any integer in place of any integer leaf, at k > 1 (q = 9) and k = 1
+    (q = 13), ends in a format error or a report whose checks all ran;
+    only an unchanged certificate or a new `seed` passes.  p is left out:
+    another prime with p^k <= MAX_Q keeps the shape valid, and the checks
+    would then count points over fields of up to MAX_Q^2 elements."""
+    sweep = _sweep()
+    dicts = [serialize.certificate_to_dict(c) for c in (cert, cert_p13_s0)]
+    leaves = [
+        (d, path) for d in dicts for path, _ in sweep.int_leaves(d) if path != ("p",)
+    ]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(leaves), st.integers())
+    def case(leaf, value):
+        d, path = leaf
+        m = sweep.mutated(d, path, lambda _: value)
+        try:
+            report = certificate_verify(m)
+        except serialize.CertificateFormatError:
+            return
+        assert len(report.checks) == 7
+        if report.ok:
+            assert m == d or path == ("seed",), (path, value)
+
+    case()
 
 
 def test_verify_output_is_the_same_under_optimize(cert, tmp_path):
@@ -1027,10 +1093,11 @@ def test_exhausted_search_statistics_are_pinned(p):
     assert {key: n for key, n in exc.value.stats.items() if n} == EXHAUSTED[p]
 
 
-def test_search_exhaustion_reports_statistics():
-    tiny = SearchBudget(curve_tries=2, torsion_tries=0)
+def test_search_exhaustion_reports_statistics(monkeypatch):
+    monkeypatch.setattr(obstruction, "TORSION_TRIES", 0)
+    monkeypatch.setattr(obstruction, "CURVE_TRIES", 2)
     with pytest.raises(SearchExhausted) as exc:
-        certificate_build(3, seed=0, budget=tiny)
+        certificate_build(3, seed=0)
     stats = exc.value.stats
     assert stats["curves_sampled"] >= 1
     assert set(stats) >= {"singular", "non_ordinary", "obstruction_zero"}

@@ -194,3 +194,35 @@ def test_place_not_in_canonical_form_fails_its_check(cert_dict, key):
     failed = {c.index: c.detail for c in report.checks if not c.passed}
     assert not report.ok and 2 in failed
     assert all(detail.endswith("place not in canonical form") for detail in failed.values()), failed
+
+
+@pytest.mark.parametrize("spelling", ["a_div-reversed", "d_div-reversed", "zero-item", "v-plus-u"])
+def test_divisor_and_mumford_pair_have_one_spelling(cert_dict, spelling):
+    """A divisor list in another order or with a [place, 0] item, and a
+    Mumford pair with v + u for v, name the same objects as the stored
+    ones; every check that decodes them fails with that reason."""
+    from nefcert.obstruction import certificate_verify
+
+    d = copy.deepcopy(cert_dict)
+    curve = Curve(field(3, 2), d["f"])
+    if spelling == "a_div-reversed":
+        d["a_div"].reverse()
+        expect = {2, 4}
+    elif spelling == "d_div-reversed":
+        d["d_div"].reverse()
+        expect = {2, 4, 7}
+    elif spelling == "zero-item":
+        # a place D misses, with multiplicity 0, in its sorted position
+        items = serialize.decode_divisor(curve, d["d_div"]).items
+        extra = next(pl for pl in rational_places(curve) if pl not in dict(items))
+        items = sorted(items + ((extra, 0),), key=lambda it: it[0].sort_key())
+        d["d_div"] = [[serialize.encode_place(pl), m] for pl, m in items]
+        expect = {2, 4, 7}
+    else:
+        u, v = (Polynomial(curve.field, d["l_cls"][k]) for k in ("u", "v"))
+        d["l_cls"]["v"] = list((v + u).coeffs)
+        expect = {3, 4, 5}
+    report = certificate_verify(d)
+    failed = {c.index: c.detail for c in report.checks if not c.passed}
+    assert set(failed) == expect, failed
+    assert all(detail.endswith("not in canonical form") for detail in failed.values()), failed
