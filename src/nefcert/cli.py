@@ -192,8 +192,11 @@ def cmd_lattice(cfg: argparse.Namespace) -> int:
 def cmd_curve_info(cfg: argparse.Namespace) -> int:
     from .curves import Curve
     from .cohomology import cartier_manin, cartier_nonsingular
-    from .jacobian import jac_order
+    from .jacobian import frobenius_data
 
+    if cfg.p > MAX_Q:  # refused before field(p) tests p by trial division
+        print(f"error: p above MAX_Q = {MAX_Q}", file=sys.stderr)
+        return 1
     try:
         curve = Curve(field(cfg.p), cfg.f)
     except ValueError as err:
@@ -212,8 +215,9 @@ def cmd_curve_info(cfg: argparse.Namespace) -> int:
         "ordinary": ordinary,
     }
     if cfg.p * cfg.p <= MAX_Q:  # F_{p^2} within the search's field bound
-        payload["points_quadratic"] = curve.point_count(2)
-        payload["jacobian_order"] = jac_order(curve)
+        data = frobenius_data(curve)
+        payload["points_quadratic"] = data.n2
+        payload["jacobian_order"] = data.order
     if cfg.format == "json":
         print(json.dumps(payload, sort_keys=True))
     else:

@@ -28,6 +28,7 @@ from .curves import (
     Divisor,
     FunctionElement,
     _retry,
+    rational_places,
 )
 from .fields import Field, Polynomial, hensel_sqrt
 
@@ -312,7 +313,6 @@ class PTorsionBundle(NamedTuple):
     cls: object
     rep: Divisor
     g: FunctionElement
-    order: int
 
 
 def p_torsion_bundle(curve: Curve, cls) -> PTorsionBundle:
@@ -324,25 +324,10 @@ def p_torsion_bundle(curve: Curve, cls) -> PTorsionBundle:
         raise ValueError("class order is not p")
     rep = mumford_to_divisor(cls)
     g = torsion_trivialization(curve, rep, p)
-    return PTorsionBundle(cls, rep, g, p)
+    return PTorsionBundle(cls, rep, g)
 
 
-def _rational_places(curve: Curve):
-    """The places of degree 1: over x = a for the codes a = 0, 1, ... in
-    turn, then the place at infinity."""
-    base = curve.field
-    for a in range(base.q):
-        for pl in curve.places_above(Polynomial(base, (base.neg(a), 1))):
-            if pl.degree == 1:
-                yield pl
-    yield curve.infinite_place()
-
-
-def frobenius_h1(
-    curve: Curve,
-    source: Divisor,
-    trivialization: FunctionElement | PTorsionBundle | None = None,
-) -> SemilinearMap:
+def frobenius_h1(curve: Curve, source: Divisor, g: FunctionElement | None = None) -> SemilinearMap:
     """Matrix of xi -> xi^p / g from H^1(O(source)) to H^1(O), in the gap
     bases of `h1_space`, with g the trivialization: div(g) = -p * source.
 
@@ -354,9 +339,10 @@ def frobenius_h1(
         <xi^p / g, omega_j> = res(xi * C(omega_j / g))^p,
 
     and C(omega_j / g) = sum_l c_jl beta_l over the basis beta_l of the
-    differentials with divisor >= source.  At a rational place with local
-    parameter s where g is a unit, C(sum_n a_n s^n ds) has coefficient
-    a_(pm+p-1)^(1/p) at s^m, so the c_jl^p solve
+    differentials with divisor >= source.  At the first place of
+    `rational_places` where g is a unit, with local parameter s,
+    C(sum_n a_n s^n ds) has coefficient a_(pm+p-1)^(1/p) at s^m, so the
+    c_jl^p solve
     sum_l c_jl^p b_lm^p = a_(pm+p-1) for omega_j / g, where b_lm is the
     coefficient of s^m in beta_l / ds and m runs over the pivot exponents of
     the beta_l there.  At infinity R_kl = <t^(e_k), beta_l> and
@@ -368,15 +354,11 @@ def frobenius_h1(
     """
     base = curve.field
     p = base.p
-    if isinstance(trivialization, PTorsionBundle):
-        trivialization = trivialization.g
-    if trivialization is None:
+    if g is None:
         if not source.is_zero:
             raise ValueError("missing trivialization")
         g = curve.one()
-    elif curve.has_divisor(trivialization, source * -p):
-        g = trivialization
-    else:
+    elif not curve.has_divisor(g, source * -p):
         raise ValueError("div(g) is not -p * source")
     src, tgt = h1_space(curve, source), h1_space(curve, Divisor())
     betas, omegas = differential_space(curve, source), differential_space(curve, Divisor())
@@ -389,7 +371,7 @@ def frobenius_h1(
         wins = [curve.differential_window(om, inf, lo, hi)[1] for om in diffs]
         return [[w[-1 - e - lo] for w in wins] for e in gaps]
 
-    for pl in _rational_places(curve):
+    for pl in rational_places(curve):
         if curve.valuation(g, pl) != 0:
             continue
         # a differential with divisor >= source has order <= 2 where source

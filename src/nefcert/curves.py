@@ -365,6 +365,28 @@ def _places_above(curve: "Curve", u: Polynomial) -> tuple:
     return tuple(sorted([Place(SPLIT, u, r), Place(SPLIT, u, (-r) % u)]))
 
 
+@functools.lru_cache(maxsize=16)
+def rational_places(curve: "Curve") -> tuple:
+    """All degree-1 places, canonically ordered; there are `point_count(1)`
+    of them.
+
+    Over x0 the places are read from f(x0): ramified where it is 0, split
+    with y = +-sqrt(f(x0)) where it is a nonzero square.
+    """
+    base = curve.field
+    out = [curve.infinite_place()]
+    for x0 in range(base.q):
+        u = Polynomial(base, (base.neg(x0), 1))
+        c = curve.f.eval(x0)
+        if c == 0:
+            out.append(Place(RAMIFIED, u))
+            continue
+        r = base.sqrt(c)
+        if r is not None:
+            out += (Place(SPLIT, u, Polynomial.const(base, v)) for v in (r, base.neg(r)))
+    return tuple(sorted(out, key=Place.sort_key))
+
+
 @functools.lru_cache(maxsize=256)
 def _frame_cell(curve: "Curve", place: Place) -> list:
     """[prec, frames]: the highest-precision frames built at the place."""

@@ -445,27 +445,6 @@ def field(p: int, k: int = 1) -> Field:
     return f
 
 
-def field_with_modulus(p: int, k: int, modulus) -> Field:
-    """Field instance for an explicitly given modulus (deserialization)."""
-    if k == 1:
-        return field(p)
-    modulus = tuple(int(c) for c in modulus)
-    canonical = field(p, k)
-    if modulus == canonical.modulus:
-        return canonical
-    key = (p, k, modulus)
-    f = _FIELD_CACHE.get(key)
-    if f is None:
-        base = field(p)
-        if len(modulus) != k + 1 or modulus[-1] != 1 or not all(0 <= c < p for c in modulus):
-            raise ValueError("modulus must be monic of degree k over F_p")
-        if not is_irreducible(Polynomial(base, modulus)):
-            raise ValueError("modulus is reducible")
-        f = ExtensionField(p, k, modulus)
-        _FIELD_CACHE[key] = f
-    return f
-
-
 class Polynomial:
     """Univariate polynomial with coefficient codes stored low-to-high."""
 

@@ -26,7 +26,6 @@ set a certificate records and `certificate_verify` recomputes.
 
 from __future__ import annotations
 
-import functools
 import random
 from typing import NamedTuple
 
@@ -40,14 +39,15 @@ from .cohomology import (
     p_torsion_bundle,
     rr_space,
 )
-from .curves import RAMIFIED, SPLIT, _INF, Curve, Differential, Divisor, FunctionElement, Place
-from .fields import (
-    Polynomial,
-    _is_prime,
-    field,
-    field_with_modulus,
-    poly_gcd,
+from .curves import (
+    _INF,
+    Curve,
+    Differential,
+    Divisor,
+    FunctionElement,
+    rational_places,
 )
+from .fields import Polynomial, field, poly_gcd
 from .jacobian import (
     MumfordClass,
     _sum_codes,
@@ -63,7 +63,8 @@ SCHEMA_VERSION = "nefcert-certificate/1"
 # Stage limits of the certificate search.  Search curves are defined over
 # F_p, so group orders come from point counts over F_p and F_{p^2}; MAX_Q
 # bounds the field F_q the search works in, whose own point count takes q
-# evaluations, and the certificate shape check reads it too.
+# evaluations, and the certificate shape check reads it too.  MIN_POINTS is
+# the least number of rational places a search curve must have.
 CURVE_TRIES = 64
 MAX_Q = 3000
 TORSION_TRIES = 8
@@ -120,14 +121,16 @@ class EmbeddingData(NamedTuple):
 
     rows holds the defining form: entry i is the x-polynomial coefficient of
     the i-th power of the pencil coordinate s.  s_fn is the ratio of the
-    degree-3 pencil sections, and s_polar its polar divisor.
+    degree-3 pencil sections.  n_div is the degree-12 effective divisor N
+    representing O(C)|_C = O(2,3)|_C cut by the coordinate form, the
+    product of the two polar loci.
     """
 
     curve: Curve
     a_div: Divisor
     s_fn: FunctionElement
     rows: tuple
-    s_polar: Divisor
+    n_div: Divisor
 
 
 def embed_bidegree_2_3(curve: Curve, a_div: Divisor) -> EmbeddingData:
@@ -175,16 +178,11 @@ def embed_bidegree_2_3(curve: Curve, a_div: Divisor) -> EmbeddingData:
     # degrees 3 of s and 2 of x, hence gcd(3, 2) = 1: the map is birational
     # onto a (2,3) curve.  That curve has arithmetic genus (2-1)(3-1) = 2 =
     # g(C), so it is smooth and the birational map is an isomorphism.
-    return EmbeddingData(curve, a_div, s_fn, rows, s_polar)
-
-
-def normal_bundle_divisor(E: EmbeddingData) -> Divisor:
-    """The degree-12 effective divisor representing O(C)|_C = O(2,3)|_C cut
-    by the coordinate form, the product of the two polar loci."""
-    # effective of degree 2*3 + 3*2 = 12: embed_bidegree_2_3 checked the
-    # polar degree 3 of s, and x has one pole, of order 2, at the place over
-    # infinity on every model (deg f = 5 ramifies it over the x-line)
-    return E.s_polar * 2 + Divisor([(E.curve.infinite_place(), 6)])
+    # N is effective of degree 2*3 + 3*2 = 12: s has polar degree 3, and x
+    # has one pole, of order 2, at the place over infinity on every model
+    # (deg f = 5 ramifies it over the x-line).
+    n_div = s_polar * 2 + Divisor([(curve.infinite_place(), 6)])
+    return EmbeddingData(curve, a_div, s_fn, rows, n_div)
 
 
 # --- the extension-class functional ------------------------------------------
@@ -199,11 +197,10 @@ class BetaFunctional:
     places of res(phi * psi * y^-1 dx), read from the factors' expansions.
     """
 
-    __slots__ = ("curve", "n_div", "space_div", "tails")
+    __slots__ = ("curve", "space_div", "tails")
 
-    def __init__(self, curve: Curve, n_div: Divisor, space_div: Divisor, tails: tuple):
+    def __init__(self, curve: Curve, space_div: Divisor, tails: tuple):
         self.curve = curve
-        self.n_div = n_div
         self.space_div = space_div
         self.tails = tails
 
@@ -250,7 +247,7 @@ def _charts(E: EmbeddingData) -> tuple:
     return fs, fw, tuple(charts)
 
 
-def _splitting_tails(E: EmbeddingData, n_div: Divisor, choice: int):
+def _splitting_tails(E: EmbeddingData, choice: int):
     """One tangent-valued tail per bad place, as (place, num, den).
 
     The global reference splitting projects along the degree-3 pencil fibers
@@ -259,8 +256,8 @@ def _splitting_tails(E: EmbeddingData, n_div: Divisor, choice: int):
     the two splittings, applied to the coordinate trivialization of N and
     written against the tangent frame y d/dx, is the tail -vx / (u vf y),
     kept as num = -vx (-1 or x^2, the x-component of d/domega negated) and
-    den = u * vf, so it is never inverted.  n_div is the coordinate divisor
-    of N, whose support is bad.
+    den = u * vf, so it is never inverted.  The support of N, the
+    coordinate divisor E.n_div, is bad.
 
     A chart is admissible where sigma and omega are regular, and vf where
     it is a unit; the orders come from those of s, x, F_s and F_w (the
@@ -273,7 +270,7 @@ def _splitting_tails(E: EmbeddingData, n_div: Divisor, choice: int):
     fs, fw, charts = _charts(E)
     nums = (curve.fn(curve.field.neg(1)), x * x)  # -vx by b
 
-    bad = set(pl for pl, _ in n_div.items)
+    bad = set(E.n_div.support)
     bad.add(curve.infinite_place())
     bad.update(pl for pl, _ in curve.divisor(fs).items)
     bad.update(curve.finite_ramified_places())
@@ -316,39 +313,17 @@ def beta_functional(E: EmbeddingData, choice: int = 0) -> BetaFunctional:
     residue is taken until the functional is evaluated.
     """
     curve = E.curve
-    n0 = normal_bundle_divisor(E)
-    space_div = n0 + curve.canonical_divisor() * 2
+    space_div = E.n_div + curve.canonical_divisor() * 2
     if rr_space(curve, space_div).dim != 15:
         raise RuntimeError("sections of 2K + N do not have dimension 15")
 
     # phi / y = num / (den * y^2) with y^2 = f
     f = curve.fn(curve.f)
-    tails = tuple((pl, (num,), (den, f)) for pl, num, den in _splitting_tails(E, n0, choice))
-    return BetaFunctional(curve, n0, space_div, tails)
+    tails = tuple((pl, (num,), (den, f)) for pl, num, den in _splitting_tails(E, choice))
+    return BetaFunctional(curve, space_div, tails)
 
 
 # --- the section delta and the obstruction scalar ----------------------------
-
-
-@functools.lru_cache(maxsize=16)
-def rational_places(curve: Curve) -> tuple:
-    """All degree-1 places, canonically ordered.
-
-    Over x0 the places are read from f(x0): ramified where it is 0, split
-    with y = +-sqrt(f(x0)) where it is a nonzero square.
-    """
-    base = curve.field
-    out = [curve.infinite_place()]
-    for x0 in range(base.q):
-        u = Polynomial(base, (base.neg(x0), 1))
-        c = curve.f.eval(x0)
-        if c == 0:
-            out.append(Place(RAMIFIED, u))
-            continue
-        r = base.sqrt(c)
-        if r is not None:
-            out += (Place(SPLIT, u, Polynomial.const(base, v)) for v in (r, base.neg(r)))
-    return tuple(sorted(out, key=Place.sort_key))
 
 
 def _subtract_points(curve: Curve, w, chosen, neg: list):
@@ -370,9 +345,9 @@ def _subtract_points(curve: Curve, w, chosen, neg: list):
     return u, v
 
 
-def choose_delta(E: EmbeddingData, n_div: Divisor, L: PTorsionBundle, seed: int):
-    """A section delta of N - L whose divisor consists of 12 distinct
-    degree-1 places, by seeded search over point configurations.
+def choose_delta(E: EmbeddingData, L: PTorsionBundle, seed: int):
+    """A section delta of N - L (N = E.n_div) whose divisor consists of 12
+    distinct degree-1 places, by seeded search over point configurations.
 
     Eleven points are drawn at random; the class condition pins the twelfth,
     which is looked up in the group of rational points.  The class
@@ -390,7 +365,7 @@ def choose_delta(E: EmbeddingData, n_div: Divisor, L: PTorsionBundle, seed: int)
     the budget runs out.
     """
     curve = E.curve
-    w_div = n_div - L.rep
+    w_div = E.n_div - L.rep
     sp = rr_space(curve, w_div)
     if sp.dim != 11:
         raise ValueError("Riemann-Roch violation in the section space")
@@ -510,8 +485,8 @@ def certificate_build(p: int, seed: int) -> Certificate:
     rational p-torsion and enough rational points exist, then walks torsion
     classes, pencils and point configurations until the obstruction scalar
     is nonzero, within the stage limits above.  Fully deterministic in
-    (p, seed); raises ValueError unless p is an odd prime, and
-    SearchExhausted with stage statistics when the limits run out.
+    (p, seed); raises ValueError unless p is an odd prime of at most MAX_Q,
+    and SearchExhausted with stage statistics when the limits run out.
 
     The seeds of a curve's TORSION_TRIES tries of `find_p_torsion` are
     drawn up front, and a try runs only when the candidate loop needs its
@@ -520,6 +495,8 @@ def certificate_build(p: int, seed: int) -> Certificate:
     the tries that never ran are run to count their misses, so the
     statistics count every try, as when all of them ran first.
     """
+    if p > MAX_Q:  # refused before field(p) tests p by trial division
+        raise ValueError(f"p above MAX_Q = {MAX_Q}")
     base = field(p)
     rng = random.Random(seed)
     stats = {
@@ -549,7 +526,7 @@ def certificate_build(p: int, seed: int) -> Certificate:
         curve = None
         while m is not None and p**k <= MAX_Q:
             cand = Curve(field(p, k), coeffs)
-            if cand.point_count(1) >= MIN_POINTS:
+            if len(rational_places(cand)) >= MIN_POINTS:
                 curve = cand
                 break
             k += m
@@ -560,7 +537,7 @@ def certificate_build(p: int, seed: int) -> Certificate:
         tries = iter([rng.randrange(1 << 32) for _ in range(TORSION_TRIES)])
         for cls in _torsion_candidates(curve, tries, stats):
             bundle = p_torsion_bundle(curve, cls)
-            frob = frobenius_h1(curve, -bundle.rep, bundle)
+            frob = frobenius_h1(curve, -bundle.rep, bundle.g)
             if not frob.injective:
                 stats["frobenius_rejections"] += 1
                 continue
@@ -578,7 +555,6 @@ def certificate_build(p: int, seed: int) -> Certificate:
                 a_div = Divisor((pl, 1) for pl in trio)
                 try:
                     emb = embed_bidegree_2_3(curve, a_div)
-                    n0 = normal_bundle_divisor(emb)
                     beta = beta_functional(emb)
                 except ValueError as err:
                     msg = str(err)
@@ -591,7 +567,7 @@ def certificate_build(p: int, seed: int) -> Certificate:
                     raise
                 for _ in range(DELTA_ROUNDS):
                     try:
-                        delta, d_div = choose_delta(emb, n0, bundle, rng.randrange(1 << 32))
+                        delta, d_div = choose_delta(emb, bundle, rng.randrange(1 << 32))
                     except ExtendFieldError:
                         stats["delta_exhausted"] += 1
                         break
@@ -599,7 +575,7 @@ def certificate_build(p: int, seed: int) -> Certificate:
                     if value == 0:
                         stats["obstruction_zero"] += 1
                         continue
-                    delta_coords = rr_space(curve, n0 - bundle.rep).coords(delta)
+                    delta_coords = rr_space(curve, emb.n_div - bundle.rep).coords(delta)
                     return Certificate(
                         schema=SCHEMA_VERSION,
                         p=p,
@@ -695,9 +671,12 @@ def certificate_verify(cert) -> VerifyReport:
 
     p = d["p"]
     try:
-        if not _is_prime(p):
-            raise ValueError("not prime")
-        base = field_with_modulus(p, d["k"], d["modulus"])
+        base = field(p, d["k"])
+        # F_q is the field search builds: another irreducible modulus would
+        # spell the same certificate another way, a reducible one no field
+        modulus = None if base.modulus is None else list(base.modulus)
+        if d["modulus"] != modulus:
+            raise ValueError(f"modulus is not {modulus}, the modulus of F_{base.q}")
         curve = Curve(base, serialize.decode_poly(base, d["f"]))
     except (ValueError, TypeError) as err:
         details = [str(err)] + ["no curve to check against"] * 6
@@ -711,8 +690,7 @@ def certificate_verify(cert) -> VerifyReport:
         return mumford_to_divisor(l_cls)
 
     def embedding():
-        emb = embed_bidegree_2_3(curve, serialize.decode_divisor(curve, d["a_div"]))
-        return emb, normal_bundle_divisor(emb)
+        return embed_bidegree_2_3(curve, serialize.decode_divisor(curve, d["a_div"]))
 
     stages = {
         "L": _stage(torsion_divisor),
@@ -729,7 +707,7 @@ def certificate_verify(cert) -> VerifyReport:
         return value
 
     def n_minus_d():
-        d_div, (_, n0) = need("D"), need("embedding")
+        d_div, n0 = need("D"), need("embedding").n_div
         return class_order(divisor_class_to_mumford(curve, n0 - d_div)) == p
 
     def trivialization():
@@ -742,7 +720,8 @@ def certificate_verify(cert) -> VerifyReport:
         return ok and not dlog.is_zero and is_regular(dlog) and dlog == gamma
 
     def obstruction():
-        (emb, n0), l_rep, gamma = need("embedding"), need("L"), need("gamma")
+        emb, l_rep, gamma = need("embedding"), need("L"), need("gamma")
+        n0 = emb.n_div
         alpha = serialize.decode_fn(curve, d["alpha"], "alpha")
         alpha_sp = rr_space(curve, curve.canonical_divisor() + l_rep)
         if alpha_sp.dim != 1 or alpha != alpha_sp.basis[0]:

@@ -202,8 +202,8 @@ def ensure_certificate_shape(d) -> dict:
     )
     _want((d["k"] == 1) == (d["modulus"] is None), "modulus inconsistent with k")
     if d["modulus"] is not None:
-        # field_with_modulus reads the codes as they are, so no other
-        # spelling of the modulus may reach it
+        # monic of degree k over F_p; check 1 then requires the modulus of
+        # field(p, k) itself
         m = d["modulus"]
         _want(
             len(m) == d["k"] + 1 and all(0 <= c < d["p"] for c in m) and m[-1] == 1,

@@ -20,7 +20,7 @@ from nefcert.cohomology import (
     p_torsion_bundle,
     rr_space,
 )
-from nefcert.curves import Curve, Differential, Divisor
+from nefcert.curves import Curve, Differential, Divisor, rational_places
 from nefcert.fields import Polynomial, field, is_irreducible
 from nefcert.jacobian import (
     MumfordClass,
@@ -41,8 +41,6 @@ from nefcert.obstruction import (
     certificate_build,
     certificate_verify,
     embed_bidegree_2_3,
-    normal_bundle_divisor,
-    rational_places,
 )
 from nefcert.oracles import (
     TailClass,
@@ -96,7 +94,7 @@ def cert3():
 def setting3(cert3):
     curve = Curve(field(cert3.p, cert3.k), cert3.f)
     emb = embed_bidegree_2_3(curve, cert3.a_div)
-    n0 = normal_bundle_divisor(emb)
+    n0 = emb.n_div
     return curve, emb, n0
 
 

@@ -188,6 +188,69 @@ def test_verify_exits_2_on_json_past_the_parser_limits(tmp_path, case):
     assert b"Traceback" not in out.stderr
 
 
+def _over_another_modulus(d: dict) -> dict:
+    """The q = 9 certificate d, spelled over F_3[s]/(s^2 + s + 2) instead of
+    F_3[t]/(t^2 + 1).  t goes to s + 2, a root of t^2 + 1 there, so the code
+    c0 + 3 c1 of an element becomes (c0 + 2 c1) % 3 + 3 c1; the divisors
+    are re-sorted by their new codes, so the result is in canonical form."""
+
+    def codes(v):
+        return None if v is None else [(c % 3 + 2 * (c // 3)) % 3 + 3 * (c // 3) for c in v]
+
+    def fn(v):
+        return {part: {key: codes(v[part][key]) for key in ("num", "den")} for part in "ab"}
+
+    rank = {"split": 0, "inert": 1, "ramified": 2, "infinite": 3}
+
+    def place_key(item):
+        pl = item[0]
+        if pl["u"] is None:
+            return (rank[pl["kind"]], 1, [], [])
+        degree = (len(pl["u"]) - 1) * (2 if pl["kind"] == "inert" else 1)
+        return (rank[pl["kind"]], degree, pl["u"], pl["v"] or [])
+
+    def divisor(items):
+        out = [[dict(pl, u=codes(pl["u"]), v=codes(pl["v"])), m] for pl, m in items]
+        return sorted(out, key=place_key)
+
+    assert (d["p"], d["k"], d["modulus"]) == (3, 2, [1, 0, 1])
+    return dict(
+        d,
+        modulus=[2, 1, 1],
+        f=codes(d["f"]),
+        a_div=divisor(d["a_div"]),
+        d_div=divisor(d["d_div"]),
+        l_cls={key: codes(d["l_cls"][key]) for key in ("u", "v")},
+        g=fn(d["g"]),
+        gamma=fn(d["gamma"]),
+        alpha=fn(d["alpha"]),
+        delta_coords=codes(d["delta_coords"]),
+        obstruction=codes([d["obstruction"]])[0],
+        frob=dict(d["frob"], matrix=[codes(row) for row in d["frob"]["matrix"]]),
+        cartier=[codes(row) for row in d["cartier"]],
+    )
+
+
+def test_verify_rejects_the_q9_certificate_over_another_modulus(tmp_path, capsys):
+    """The pinned q = 9 certificate carried over to the modulus x^2 + x + 2
+    describes the same objects over an isomorphic field, and is another
+    spelling of it: it fails check 1, naming the modulus, with exit 1."""
+    root = Path(nefcert.__file__).parents[2]
+    d = serialize.parse_certificate((root / "perfbench/inputs/cert-p3-s0.json").read_bytes())
+    path = tmp_path / "respelled.json"
+    path.write_bytes(serialize.canonical_bytes(_over_another_modulus(d)))
+    serialize.parse_certificate(path.read_bytes())  # well formed
+    code, out, _ = run(capsys, ["verify", str(path)])
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[1] == (
+        "  [FAIL] check 1: the sextic model is a smooth genus-2 curve"
+        " (modulus is not [1, 0, 1], the modulus of F_9)"
+    )
+    assert all(line.endswith("(no curve to check against)") for line in lines[2:8])
+    assert lines[8] == "verdict: FAIL"
+
+
 def test_verify_json_format(tmp_path, capsys):
     path = tmp_path / "cert.json"
     run(capsys, ["search", "--p", "3", "--seed", "0", "--out", str(path)])
@@ -216,6 +279,22 @@ def test_search_rejects_bad_prime(capsys):
     code, _, err = run(capsys, ["search", "--p", "2"])
     assert code == 2
     assert "characteristic two" in err
+
+
+@pytest.mark.parametrize("p", [3001, 10**18 + 9])
+def test_search_and_curve_info_refuse_p_above_max_q(p):
+    """A prime above MAX_Q is refused before any field is built or p is
+    tested by trial division: search exits 2 and curve-info 1, each at
+    once and naming the bound."""
+    env = dict(os.environ, PYTHONPATH=str(Path(nefcert.__file__).parents[1]))
+    for command, status in (("search", 2), ("curve-info", 1)):
+        cmd = [sys.executable, "-m", "nefcert.cli", command, "--p", str(p)]
+        if command == "curve-info":
+            cmd += ["--f", "1,2,3,4,5,1"]
+        out = subprocess.run(cmd, capture_output=True, env=env, timeout=10)
+        assert out.returncode == status, command
+        assert out.stdout == b""
+        assert out.stderr.splitlines()[-1] == b"error: p above MAX_Q = 3000"
 
 
 def test_invalid_flags_exit_2(capsys):
@@ -299,7 +378,7 @@ def test_config_echo_is_pinned(capsys, monkeypatch):
 
 # Source lines of the `nefcert` modules a cold `search` or `verify` loads,
 # as README.md states under "Start-up cost".
-COLD_IMPORT_LINES = 4618
+COLD_IMPORT_LINES = 4584
 
 
 def test_cold_import_path_is_lean():

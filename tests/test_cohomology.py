@@ -270,7 +270,7 @@ def test_frobenius_h1_on_torsion_bundle():
     g = torsion_trivialization(C, rep, 3)
     src = rep * -1
     assert h1(C, src) == 1
-    fr = frobenius_h1(C, src, trivialization=g)
+    fr = frobenius_h1(C, src, g=g)
     assert (fr.source_dim, fr.target_dim) == (1, 2)
     assert fr.injective  # of rank 1, so the matrix is nonzero
     with pytest.raises(ValueError, match="missing trivialization"):
@@ -307,7 +307,7 @@ def test_frobenius_h1_matches_the_pairing_definition():
     pairs = _torsion_pairs()
     assert len(pairs) == 21
     for C, b in pairs:
-        fr = frobenius_h1(C, -b.rep, b)
+        fr = frobenius_h1(C, -b.rep, b.g)
         assert (fr.source_dim, fr.target_dim) == (1, 2)
         assert fr.matrix == frobenius_by_residues(C, -b.rep, b.g)
 
@@ -350,7 +350,7 @@ def test_frobenius_h1_needs_div_g_and_a_rational_place_where_g_is_a_unit():
     b = p_torsion_bundle(C, find_p_torsion(C, seed=0))
     assert C.point_count(1) == 1 and b.rep.mult(C.infinite_place()) != 0
     with pytest.raises(ValueError, match="g is a unit at no rational place"):
-        frobenius_h1(C, -b.rep, b)
+        frobenius_h1(C, -b.rep, b.g)
 
 
 def test_cartier_class_error_cases():

@@ -10,7 +10,6 @@ from nefcert.curves import Curve, FunctionElement
 from nefcert.fields import (
     Polynomial,
     field,
-    field_with_modulus,
     hensel_sqrt,
     is_irreducible,
     poly_factor,
@@ -58,7 +57,6 @@ def test_frozen_moduli():
     # first irreducibles in the deterministic scan order
     assert field(3, 2).modulus == (1, 0, 1)  # x^2 + 1
     assert field(3, 3).modulus == (1, 2, 0, 1)  # x^3 + 2x + 1
-    assert field_with_modulus(3, 2, [1, 0, 1]) is field(3, 2)
 
 
 @pytest.mark.parametrize(
@@ -73,19 +71,6 @@ def test_extension_tables_sit_on_the_first_generator(p, k, g):
     assert F._exp[1] == g
     assert sorted(F._exp[:n]) == list(range(1, F.q))
     assert all(math.gcd(F._log[c], n) > 1 for c in range(2, g))
-
-
-def test_field_with_noncanonical_modulus():
-    # x^2 + 2x + 2 is irreducible over F_3 (no roots): 2, 2+2+2=6=0? -> check
-    # 0 -> 2, 1 -> 1+2+2=5=2, 2 -> 4+4+2=10=1; no roots
-    f = field_with_modulus(3, 2, [2, 2, 1])
-    assert f.q == 9 and f is not field(3, 2)
-    with pytest.raises(ValueError, match="reducible"):
-        field_with_modulus(3, 2, [2, 0, 1])  # x^2+2 = (x+1)(x+2)
-    # 4 = 1 mod 3, but the codes are read as given: only [1, 0, 1] is x^2 + 1
-    for bad in ([4, 0, 1], [1, 0, 4], [1, 0, 1, 0], [-2, 0, 1]):
-        with pytest.raises(ValueError, match="monic of degree k over F_p"):
-            field_with_modulus(3, 2, bad)
 
 
 # --- element arithmetic --------------------------------------------------

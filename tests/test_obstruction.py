@@ -19,7 +19,15 @@ from nefcert.cohomology import (
     p_torsion_bundle,
     rr_space,
 )
-from nefcert.curves import RAMIFIED, SPLIT, Curve, Differential, Divisor, FunctionElement
+from nefcert.curves import (
+    RAMIFIED,
+    SPLIT,
+    Curve,
+    Differential,
+    Divisor,
+    FunctionElement,
+    rational_places,
+)
 from nefcert.fields import Polynomial, field, is_irreducible
 from nefcert.jacobian import (
     class_order,
@@ -39,9 +47,7 @@ from nefcert.obstruction import (
     certificate_verify,
     choose_delta,
     embed_bidegree_2_3,
-    normal_bundle_divisor,
     obstruction_scalar,
-    rational_places,
 )
 from nefcert.oracles import (
     beta_by_coords,
@@ -65,7 +71,7 @@ def setting(cert):
     base = field(cert.p, cert.k)
     curve = Curve(base, cert.f)
     emb = embed_bidegree_2_3(curve, cert.a_div)
-    n0 = normal_bundle_divisor(emb)
+    n0 = emb.n_div
     bundle = p_torsion_bundle(curve, cert.l_cls)
     return curve, emb, n0, bundle
 
@@ -149,7 +155,7 @@ def test_embed_validates_the_pencil(setting):
 def test_embedding_shape(setting):
     curve, emb, n0, bundle = setting
     # the ruling restrictions O(1,0)|_C and O(0,1)|_C have degrees 3 and 2
-    assert emb.s_polar.degree == 3
+    assert obstruction._polar(curve, emb.s_fn).degree == 3
     assert curve.valuation(curve.x(), curve.infinite_place()) == -2
     assert len(emb.rows) == 3 and not emb.rows[2].is_zero
     assert max(r.degree for r in emb.rows) == 3
@@ -221,7 +227,7 @@ def _auxiliary_normal_divisor(E, rng):
         )
         g_fn = _bi_eval(curve, rows, E.s_fn, curve.x())
         if not g_fn.is_zero:
-            return curve.divisor(g_fn) + normal_bundle_divisor(E)
+            return curve.divisor(g_fn) + E.n_div
     raise AssertionError("every auxiliary form vanished on the curve")
 
 
@@ -340,7 +346,7 @@ def test_beta_value_is_the_coefficient_pairing(request, which, scalar):
     beta = beta_functional(emb)
     space = rr_space(curve, beta.space_div)
     values = beta_values(beta)
-    n0 = normal_bundle_divisor(emb)
+    n0 = emb.n_div
     l_rep = p_torsion_bundle(curve, cert.l_cls).rep
     delta = curve.zero()
     for c, phi in zip(cert.delta_coords, rr_space(curve, n0 - l_rep).basis):
@@ -397,7 +403,7 @@ def test_residues_match_a_fixed_precision_expansion(request, which):
         assert curve.residue(omega, pl) == fixed(omega, pl)
 
 
-def _exact_tails(E, n_div, choice):
+def _exact_tails(E, choice):
     """The splitting tails as exact functions phi / y, each one product and
     inverse of function elements, with the chart partials of the
     dehomogenized chart forms and admissibility from exact valuations."""
@@ -407,7 +413,7 @@ def _exact_tails(E, n_div, choice):
     coords = ((s, x, one, one), (s, x.inverse(), x3, vx))
     coords += ((s.inverse(), x, s2, one), (s.inverse(), x.inverse(), s2 * x3, vx))
     fs = _old_chart_partials(E)[0][0]
-    bad = set(pl for pl, _ in n_div.items) | {curve.infinite_place()}
+    bad = set(E.n_div.support) | {curve.infinite_place()}
     bad.update(pl for pl, _ in curve.divisor(fs).items)
     bad.update(curve.finite_ramified_places())
     tails = []
@@ -435,10 +441,9 @@ def test_beta_matches_the_exact_tail_functional(request, which):
     three splitting choices."""
     cert = request.getfixturevalue(which)
     curve, emb = _embedding(cert)
-    n0 = normal_bundle_divisor(emb)
     for choice in (0, 1, 2):
         beta = beta_functional(emb, choice)
-        exact = _exact_tails(emb, n0, choice)
+        exact = _exact_tails(emb, choice)
         assert [pl for pl, *_ in beta.tails] == [pl for pl, _ in exact]
         want = []
         for psi in rr_space(curve, beta.space_div).basis:
@@ -449,12 +454,12 @@ def test_beta_matches_the_exact_tail_functional(request, which):
         assert len(want) == 15 and list(beta_values(beta)) == want
 
 
-def _cancelling_ties(emb, n0):
+def _cancelling_ties(emb):
     """Number of (place, chart, lam) where the two terms of u * vf have equal
     order and their leading terms cancel."""
     curve, s, x = emb.curve, emb.s_fn, emb.curve.x()
     fs, fw, charts = _charts(emb)
-    bad = {pl for pl, _ in n0.items} | {pl for pl, _ in curve.divisor(fs).items}
+    bad = set(emb.n_div.support) | {pl for pl, _ in curve.divisor(fs).items}
     count = 0
     for pl in bad:
         o_s, o_x, o_fs, o_fw = (curve.valuation(phi, pl) for phi in (s, x, fs, fw))
@@ -479,12 +484,11 @@ def test_tail_factors_equal_the_exact_tails(cert):
             emb = embed_bidegree_2_3(curve, Divisor((pl, 1) for pl in rng.sample(pts, 3)))
         except ValueError:
             continue
-        n0 = normal_bundle_divisor(emb)
         for choice in (0, 1, 2):
-            tails = _splitting_tails(emb, n0, choice)
+            tails = _splitting_tails(emb, choice)
             got = [(pl, num * (den * f).inverse()) for pl, num, den in tails]
-            assert got == _exact_tails(emb, n0, choice)
-        cancelled += _cancelling_ties(emb, n0)
+            assert got == _exact_tails(emb, choice)
+        cancelled += _cancelling_ties(emb)
         done += 1
     assert cancelled > 0
 
@@ -521,7 +525,7 @@ def test_cartier_classes_of_full_torsion_span_the_differentials():
 def test_choose_delta_properties(setting):
     curve, emb, n0, bundle = setting
     w_div = n0 - bundle.rep
-    delta, d_div = choose_delta(emb, n0, bundle, seed=5)
+    delta, d_div = choose_delta(emb, bundle, seed=5)
     assert d_div.degree == 12 and len(d_div.items) == 12
     assert all(m == 1 and pl.degree == 1 for pl, m in d_div.items)
     assert curve.divisor(delta) == d_div - w_div
@@ -529,15 +533,15 @@ def test_choose_delta_properties(setting):
     cls = divisor_class_to_mumford(curve, n0 - d_div)
     assert cls == bundle.cls
     # seeded search is reproducible
-    delta2, d2 = choose_delta(emb, n0, bundle, seed=5)
+    delta2, d2 = choose_delta(emb, bundle, seed=5)
     assert d2 == d_div and (delta - delta2).is_zero
 
 
-def _place_keyed_choose_delta(E, n_div, L, seed):
+def _place_keyed_choose_delta(E, L, seed):
     """Reference: the try loop of `choose_delta` as it was before it sampled
     indices, drawing the places themselves and keying its tables by them."""
     curve = E.curve
-    w_div = n_div - L.rep
+    w_div = E.n_div - L.rep
     pts = rational_places(curve)
     inf = curve.infinite_place()
     w_cls = divisor_class_to_mumford(curve, w_div - Divisor([(inf, 12)]))
@@ -600,7 +604,7 @@ def test_point_subtraction_matches_divisor_reduction(request, which):
     infinity, the ramified point and a point with its negative."""
     cert = request.getfixturevalue(which)
     curve, emb = _embedding(cert)
-    n0 = normal_bundle_divisor(emb)
+    n0 = emb.n_div
     w_div = n0 - p_torsion_bundle(curve, cert.l_cls).rep
     inf = curve.infinite_place()
     pts = rational_places(curve)
@@ -650,12 +654,11 @@ def test_choose_delta_needs_rational_points():
         except ValueError:
             continue
     assert emb is not None
-    n0 = normal_bundle_divisor(emb)
     from nefcert.jacobian import find_p_torsion
 
     bundle = p_torsion_bundle(curve, find_p_torsion(curve, 0))
     with pytest.raises(ExtendFieldError, match="extend field"):
-        choose_delta(emb, n0, bundle, seed=0)
+        choose_delta(emb, bundle, seed=0)
 
 
 def test_obstruction_scalar_is_multilinear(setting, cert):
@@ -797,7 +800,7 @@ def test_has_divisor_matches_the_principal_divisor(request, which):
     verifier states for them, and for functions with finite poles."""
     cert = request.getfixturevalue(which)
     curve, emb = _embedding(cert)
-    n0 = normal_bundle_divisor(emb)
+    n0 = emb.n_div
     l_rep = p_torsion_bundle(curve, cert.l_cls).rep
     delta = curve.zero()
     for c, phi in zip(cert.delta_coords, rr_space(curve, n0 - l_rep).basis):
@@ -948,6 +951,28 @@ def test_certificate_mutations_fail_at_the_intended_check(cert, mutate, expect):
         assert report.checks[1].detail == ""
 
 
+@pytest.mark.parametrize(
+    "modulus",
+    [
+        [2, 0, 1],  # x^2 + 2 = (x + 1)(x + 2): no field
+        [2, 2, 1],  # x^2 + 2x + 2, irreducible: F_9 again, spelled otherwise
+    ],
+    ids=["reducible", "irreducible"],
+)
+def test_verify_rejects_a_noncanonical_modulus(cert, modulus):
+    """F_9 has one modulus, the one `field(3, 2)` is built with.  Another
+    monic quadratic over F_3 is well formed and fails check 1, whether it is
+    reducible or not, and no other check runs."""
+    d = serialize.certificate_to_dict(cert)
+    assert d["modulus"] == [1, 0, 1]
+    d["modulus"] = modulus
+    report = certificate_verify(serialize.ensure_certificate_shape(d))
+    assert [c.detail for c in report.checks] == (
+        ["modulus is not [1, 0, 1], the modulus of F_9"] + ["no curve to check against"] * 6
+    )
+    assert not any(c.passed for c in report.checks)
+
+
 def _sweep():
     """scripts/verify_sweep.py as a module: its mutation cases are the test's."""
     path = Path(__file__).resolve().parents[1] / "scripts" / "verify_sweep.py"
@@ -958,11 +983,12 @@ def _sweep():
 
 
 def test_verify_is_total_on_single_leaf_mutations(cert):
-    """Every single-leaf mutation of the q = 9 certificate, all 436 cases of
+    """Every single-leaf mutation of the q = 9 certificate, all 448 cases of
     the sweep, ends in a report or a format error.  Only the mutations that
     leave the certificate as it was, or change its unchecked `seed`, pass.
     f coefficients outside F_9 (1000, -1) fail check 1 with a reason
-    instead of indexing the field tables out of range."""
+    instead of indexing the field tables out of range, and so does any
+    well-formed modulus other than x^2 + 1."""
     sweep = _sweep()
     d = serialize.certificate_to_dict(cert)
     cases = sweep.cases(d)
@@ -982,8 +1008,11 @@ def test_verify_is_total_on_single_leaf_mutations(cert):
             first = report.checks[0]
             assert not first.passed and first.detail == "coefficient out of field range"
             assert all(c.detail == "no curve to check against" for c in report.checks[1:])
-    assert (len(cases), reports) == (436, 340)
-    assert passed.count(("seed",)) == 4 and len(passed) == 13
+        if path[0] == "modulus" and m != d:
+            first = report.checks[0]
+            assert not first.passed and first.detail.startswith("modulus is not [1, 0, 1]")
+    assert (len(cases), reports) == (448, 344)
+    assert passed.count(("seed",)) == 4 and len(passed) == 14
 
 
 @pytest.mark.parametrize("datum", ["delta", "alpha", "g"])

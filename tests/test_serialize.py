@@ -4,9 +4,9 @@ import json
 import pytest
 
 from nefcert import serialize
-from nefcert.curves import Curve, Divisor
+from nefcert.curves import Curve, Divisor, rational_places
 from nefcert.fields import Polynomial, field, is_irreducible
-from nefcert.obstruction import certificate_build, rational_places
+from nefcert.obstruction import certificate_build
 from nefcert.serialize import CertificateFormatError
 
 
