@@ -2,9 +2,10 @@
 """Sweep the certificate search over primes and seeds, verify every hit.
 
 Prints one line per (prime, seed) with the curve found, the field it lives
-over, the obstruction scalar, and timings.  With --out the canonical
-certificate bytes are written to <out>/cert_p<p>_s<seed>.json so rerunning
-the sweep doubles as a determinism check (files must not change).
+over, the obstruction scalar, and timings.  Each certificate is verified
+from its canonical bytes, and with --out those bytes are written to
+<out>/cert_p<p>_s<seed>.json, so rerunning the sweep doubles as a
+determinism check (files must not change).
 """
 
 import argparse
@@ -40,10 +41,10 @@ def main() -> int:
                 failures += 1
                 print(f"p={p} seed={seed} EXHAUSTED {exc.stats}")
                 continue
-            built = time.monotonic() - t0
-            report = certificate_verify(cert)
-            verified = time.monotonic() - t0 - built
             blob = canonical_bytes(certificate_to_dict(cert))
+            built = time.monotonic() - t0
+            report = certificate_verify(blob)
+            verified = time.monotonic() - t0 - built
             verdict = "ok" if report.ok else "VERIFY-FAIL"
             if not report.ok:
                 failures += 1

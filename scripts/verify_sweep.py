@@ -4,8 +4,9 @@
     python3 scripts/verify_sweep.py CERT.json [CERT.json ...]
 
 For every integer leaf of each certificate except p and k, four mutations
-are applied one at a time: +1, and the values 0, 1000 and -1.  Each
-mutated dict goes through `certificate_verify` under a timeout of TIMEOUT
+are applied one at a time: +1, and the values 0, 1000 and -1, skipping a
+mutation that leaves the leaf as it is.  The canonical bytes of each
+mutated dict go through `certificate_verify` under a timeout of TIMEOUT
 seconds, and one JSON line (sorted keys) is printed per case:
 
 - kind "report": the verify report, one [index, passed, detail] per check;
@@ -13,8 +14,10 @@ seconds, and one JSON line (sorted keys) is printed per case:
 - kind "error": any other exception, by type and message;
 - kind "timeout": the case ran past the timeout.
 
-Run it at two commits and diff the outputs to see every case whose outcome
-changed.  The exit code is 0 unless a certificate file cannot be read.
+Every case changes the certificate, so only a case on the unchecked `seed`
+should pass.  Run it at two commits and diff the outputs to see every case
+whose outcome changed.  The exit code is 0 unless a certificate file cannot
+be read.
 """
 
 import argparse
@@ -27,7 +30,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from nefcert.obstruction import certificate_verify
-from nefcert.serialize import CertificateFormatError, parse_certificate
+from nefcert.serialize import CertificateFormatError, canonical_bytes, parse_certificate
 
 TIMEOUT = 20  # seconds per case
 SKIPPED = ("p", "k")
@@ -60,12 +63,14 @@ def int_leaves(node, path=()):
 
 
 def cases(d: dict) -> list:
-    """(path, op, change) for every mutated leaf and mutation, in order."""
+    """(path, op, change) for every mutated leaf and mutation that changes
+    it, in order."""
     return [
         (path, op, change)
-        for path, _ in int_leaves(d)
+        for path, value in int_leaves(d)
         if path[0] not in SKIPPED
         for op, change in MUTATIONS
+        if change(value) != value
     ]
 
 
@@ -89,7 +94,7 @@ def _label(path: tuple) -> str:
 def run_case(d: dict) -> dict:
     signal.alarm(TIMEOUT)
     try:
-        report = certificate_verify(d)
+        report = certificate_verify(canonical_bytes(d))
     except CaseTimeout:
         return {"kind": "timeout"}
     except CertificateFormatError as err:

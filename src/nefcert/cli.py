@@ -42,7 +42,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=int, default=3, help="odd prime characteristic (default 3)")
     sp.add_argument("--seed", type=int, default=0, help="64-bit search seed (default 0)")
     sp.add_argument("--out", default="", help="output file (default: stdout)")
-    sp.add_argument("--format", choices=("json", "text"), default="text")
 
     vp = sub.add_parser("verify", help="recheck a stored certificate")
     vp.add_argument("path", help="certificate file")
@@ -88,19 +87,16 @@ def cmd_search(cfg: argparse.Namespace) -> int:
             "stats": dict(sorted(err.stats.items())),
         }
         _emit(serialize.canonical_bytes(report), cfg.out)
-        if cfg.format == "text":
-            print("search exhausted; stage statistics:", file=sys.stderr)
-            for key, val in sorted(err.stats.items()):
-                print(f"  {key}: {val}", file=sys.stderr)
+        print("search exhausted; stage statistics:", file=sys.stderr)
+        for key, val in sorted(err.stats.items()):
+            print(f"  {key}: {val}", file=sys.stderr)
         return 1
     _emit(serialize.canonical_bytes(serialize.certificate_to_dict(cert)), cfg.out)
-    if cfg.format == "text":
-        dest = cfg.out or "<stdout>"
-        print(
-            f"certificate found: p={cert.p} field=F({cert.p}^{cert.k})"
-            f" obstruction={cert.obstruction} -> {dest}",
-            file=sys.stderr,
-        )
+    print(
+        f"certificate found: p={cert.p} field=F({cert.p}^{cert.k})"
+        f" obstruction={cert.obstruction} -> {cfg.out or '<stdout>'}",
+        file=sys.stderr,
+    )
     return 0
 
 
@@ -114,11 +110,10 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 2
     try:
-        d = serialize.parse_certificate(data)
+        report = certificate_verify(data)
     except serialize.CertificateFormatError as err:
         print(f"malformed certificate: {err}", file=sys.stderr)
         return 2
-    report = certificate_verify(d)
     if cfg.format == "json":
         out = {
             "ok": report.ok,
@@ -129,6 +124,7 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
         }
         print(json.dumps(out, sort_keys=True))
     else:
+        d = report.cert
         print(f"certificate: p={d['p']} k={d['k']} f={tuple(d['f'])}")
         for line in report.lines():
             print(line)

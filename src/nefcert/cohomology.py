@@ -327,14 +327,13 @@ def p_torsion_bundle(curve: Curve, cls) -> PTorsionBundle:
     return PTorsionBundle(cls, rep, g)
 
 
-def frobenius_h1(curve: Curve, source: Divisor, g: FunctionElement | None = None) -> SemilinearMap:
+def frobenius_h1(curve: Curve, source: Divisor, g: FunctionElement) -> SemilinearMap:
     """Matrix of xi -> xi^p / g from H^1(O(source)) to H^1(O), in the gap
-    bases of `h1_space`, with g the trivialization: div(g) = -p * source.
+    bases of `h1_space`, with g the trivialization: div(g) = -p * source
+    (g = 1 for the trivial source).
 
-    For the trivial source g may be omitted (it is 1); for any other source
-    omitting it raises ValueError("missing trivialization").  The matrix is
-    read off Serre duality.  For omega_j in the regular differentials and C
-    the Cartier operator,
+    The matrix is read off Serre duality.  For omega_j in the regular
+    differentials and C the Cartier operator,
 
         <xi^p / g, omega_j> = res(xi * C(omega_j / g))^p,
 
@@ -354,11 +353,7 @@ def frobenius_h1(curve: Curve, source: Divisor, g: FunctionElement | None = None
     """
     base = curve.field
     p = base.p
-    if g is None:
-        if not source.is_zero:
-            raise ValueError("missing trivialization")
-        g = curve.one()
-    elif not curve.has_divisor(g, source * -p):
+    if not curve.has_divisor(g, source * -p):
         raise ValueError("div(g) is not -p * source")
     src, tgt = h1_space(curve, source), h1_space(curve, Divisor())
     betas, omegas = differential_space(curve, source), differential_space(curve, Divisor())

@@ -426,7 +426,7 @@ class Curve:
     def __init__(self, base: Field, f):
         if isinstance(f, (tuple, list)):
             f = Polynomial(base, f)
-        if f.field != base:
+        if f.field is not base:
             raise ValueError("mixed fields")
         if base.p == 2:
             raise ValueError("characteristic two unsupported")
@@ -442,7 +442,7 @@ class Curve:
         return 2
 
     def __eq__(self, other):
-        return isinstance(other, Curve) and self.field == other.field and self.f == other.f
+        return isinstance(other, Curve) and self.field is other.field and self.f == other.f
 
     def __hash__(self):
         return hash((self.field, self.f))

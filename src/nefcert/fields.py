@@ -63,6 +63,7 @@ class Field:
     coefficient kernels are poly_mul(a, b), the product of two nonempty
     coefficient sequences (low to high), and poly_divmod(a, b), the
     (quotient, remainder) lists for len(a) >= len(b) and b[-1] != 0.
+    `field(p, k)` is the one constructor, so fields compare by identity.
     """
 
     __slots__ = ("p", "k", "q", "modulus")
@@ -76,17 +77,6 @@ class Field:
         if self.k == 1:
             return f"F({self.p})"
         return f"F({self.p}^{self.k})"
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Field)
-            and self.p == other.p
-            and self.k == other.k
-            and self.modulus == other.modulus
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.k, self.modulus))
 
     # --- generic ------------------------------------------------------------
     def frob(self, a: int) -> int:
@@ -504,7 +494,7 @@ class Polynomial:
         return (
             isinstance(other, Polynomial)
             and self.coeffs == other.coeffs
-            and (self.field is other.field or self.field == other.field)
+            and self.field is other.field
         )
 
     def __hash__(self):
@@ -523,8 +513,7 @@ class Polynomial:
         return "poly[" + " + ".join(terms) + "]"
 
     def _check(self, other: "Polynomial") -> None:
-        # fields are interned, so identity settles almost every call
-        if self.field is not other.field and self.field != other.field:
+        if self.field is not other.field:
             raise ValueError("mixed fields")
 
     # --- arithmetic ---------------------------------------------------------
@@ -661,7 +650,7 @@ def _strip(c: list) -> list:
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     """Monic gcd; gcd(0, 0) = 0."""
-    if a.field is not b.field and a.field != b.field:
+    if a.field is not b.field:
         raise ValueError("mixed fields")
     f = a.field
     a, b = a.coeffs, b.coeffs
@@ -675,7 +664,7 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
 
 def poly_xgcd(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial, Polynomial]:
     """(g, s, t) with g = s*a + t*b, g monic (or zero)."""
-    if a.field is not b.field and a.field != b.field:
+    if a.field is not b.field:
         raise ValueError("mixed fields")
     f = a.field
     r0, r1 = a, b

@@ -47,7 +47,7 @@ from .curves import (
     FunctionElement,
     rational_places,
 )
-from .fields import Polynomial, field, poly_gcd
+from .fields import field, poly_gcd
 from .jacobian import (
     MumfordClass,
     _sum_codes,
@@ -84,17 +84,12 @@ class ExtendFieldError(RuntimeError):
 # coordinate of the degree-3 pencil
 
 
-def _poly_at(curve: Curve, poly: Polynomial, val: FunctionElement) -> FunctionElement:
-    acc = curve.zero()
-    for c in reversed(poly.coeffs):
-        acc = acc * val + curve.fn(c)
-    return acc
-
-
-def _bi_eval(curve: Curve, rows, s_val: FunctionElement, w_val: FunctionElement):
+def _bi_eval(curve: Curve, rows, s_val: FunctionElement) -> FunctionElement:
+    """The form at (s_val, x): Horner in s over the rows, each a polynomial
+    in x and so the function `curve.fn(row)`."""
     acc = curve.zero()
     for row in reversed(rows):
-        acc = acc * s_val + _poly_at(curve, row, w_val)
+        acc = acc * s_val + curve.fn(row)
     return acc
 
 
@@ -163,7 +158,7 @@ def embed_bidegree_2_3(curve: Curve, a_div: Divisor) -> EmbeddingData:
     rows = tuple(rows)
     if rows[2].is_zero or max(r.degree for r in rows) != 3:
         raise ValueError("degenerate chart data")
-    if not _bi_eval(curve, rows, s_fn, curve.x()).is_zero:
+    if not _bi_eval(curve, rows, s_fn).is_zero:
         raise ValueError("degenerate chart data")
 
     # fiber-direction discriminant: squarefree image form
@@ -232,8 +227,8 @@ def _charts(E: EmbeddingData) -> tuple:
     """
     curve = E.curve
     s, x = E.s_fn, curve.x()
-    fs = _bi_eval(curve, _bi_partial_s(E.rows), s, x)
-    fw = _bi_eval(curve, _bi_partial_w(E.rows), s, x)
+    fs = _bi_eval(curve, _bi_partial_s(E.rows), s)
+    fw = _bi_eval(curve, _bi_partial_w(E.rows), s)
     if fs.is_zero:
         raise ValueError("degenerate chart data")
     terms_w = (fw, -(x * x * fw))  # (-1)^b x^(2b) F_w
@@ -610,6 +605,7 @@ class CheckResult(NamedTuple):
 
 
 class VerifyReport(NamedTuple):
+    cert: dict  # the parsed certificate
     checks: tuple
 
     @property
@@ -652,11 +648,12 @@ def _require_monic(fn: FunctionElement, name: str):
         raise ValueError(f"{name} is not scaled to a monic leading coefficient")
 
 
-def certificate_verify(cert) -> VerifyReport:
-    """Recompute the seven certificate hypotheses from scratch.
+def certificate_verify(data) -> VerifyReport:
+    """Recompute the seven certificate hypotheses from its bytes (or str).
 
-    Accepts a Certificate or its dict form.  Structurally malformed dicts
-    raise CertificateFormatError; mathematical failures become failed checks.
+    Input that `serialize.parse_certificate` refuses raises
+    CertificateFormatError; mathematical failures become failed checks,
+    and the report carries the parsed certificate.
     The stages the checks share (the torsion divisor L, the embedding with
     its normal divisor N, and the decoded D, g and gamma) are computed once.
     A check asks for its stages in the order it uses them, and fails with
@@ -664,16 +661,14 @@ def certificate_verify(cert) -> VerifyReport:
     """
     from . import serialize
 
-    if isinstance(cert, Certificate):
-        d = serialize.certificate_to_dict(cert)
-    else:
-        d = serialize.ensure_certificate_shape(cert)
-
+    d = serialize.parse_certificate(data)
     p = d["p"]
     try:
         base = field(p, d["k"])
-        # F_q is the field search builds: another irreducible modulus would
-        # spell the same certificate another way, a reducible one no field
+        # the one rule on the modulus: F_q is the field search builds, and
+        # any other value (another irreducible modulus, a reducible or
+        # non-monic list, a list at k = 1, null above) would spell the same
+        # certificate another way, or no field
         modulus = None if base.modulus is None else list(base.modulus)
         if d["modulus"] != modulus:
             raise ValueError(f"modulus is not {modulus}, the modulus of F_{base.q}")
@@ -681,7 +676,7 @@ def certificate_verify(cert) -> VerifyReport:
     except (ValueError, TypeError) as err:
         details = [str(err)] + ["no curve to check against"] * 6
         checks = [CheckResult(i, CHECK_NAMES[i - 1], False, details[i - 1]) for i in range(1, 8)]
-        return VerifyReport(tuple(checks))
+        return VerifyReport(d, tuple(checks))
 
     def torsion_divisor():
         l_cls = serialize.decode_mumford(curve, d["l_cls"])
@@ -761,4 +756,4 @@ def certificate_verify(cert) -> VerifyReport:
             checks.append(CheckResult(i, CHECK_NAMES[i - 1], bool(step())))
         except (ValueError, ZeroDivisionError) as err:
             checks.append(CheckResult(i, CHECK_NAMES[i - 1], False, str(err)))
-    return VerifyReport(tuple(checks))
+    return VerifyReport(d, tuple(checks))

@@ -163,24 +163,7 @@ def _check_divisor(v, key: str):
                 _check_poly(pl[part], f"{key}[{i}].{part}", "bad place polynomial")
 
 
-_CERT_KEYS = {
-    "schema",
-    "p",
-    "k",
-    "modulus",
-    "f",
-    "a_div",
-    "l_cls",
-    "g",
-    "delta_coords",
-    "d_div",
-    "gamma",
-    "alpha",
-    "obstruction",
-    "frob",
-    "cartier",
-    "seed",
-}
+_CERT_KEYS = frozenset(Certificate._fields)
 
 
 def ensure_certificate_shape(d) -> dict:
@@ -196,19 +179,11 @@ def ensure_certificate_shape(d) -> dict:
         not _below_power(MAX_Q, d["p"], d["k"]),
         f"field too large: p^k > {MAX_Q}",
     )
+    # check 1 requires the modulus of field(p, k) itself
     _want(
         d["modulus"] is None or _is_int_list(d["modulus"]),
         "modulus: expected null or coefficients",
     )
-    _want((d["k"] == 1) == (d["modulus"] is None), "modulus inconsistent with k")
-    if d["modulus"] is not None:
-        # monic of degree k over F_p; check 1 then requires the modulus of
-        # field(p, k) itself
-        m = d["modulus"]
-        _want(
-            len(m) == d["k"] + 1 and all(0 <= c < d["p"] for c in m) and m[-1] == 1,
-            "modulus: expected k + 1 codes below p, ending in 1",
-        )
     _check_poly(d["f"], "f", "expected coefficients")
     _check_divisor(d["a_div"], "a_div")
     _check_divisor(d["d_div"], "d_div")
@@ -280,13 +255,11 @@ def decode_poly(base: Field, coeffs) -> Polynomial:
 
 def decode_rational(base: Field, data, key: str = "num/den") -> tuple:
     """(num, den) of the fraction num/den, which must be stored in lowest
-    terms with a monic den (zero as 0/1): a common factor or a scaling would
-    be another spelling of the same certificate."""
+    terms (zero as 0/1): a common factor would be another spelling of the
+    same certificate.  The shape check has made den monic."""
     den = decode_poly(base, data["den"])
-    if den.is_zero:
-        raise ValueError("zero denominator")
     num = decode_poly(base, data["num"])
-    if not den.is_monic() or poly_gcd(num, den).degree > 0:
+    if poly_gcd(num, den).degree > 0:
         raise ValueError(f"{key}: fraction not in lowest terms")
     return num, den
 

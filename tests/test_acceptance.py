@@ -226,7 +226,7 @@ def test_criterion_04_cartier_manin_matches_frobenius_on_h1():
                 curve = Curve(base, tuple(coeffs) + (1,))
             except ValueError:
                 continue
-            frob = frobenius_h1(curve, Divisor())
+            frob = frobenius_h1(curve, Divisor(), curve.one())
             if frob.injective != cartier_nonsingular(curve):
                 _report(4, f"verdicts disagree at p={p}, f={coeffs}", False)
             count += 1
@@ -363,7 +363,7 @@ def test_criterion_09_search_verify_and_mutations(cert3):
     certs[5] = certificate_build(5, seed=0)
     timings[5] = time.monotonic() - t0
     for p, cert in certs.items():
-        report = certificate_verify(cert)
+        report = certificate_verify(serialize.canonical_bytes(serialize.certificate_to_dict(cert)))
         if not report.ok:
             _report(9, f"verification fails at p={p}", False)
 
@@ -379,7 +379,7 @@ def test_criterion_09_search_verify_and_mutations(cert3):
     for name, expect, mutate in mutations:
         dd = copy.deepcopy(d)
         mutate(dd)
-        rep = certificate_verify(dd)
+        rep = certificate_verify(serialize.canonical_bytes(dd))
         failed = [c.index for c in rep.checks if not c.passed]
         if rep.ok or expect not in failed:
             _report(9, f"tampered {name} missed check {expect}: {failed}", False)

@@ -71,12 +71,11 @@ def test_verify_exit_codes(tmp_path, capsys):
         assert out == ""
         assert "malformed certificate: delta_coords:" in err
 
-    # another spelling of the valid certificate: an unreduced modulus code,
-    # a zero on top of a coefficient list, or a denominator that is not
-    # monic; and codes outside F_9 in the stored scalar and matrices
+    # another spelling of the valid certificate: a zero on top of a
+    # coefficient list, or a denominator that is not monic; and codes
+    # outside F_9 in the stored scalar and matrices
     d = json.loads(path.read_text())
     for key, change in (
-        ("modulus", lambda d: d.update(modulus=[4, 0, 1])),
         ("f", lambda d: d["f"].append(0)),
         ("alpha.a.num", lambda d: d["alpha"]["a"]["num"].append(0)),
         ("alpha.b.den", lambda d: d["alpha"]["b"].update(den=[2])),
@@ -300,8 +299,10 @@ def test_search_and_curve_info_refuse_p_above_max_q(p):
 def test_invalid_flags_exit_2(capsys):
     for argv in (
         ["search", "--frequency", "11"],
-        # the search limits are constants
+        # the search limits are constants, and search always prints its
+        # summary to stderr
         ["search", "--curve-tries", "0"],
+        ["search", "--format", "json"],
         ["search", "--guard", "100"],
         ["search", "--delta-tries", "10"],
         ["curve-info", "--f", "0,1,0,0,0,1", "--guard", "100"],
@@ -358,7 +359,7 @@ def test_config_echo_is_pinned(capsys, monkeypatch):
     code, _, err = run(capsys, ["search", "--p", "3", "--seed", "0"])
     assert code == 0
     assert err.splitlines()[0] == (
-        'config: {"command": "search", "format": "text", "out": "", "p": 3, "seed": 0}'
+        'config: {"command": "search", "out": "", "p": 3, "seed": 0}'
     )
     code, _, err = run(capsys, ["verify", "perfbench/inputs/cert-p3-s0.json"])
     assert code == 0
@@ -378,7 +379,7 @@ def test_config_echo_is_pinned(capsys, monkeypatch):
 
 # Source lines of the `nefcert` modules a cold `search` or `verify` loads,
 # as README.md states under "Start-up cost".
-COLD_IMPORT_LINES = 4584
+COLD_IMPORT_LINES = 4532
 
 
 def test_cold_import_path_is_lean():

@@ -171,6 +171,18 @@ def test_embedding_shape(setting):
     assert rr_space(curve, emb.a_div).dim == 2
 
 
+def _form_at(curve, rows, s, w):
+    """The form with rows in w at (s, w), by Horner in both coordinates;
+    `_bi_eval` reads each row at w = x as one function instead."""
+    acc = curve.zero()
+    for row in reversed(rows):
+        val = curve.zero()
+        for c in reversed(row.coeffs):
+            val = val * w + curve.fn(c)
+        acc = acc * s + val
+    return acc
+
+
 def _old_chart_partials(E):
     """Reference chart partials: each chart form dehomogenized from the rows,
     then differentiated and evaluated at the chart coordinates."""
@@ -190,8 +202,8 @@ def _old_chart_partials(E):
             ome = x.inverse() if b else x
             out.append(
                 (
-                    _bi_eval(curve, _bi_partial_s(rows), sig, ome),
-                    _bi_eval(curve, _bi_partial_w(rows), sig, ome),
+                    _form_at(curve, _bi_partial_s(rows), sig, ome),
+                    _form_at(curve, _bi_partial_w(rows), sig, ome),
                 )
             )
     return out
@@ -225,7 +237,7 @@ def _auxiliary_normal_divisor(E, rng):
             Polynomial(curve.field, [curve.field.random(rng) for _ in range(4)])
             for _ in range(3)
         )
-        g_fn = _bi_eval(curve, rows, E.s_fn, curve.x())
+        g_fn = _bi_eval(curve, rows, E.s_fn)
         if not g_fn.is_zero:
             return curve.divisor(g_fn) + E.n_div
     raise AssertionError("every auxiliary form vanished on the curve")
@@ -692,15 +704,15 @@ def test_obstruction_scalar_is_multilinear(setting, cert):
 
 
 def test_certificate_roundtrip_and_determinism(cert):
-    report = certificate_verify(cert)
+    d = serialize.certificate_to_dict(cert)
+    raw = serialize.canonical_bytes(d)
+    report = certificate_verify(raw)
     assert report.ok, [c for c in report.checks if not c.passed]
-    raw = serialize.canonical_bytes(serialize.certificate_to_dict(cert))
+    assert [c.passed for c in report.checks] == [True] * 7
+    assert report.cert == d
+    assert certificate_verify(raw.decode()) == report
     again = certificate_build(3, seed=0)
     assert serialize.canonical_bytes(serialize.certificate_to_dict(again)) == raw
-    # dict path agrees with the object path
-    report2 = certificate_verify(serialize.parse_certificate(raw))
-    assert report2.ok
-    assert [c.passed for c in report2.checks] == [True] * 7
 
 
 @pytest.fixture(scope="module")
@@ -939,7 +951,7 @@ def test_certificate_mutations_fail_at_the_intended_check(cert, mutate, expect):
         dd["d_div"] = serialize.encode_divisor(moved)
     else:
         dd["frob"][mutate.removeprefix("frob.")] += 1
-    report = certificate_verify(dd)
+    report = certificate_verify(serialize.canonical_bytes(dd))
     assert not report.ok
     failed = [c.index for c in report.checks if not c.passed]
     assert expect in failed
@@ -952,23 +964,41 @@ def test_certificate_mutations_fail_at_the_intended_check(cert, mutate, expect):
 
 
 @pytest.mark.parametrize(
-    "modulus",
+    "which,modulus",
     [
-        [2, 0, 1],  # x^2 + 2 = (x + 1)(x + 2): no field
-        [2, 2, 1],  # x^2 + 2x + 2, irreducible: F_9 again, spelled otherwise
+        ("cert", [2, 0, 1]),  # x^2 + 2 = (x + 1)(x + 2): no field
+        ("cert", [2, 2, 1]),  # x^2 + 2x + 2, irreducible: F_9 again, spelled otherwise
+        ("cert", [4, 0, 1]),
+        ("cert", [1, 0, 4]),
+        ("cert", [-2, 0, 1]),
+        ("cert", [1, 0, 1, 0]),
+        ("cert", None),
+        ("cert_p13_s0", [0, 1]),
     ],
-    ids=["reducible", "irreducible"],
+    ids=[
+        "reducible",
+        "irreducible",
+        "unreduced-code",
+        "non-monic",
+        "negative-code",
+        "zero-on-top",
+        "null-at-k2",
+        "list-at-k1",
+    ],
 )
-def test_verify_rejects_a_noncanonical_modulus(cert, modulus):
-    """F_9 has one modulus, the one `field(3, 2)` is built with.  Another
-    monic quadratic over F_3 is well formed and fails check 1, whether it is
-    reducible or not, and no other check runs."""
+def test_verify_rejects_a_noncanonical_modulus(request, which, modulus):
+    """F_q has one modulus, the one `field(p, k)` is built with (none at
+    k = 1).  Any other value, whatever its length, codes or top, is well
+    formed and fails check 1, and no other check runs: `verify` exits 1."""
+    cert = request.getfixturevalue(which)
     d = serialize.certificate_to_dict(cert)
-    assert d["modulus"] == [1, 0, 1]
+    own = None if cert.k == 1 else [1, 0, 1]
+    assert d["modulus"] == own
     d["modulus"] = modulus
-    report = certificate_verify(serialize.ensure_certificate_shape(d))
+    report = certificate_verify(serialize.canonical_bytes(d))
     assert [c.detail for c in report.checks] == (
-        ["modulus is not [1, 0, 1], the modulus of F_9"] + ["no curve to check against"] * 6
+        [f"modulus is not {own}, the modulus of F_{cert.p**cert.k}"]
+        + ["no curve to check against"] * 6
     )
     assert not any(c.passed for c in report.checks)
 
@@ -983,36 +1013,36 @@ def _sweep():
 
 
 def test_verify_is_total_on_single_leaf_mutations(cert):
-    """Every single-leaf mutation of the q = 9 certificate, all 448 cases of
-    the sweep, ends in a report or a format error.  Only the mutations that
-    leave the certificate as it was, or change its unchecked `seed`, pass.
-    f coefficients outside F_9 (1000, -1) fail check 1 with a reason
-    instead of indexing the field tables out of range, and so does any
-    well-formed modulus other than x^2 + 1."""
+    """Every single-leaf mutation of the q = 9 certificate, all 437 cases of
+    the sweep (each changes its leaf), ends in a report or a format error.
+    Only the mutations of its unchecked `seed` pass.  f coefficients outside
+    F_9 (1000, -1) fail check 1 with a reason instead of indexing the field
+    tables out of range, and so does any modulus other than x^2 + 1."""
     sweep = _sweep()
     d = serialize.certificate_to_dict(cert)
     cases = sweep.cases(d)
     reports, passed = 0, []
     for path, op, change in cases:
         m = sweep.mutated(d, path, change)
+        assert m != d, (path, op)
         try:
-            report = certificate_verify(m)
+            report = certificate_verify(serialize.canonical_bytes(m))
         except serialize.CertificateFormatError:
             continue
         reports += 1
         assert len(report.checks) == 7, path
         if report.ok:
-            assert path == ("seed",) or m == d, (path, op)
+            assert path == ("seed",), (path, op)
             passed.append(path)
         if path[0] == "f" and op in ("1000", "-1"):
             first = report.checks[0]
             assert not first.passed and first.detail == "coefficient out of field range"
             assert all(c.detail == "no curve to check against" for c in report.checks[1:])
-        if path[0] == "modulus" and m != d:
+        if path[0] == "modulus":
             first = report.checks[0]
             assert not first.passed and first.detail.startswith("modulus is not [1, 0, 1]")
-    assert (len(cases), reports) == (448, 344)
-    assert passed.count(("seed",)) == 4 and len(passed) == 14
+    assert (len(cases), reports) == (437, 341)
+    assert len(passed) == 3
 
 
 @pytest.mark.parametrize("datum", ["delta", "alpha", "g"])
@@ -1037,7 +1067,7 @@ def test_one_dimensional_data_have_one_scale(cert, datum):
         inv = F.inv(scale)
         d["frob"]["matrix"] = [[F.mul(x, inv) for x in row] for row in d["frob"]["matrix"]]
         expect, reason = 3, "g is not scaled to a monic leading coefficient"
-    report = certificate_verify(d)
+    report = certificate_verify(serialize.canonical_bytes(d))
     failed = {c.index: c.detail for c in report.checks if not c.passed}
     assert failed == {expect: reason}
 
@@ -1060,7 +1090,7 @@ def test_verify_is_total_on_any_integer_leaf(cert, cert_p13_s0):
         d, path = leaf
         m = sweep.mutated(d, path, lambda _: value)
         try:
-            report = certificate_verify(m)
+            report = certificate_verify(serialize.canonical_bytes(m))
         except serialize.CertificateFormatError:
             return
         assert len(report.checks) == 7

@@ -44,7 +44,6 @@ def test_shape_validation_catches_each_field(cert_dict):
         (lambda d: d.pop("p"), "key set"),
         (lambda d: d.update(p="3"), "expected an integer"),
         (lambda d: d.update(schema="bogus/9"), "unsupported schema"),
-        (lambda d: d.update(modulus=None), "modulus inconsistent"),
         (lambda d: d.update(k=20), "field too large"),
         (lambda d: d.update(p=3001, k=1, modulus=None), "field too large"),
         (lambda d: d.update(f="101"), "f: expected coefficients"),
@@ -56,12 +55,10 @@ def test_shape_validation_catches_each_field(cert_dict):
         (lambda d: d.update(frob={"twist": 1}), "frob"),
         (lambda d: d.update(cartier=[[1, 2, 3]]), "cartier"),
         (lambda d: d["d_div"][0].__setitem__(1, "one"), "multiplicity"),
-        # a modulus code reduced mod p, or a zero on top of a coefficient
-        # list, would spell the same certificate another way
-        (lambda d: d.update(modulus=[4, 0, 1]), "modulus: expected k"),
-        (lambda d: d.update(modulus=[1, 0, 4]), "modulus: expected k"),
-        (lambda d: d.update(modulus=[-2, 0, 1]), "modulus: expected k"),
-        (lambda d: d.update(modulus=[1, 0, 1, 0]), "modulus: expected k"),
+        # the modulus is null or integers; check 1 compares its value
+        (lambda d: d.update(modulus=[1, 0, "1"]), "modulus: expected null or coefficients"),
+        # a zero on top of a coefficient list would spell the same
+        # certificate another way
         (lambda d: d["f"].append(0), "f: zero top coefficient"),
         (lambda d: d["alpha"]["a"]["num"].append(0), "alpha.a.num: zero top coefficient"),
         (lambda d: d["g"]["b"]["den"].append(0), "g.b.den: zero top coefficient"),
@@ -104,8 +101,6 @@ def test_decoders_reject_semantic_garbage():
     curve = Curve(field(3, 2), (0, 1, 0, 0, 0, 1))
     with pytest.raises(ValueError, match="out of field range"):
         serialize.decode_poly(curve.field, [99])
-    with pytest.raises(ValueError, match="zero denominator"):
-        serialize.decode_rational(curve.field, {"num": [1], "den": []})
     # a fraction is stored in lowest terms (x^2 + 2 = (x - 1)(x + 1) over
     # F_9), and zero as 0/1
     for num, den in (([1, 1], [1, 1]), ([2, 0, 1], [1, 1]), ([], [1, 1]), ([], [0, 1])):
@@ -158,7 +153,7 @@ def test_verify_raises_format_error_on_malformed_dict(cert_dict):
     d = copy.deepcopy(cert_dict)
     del d["alpha"]
     with pytest.raises(CertificateFormatError):
-        certificate_verify(d)
+        certificate_verify(serialize.canonical_bytes(d))
 
 
 @pytest.mark.parametrize(
@@ -176,7 +171,7 @@ def test_fraction_not_in_lowest_terms_fails_its_check(cert_dict, key, check):
     F = field(3, 2)
     for name in ("num", "den"):  # a zero numerator stays zero, over x + 1
         frac[name] = list((Polynomial(F, frac[name]) * Polynomial(F, (1, 1))).coeffs)
-    report = certificate_verify(d)
+    report = certificate_verify(serialize.canonical_bytes(d))
     failed = {c.index: c.detail for c in report.checks if not c.passed}
     assert failed.get(check) == f"{key}: fraction not in lowest terms", failed
 
@@ -190,7 +185,7 @@ def test_place_not_in_canonical_form_fails_its_check(cert_dict, key):
     d = copy.deepcopy(cert_dict)
     (i,) = [i for i, (pl, _) in enumerate(d[key]) if pl["kind"] == "ramified"]
     d[key][i][0]["v"] = [1]
-    report = certificate_verify(d)
+    report = certificate_verify(serialize.canonical_bytes(d))
     failed = {c.index: c.detail for c in report.checks if not c.passed}
     assert not report.ok and 2 in failed
     assert all(detail.endswith("place not in canonical form") for detail in failed.values()), failed
@@ -222,7 +217,7 @@ def test_divisor_and_mumford_pair_have_one_spelling(cert_dict, spelling):
         u, v = (Polynomial(curve.field, d["l_cls"][k]) for k in ("u", "v"))
         d["l_cls"]["v"] = list((v + u).coeffs)
         expect = {3, 4, 5}
-    report = certificate_verify(d)
+    report = certificate_verify(serialize.canonical_bytes(d))
     failed = {c.index: c.detail for c in report.checks if not c.passed}
     assert set(failed) == expect, failed
     assert all(detail.endswith("not in canonical form") for detail in failed.values()), failed
