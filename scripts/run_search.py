@@ -55,10 +55,12 @@ def main() -> int:
             )
             if out_dir is not None:
                 path = out_dir / f"cert_p{p}_s{seed}.json"
-                if path.exists() and path.read_bytes() != blob:
+                if not path.exists():
+                    path.write_bytes(blob)
+                elif path.read_bytes() != blob:
+                    # the earlier bytes stay as the evidence of the mismatch
                     failures += 1
                     print(f"  determinism violation: {path} changed")
-                path.write_bytes(blob)
     return 1 if failures else 0
 
 

@@ -242,5 +242,15 @@ def main(argv=None) -> int:
     return cmd_curve_info(ns)
 
 
+def run():
+    """Console entry: exit with main()'s code, the heap frozen first so
+    that interpreter shutdown does not free it object by object."""
+    import gc
+
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -91,12 +91,6 @@ class Field:
             return a
         return self.pow(a, self.p ** (self.k - 1))
 
-    def encode(self, digits) -> int:
-        code = 0
-        for c in reversed(tuple(digits)):
-            code = code * self.p + (c % self.p)
-        return code
-
     def elements(self) -> range:
         return range(self.q)
 
@@ -554,12 +548,6 @@ class Polynomial:
             return Polynomial.zero(self.field)
         mul = self.field.mul
         return Polynomial(self.field, tuple(mul(a, c) for a in self.coeffs))
-
-    def shift(self, n: int) -> "Polynomial":
-        """Multiply by x^n."""
-        if self.is_zero or n == 0:
-            return self
-        return Polynomial(self.field, (0,) * n + self.coeffs)
 
     def __divmod__(self, other: "Polynomial"):
         self._check(other)

@@ -369,12 +369,17 @@ def test_criterion_09_search_verify_and_mutations(cert3):
 
     d = serialize.certificate_to_dict(certs[3])
     q = certs[3].p ** certs[3].k
+    # one point of D moved to a rational place outside D: the divisor stays
+    # canonical, so it decodes and only the class of N - D changes
+    support = certs[3].d_div.support
+    outside = next(pl for pl in rational_places(certs[3].g.curve) if pl not in support)
+    moved = Divisor([(outside, 1)] + [(pl, 1) for pl in support[1:]])
     mutations = [
         ("gamma", 3, lambda dd: _bump_constant(dd["gamma"]["a"], q)),
         ("delta", 4, lambda dd: dd["delta_coords"].__setitem__(
             0, (dd["delta_coords"][0] + 1) % q)),
         ("g", 3, lambda dd: _bump_constant(dd["g"]["a"], q)),
-        ("D", 2, lambda dd: dd["d_div"].__setitem__(0, dd["d_div"][1])),
+        ("D", 2, lambda dd: dd.__setitem__("d_div", serialize.encode_divisor(moved))),
     ]
     for name, expect, mutate in mutations:
         dd = copy.deepcopy(d)
@@ -383,6 +388,9 @@ def test_criterion_09_search_verify_and_mutations(cert3):
         failed = [c.index for c in rep.checks if not c.passed]
         if rep.ok or expect not in failed:
             _report(9, f"tampered {name} missed check {expect}: {failed}", False)
+        if name == "D" and rep.checks[1].detail:
+            # check 2 must reach its class-order test, not stop at decoding
+            _report(9, f"tampered D stopped before check 2's test: {rep.checks[1].detail}", False)
     ok_time = all(t < 600 for t in timings.values())
     _report(
         9,

@@ -1,3 +1,5 @@
+import gc
+import importlib.util
 import json
 import os
 import subprocess
@@ -7,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import nefcert
-from nefcert import obstruction, serialize
+from nefcert import cli, obstruction, serialize
 from nefcert.cli import main
 
 
@@ -375,6 +377,66 @@ def test_config_echo_is_pinned(capsys, monkeypatch):
     assert err == (
         'config: {"command": "curve-info", "f": [0, 1, 0, 0, 0, 1], "format": "text", "p": 3}\n'
     )
+
+
+def test_main_leaves_the_collector_alone(capsys):
+    """In-process callers of main() keep normal GC: nothing is frozen."""
+    root = Path(nefcert.__file__).parents[2]
+    before = gc.get_freeze_count()
+    code, _, _ = run(capsys, ["verify", str(root / "perfbench/inputs/cert-p3-s0.json")])
+    assert code == 0
+    assert gc.get_freeze_count() == before
+
+
+@pytest.mark.parametrize(
+    "name,code",
+    [("cert-p3-s0.json", 0), ("reject-check3-g.json", 1), ("reject-truncated.json", 2)],
+)
+def test_run_freezes_the_heap_once_then_exits_with_mains_code(monkeypatch, name, code):
+    """The console entry runs main(), freezes the collector once (recorded
+    here, so the test process itself is never frozen), and exits with
+    main()'s code."""
+    root = Path(nefcert.__file__).parents[2]
+    events = []
+
+    def recorded_main():
+        result = main()
+        events.append(("main", result))
+        return result
+
+    monkeypatch.setattr(cli, "main", recorded_main)
+    monkeypatch.setattr(gc, "freeze", lambda: events.append(("freeze",)))
+    monkeypatch.setattr(
+        sys, "argv", ["nefcert", "verify", str(root / "perfbench/inputs" / name)]
+    )
+    with pytest.raises(SystemExit) as exc:
+        cli.run()
+    assert exc.value.code == code
+    assert events == [("main", code), ("freeze",)]
+
+
+def test_run_search_keeps_the_file_a_rerun_disagrees_with(tmp_path, monkeypatch, capsys):
+    """scripts/run_search.py --out: a rerun whose bytes differ from a file
+    already written fails and leaves that file as it was, so every later
+    rerun fails too."""
+    path = Path(nefcert.__file__).parents[2] / "scripts" / "run_search.py"
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends src/
+    spec = importlib.util.spec_from_file_location("run_search", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(
+        sys, "argv", ["run_search.py", "--primes", "3", "--seeds", "1", "--out", str(tmp_path)]
+    )
+    assert script.main() == 0
+    cert = tmp_path / "cert_p3_s0.json"
+    good = cert.read_bytes()
+    assert script.main() == 0
+    assert cert.read_bytes() == good
+    cert.write_bytes(b"stale")
+    for _ in range(2):
+        assert script.main() == 1
+        assert cert.read_bytes() == b"stale"
+    assert "determinism violation" in capsys.readouterr().out
 
 
 # Source lines of the `nefcert` modules a cold `search` or `verify` loads,
