@@ -337,11 +337,7 @@ def test_frobenius_h1_on_the_trivial_source_is_dual_to_cartier_manin():
             assert linalg.mat_mul(F, pt, M) == linalg.mat_mul(F, ht, ppt)
 
 
-def test_frobenius_h1_needs_div_g_and_a_rational_place_where_g_is_a_unit():
-    C = _ordinary_with_torsion(3)
-    b = p_torsion_bundle(C, find_p_torsion(C, seed=0))
-    with pytest.raises(ValueError, match=r"div\(g\) is not -p \* source"):
-        frobenius_h1(C, -b.rep, b.g + C.one())
+def test_frobenius_h1_needs_a_rational_place_where_g_is_a_unit():
     # y^2 = x^5 + 2x^4 + 2x^3 + x^2 + 2 over F_3 has one rational point, the
     # place at infinity, and L has a pole there
     C = Curve(F3, (2, 0, 1, 2, 2, 1))

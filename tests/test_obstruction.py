@@ -15,6 +15,9 @@ from hypothesis import strategies as st
 import nefcert
 from nefcert import linalg, obstruction, serialize
 from nefcert.cohomology import (
+    PTorsionBundle,
+    cartier_manin,
+    cartier_nonsingular,
     frobenius_h1,
     p_torsion_bundle,
     rr_space,
@@ -53,9 +56,11 @@ from nefcert.oracles import (
     beta_by_coords,
     beta_values,
     cartier_class,
+    differential_divisor,
     enumerate_classes,
     frobenius_by_residues,
     h1,
+    p_rank,
 )
 from nefcert.series import PrecisionError
 
@@ -696,8 +701,7 @@ def test_obstruction_scalar_is_multilinear(setting, cert):
     from nefcert.curves import Differential
 
     assert obstruction_scalar(beta, delta, Differential(curve, curve.zero()), alpha) == 0
-    with pytest.raises(ValueError, match="zero section"):
-        obstruction_scalar(beta, delta, gamma, curve.zero())
+    assert obstruction_scalar(beta, delta, gamma, curve.zero()) == 0
 
 
 # --- certificates ----------------------------------------------------------------
@@ -782,6 +786,26 @@ def test_stored_frobenius_matches_the_pairing_definition(request, which):
     source = -p_torsion_bundle(curve, cert.l_cls).rep
     assert frobenius_by_residues(curve, source, cert.g) == cert.frob.matrix
     assert frobenius_h1(curve, source, cert.g) == cert.frob
+
+
+@pytest.mark.parametrize("which", ["cert", "cert25", "cert_p7_s0", "cert_p7_s4", "cert_p13_s0"])
+def test_certificates_satisfy_the_invariants_verify_leaves_implied(request, which):
+    """What verify and search derive rather than test, checked by the full
+    divisors of the oracles: dg/g is regular and nonzero, h0(K + L) = 1,
+    h0(N - L) = 11, div(delta) = D - (N - L) and div(g) = p * L."""
+    cert = request.getfixturevalue(which)
+    curve = cert.g.curve
+    emb = embed_bidegree_2_3(curve, cert.a_div)
+    rep = p_torsion_bundle(curve, cert.l_cls).rep
+    assert not cert.gamma.is_zero and differential_divisor(cert.gamma).is_effective
+    assert rr_space(curve, curve.canonical_divisor() + rep).dim == 1
+    dsp = rr_space(curve, emb.n_div - rep)
+    assert dsp.dim == 11
+    delta = curve.zero()
+    for c, phi in zip(cert.delta_coords, dsp.basis):
+        delta = delta + phi.scale(c)
+    assert curve.divisor(delta) == cert.d_div - (emb.n_div - rep)
+    assert curve.divisor(cert.g) == rep * cert.p
 
 
 def _has_divisor_cases(curve, div):
@@ -956,11 +980,182 @@ def test_certificate_mutations_fail_at_the_intended_check(cert, mutate, expect):
     failed = [c.index for c in report.checks if not c.passed]
     assert expect in failed
     if mutate == "g":
-        # the Frobenius matrix is read off div(g) = p * L, so check 5 fails too
-        assert report.checks[4].detail == "div(g) is not -p * source" and 5 in failed
+        # checks 3 and 5 read the one g stage, which tests div(g) = p * L
+        assert report.checks[2].detail == report.checks[4].detail == "div(g) is not p * L"
+        assert 5 in failed
     if mutate == "d_div":
         # check 2 ran its class-order test: no stage failed before it
         assert report.checks[1].detail == ""
+
+
+def _failed(d) -> dict:
+    """{index: detail} of the checks that the certificate dict d fails."""
+    report = certificate_verify(serialize.canonical_bytes(d))
+    return {c.index: c.detail for c in report.checks if not c.passed}
+
+
+# smooth over F_9 with a Cartier-Manin matrix of rank 1: p-rank 1
+P_RANK_1_F = (0, 1, 1, 1, 1, 1)
+
+
+def _tamper(cert, d, case):
+    """The q = 9 certificate dict d, changed as `case` says."""
+    curve = cert.g.curve
+    if case == "zero-class":
+        d["l_cls"] = serialize.encode_mumford(cert.l_cls * 0)
+    elif case == "zero-g":
+        d["g"] = serialize.encode_fn(curve.zero())
+    elif case == "extra-delta-coord":
+        d["delta_coords"].append(0)
+    elif case == "delta-off-d":
+        # the first basis section of N - L, monic, with its own obstruction
+        emb = embed_bidegree_2_3(curve, cert.a_div)
+        rep = p_torsion_bundle(curve, cert.l_cls).rep
+        first = rr_space(curve, emb.n_div - rep).basis[0]
+        d["delta_coords"] = [1] + [0] * 10
+        d["obstruction"] = obstruction_scalar(beta_functional(emb), first, cert.gamma, cert.alpha)
+        assert d["obstruction"] != 0
+    elif case == "eleven-points":
+        d["d_div"] = serialize.encode_divisor(Divisor([(pl, 1) for pl in cert.d_div.support[1:]]))
+    elif case == "negative-multiplicities":
+        # degree 6 * 3 - 6 = 12 on 12 distinct rational places
+        pts = rational_places(curve)[:12]
+        d_div = Divisor([(pl, 3) for pl in pts[:6]] + [(pl, -1) for pl in pts[6:]])
+        d["d_div"] = serialize.encode_divisor(d_div)
+    elif case == "p-rank-1":
+        other = Curve(curve.field, P_RANK_1_F)
+        assert not cartier_nonsingular(other) and p_rank(other) == 1
+        d["f"] = list(P_RANK_1_F)
+        d["cartier"] = [list(row) for row in cartier_manin(other)]
+    else:  # D in |N|: the section delta of N - L for the trivial L
+        emb = embed_bidegree_2_3(curve, cert.a_div)
+        _, d_div = choose_delta(emb, PTorsionBundle(None, Divisor(), curve.one()), 0)
+        assert class_order(divisor_class_to_mumford(curve, emb.n_div - d_div)) == 1
+        d["d_div"] = serialize.encode_divisor(d_div)
+
+
+ORDER = "torsion class order differs from p"
+
+
+@pytest.mark.parametrize(
+    "case,expect",
+    [
+        # the L stage: an order that divides p is not order p
+        ("zero-class", {3: ORDER, 4: ORDER, 5: ORDER}),
+        # the zero function has no divisor: the g stage refuses it
+        ("zero-g", {3: "div(g) is not p * L", 5: "div(g) is not p * L"}),
+        # without the length test a second byte string would verify
+        ("extra-delta-coord", {4: "delta coordinate length mismatch"}),
+        # the obstruction is read off delta, whose zeros must be D
+        ("delta-off-d", {4: "delta does not vanish exactly on the stated points"}),
+        # 12 simple points, not fewer
+        ("eleven-points", {7: ""}),
+        # degree 12 is not enough: every multiplicity must be 1
+        ("negative-multiplicities", {7: ""}),
+        # the stored matrix is the curve's own, and it is singular
+        ("p-rank-1", {6: ""}),
+        # N - D principal: order 1 divides p but is not p
+        ("d-in-n", {2: ""}),
+    ],
+)
+def test_tampers_fail_the_guard_no_other_test_reaches(cert, case, expect):
+    """Each tamper of the q = 9 certificate fails the checks in `expect`
+    with those details (and no other check, where the tamper leaves the
+    others' data intact).  Each reaches a guard that no other test does: a
+    mutant of `scripts/mutate_verify.py` that drops or weakens it survives
+    without the case, except zero-g, which pins the reason that a zero g
+    gets from the g stage now that no guard of its own tests it."""
+    d = serialize.certificate_to_dict(cert)
+    _tamper(cert, d, case)
+    failed = _failed(d)
+    assert {i: failed.get(i) for i in expect} == expect
+    if case in ("zero-class", "zero-g", "extra-delta-coord", "delta-off-d"):
+        assert failed == expect
+
+
+def _stage_certificate(E, bundle, delta, d_div) -> dict:
+    """The certificate dict search writes from these stage outputs, whatever
+    its obstruction scalar and its Frobenius map."""
+    curve = E.curve
+    gamma = Differential(curve, bundle.g.derivative() * bundle.g.inverse())
+    alpha = rr_space(curve, curve.canonical_divisor() + bundle.rep).basis[0]
+    cert = obstruction.Certificate(
+        schema=obstruction.SCHEMA_VERSION,
+        p=curve.field.p,
+        k=curve.field.k,
+        modulus=curve.field.modulus,
+        f=curve.f.coeffs,
+        a_div=E.a_div,
+        l_cls=bundle.cls,
+        g=bundle.g,
+        delta_coords=rr_space(curve, E.n_div - bundle.rep).coords(delta),
+        d_div=d_div,
+        gamma=gamma,
+        alpha=alpha,
+        obstruction=obstruction_scalar(beta_functional(E), delta, gamma, alpha),
+        frob=frobenius_h1(curve, -bundle.rep, bundle.g),
+        cartier=cartier_manin(curve),
+        seed=0,
+    )
+    return serialize.certificate_to_dict(cert)
+
+
+def test_stage_certificate_rebuilds_the_search_certificate(cert):
+    curve, emb = _embedding(cert)
+    bundle = p_torsion_bundle(curve, cert.l_cls)
+    dsp = rr_space(curve, emb.n_div - bundle.rep)
+    delta = curve.zero()
+    for c, phi in zip(cert.delta_coords, dsp.basis):
+        delta = delta + phi.scale(c)
+    d = _stage_certificate(emb, bundle, delta, cert.d_div)
+    assert d == serialize.certificate_to_dict(cert)
+
+
+def test_a_zero_obstruction_from_search_fails_only_check_4(monkeypatch):
+    """The (3,3) search evaluates 29 obstructions, and all but its last are
+    0: a certificate that stores one of those fails check 4 alone."""
+    calls = []
+
+    def recording(E, L, seed):
+        out = choose_delta(E, L, seed)
+        calls.append((E, L, *out))
+        return out
+
+    monkeypatch.setattr(obstruction, "choose_delta", recording)
+    certificate_build(3, 3)
+    assert len(calls) == 29
+    d = _stage_certificate(*calls[0])
+    assert d["obstruction"] == 0
+    assert _failed(d) == {4: ""}
+
+
+@pytest.mark.parametrize("seed", [0, 2])
+def test_a_frobenius_rejected_class_from_search_fails_only_check_5(monkeypatch, seed):
+    """At (5,0) and (5,2) search rejects one torsion class, on the curve of
+    its certificate, because Frobenius is not injective on H^1(-L).  That
+    class, with the certificate's pencil and a delta of nonzero obstruction,
+    fails check 5 alone."""
+    bundles = []
+
+    def recording(curve, cls):
+        bundles.append(p_torsion_bundle(curve, cls))
+        return bundles[-1]
+
+    monkeypatch.setattr(obstruction, "p_torsion_bundle", recording)
+    cert = certificate_build(5, seed)
+    curve = cert.g.curve
+    emb = embed_bidegree_2_3(curve, cert.a_div)
+    rejected = [b for b in bundles if not frobenius_h1(curve, -b.rep, b.g).injective]
+    assert len(rejected) == 1 and rejected[0].g.curve is curve
+    for delta_seed in itertools.count():
+        try:
+            delta, d_div = choose_delta(emb, rejected[0], delta_seed)
+        except ExtendFieldError:
+            continue
+        d = _stage_certificate(emb, rejected[0], delta, d_div)
+        if d["obstruction"]:
+            break
+    assert _failed(d) == {5: ""}
 
 
 @pytest.mark.parametrize(
