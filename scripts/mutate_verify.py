@@ -3,21 +3,22 @@
 
     python3 scripts/mutate_verify.py
 
-Each mutant is one edit of `certificate_verify` in
+Each mutant is one edit of a function in SCOPE: `certificate_verify` in
 src/nefcert/obstruction.py (its body and its closures, the g stage
-included) or of `_require_monic`:
+included) and `_require_monic`, and the witness decoders of
+src/nefcert/serialize.py:
 
 - drop one operand of a returned `and`;
 - drop one `if ...: raise` guard;
 - weaken an order test `X == p` or `X != p` to divisibility, `p % X == 0`
-  or `p % X != 0`.
+  or `p % X != 0`;
+- swap one comparison `<` with `<=`, or `>` with `>=`.
 
 The repository is copied once to a temporary directory.  Mutants are
 written back with `ast.unparse`, which drops comments, so the test files
-that call verify (TEST_FILES) must first pass on the copy with the module
+that call verify (TEST_FILES) must first pass on the copy with the modules
 unparsed but not mutated; then each mutant is written into the copy, and
-they run against it with `-x`.  A
-mutant that they pass survives.  The survivors expected are listed in
+they run against it with `-x`.  A mutant that they pass survives.  The survivors expected are listed in
 SURVIVORS, one per line as `<mutant>  # <reason>`, where the reason says
 why no certificate can tell the mutant from the checker.
 
@@ -35,8 +36,14 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULE = Path("src") / "nefcert" / "obstruction.py"
-SCOPE = ("certificate_verify", "_require_monic")
+PACKAGE = Path("src") / "nefcert"
+SCOPE = (  # (module, the functions of it that are mutated)
+    (PACKAGE / "obstruction.py", ("certificate_verify", "_require_monic")),
+    (
+        PACKAGE / "serialize.py",
+        ("decode_poly", "decode_rational", "decode_place", "decode_divisor", "decode_mumford"),
+    ),
+)
 TEST_FILES = (
     "tests/test_obstruction.py",
     "tests/test_acceptance.py",
@@ -47,11 +54,17 @@ SURVIVORS = Path(__file__).resolve().parent / "mutate_verify_survivors.txt"
 TIMEOUT = 600  # seconds per test run; a run past it counts as a kill
 
 
-class Mutator(ast.NodeTransformer):
-    """Walks the functions in SCOPE, naming every mutation site in order,
-    and applies the one at index `target` (none when target is None)."""
+# each order comparison and the one it is swapped with
+SWAPS = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt}
 
-    def __init__(self, target=None):
+
+class Mutator(ast.NodeTransformer):
+    """Walks the functions `names` of one module, naming every mutation
+    site in order, and applies the one at index `target` (none when target
+    is None)."""
+
+    def __init__(self, names, target=None):
+        self.names = names
         self.target = target
         self.sites = []
         self.scope = []
@@ -61,7 +74,7 @@ class Mutator(ast.NodeTransformer):
         return len(self.sites) - 1 == self.target
 
     def visit_FunctionDef(self, node):
-        if not self.scope and node.name not in SCOPE:
+        if not self.scope and node.name not in self.names:
             return node
         self.scope.append(node.name)
         self.generic_visit(node)
@@ -97,15 +110,24 @@ class Mutator(ast.NodeTransformer):
         if self.scope and order and self._site(f"weaken `{ast.unparse(node)}` to divisibility"):
             mod = ast.BinOp(ast.Name("p", ast.Load()), ast.Mod(), node.left)
             return ast.Compare(mod, node.ops, [ast.Constant(0)])
+        for j, op in enumerate(node.ops):
+            swap = SWAPS.get(type(op))
+            if not (self.scope and swap):
+                continue
+            ops = node.ops[:j] + [swap()] + node.ops[j + 1 :]
+            swapped = ast.Compare(node.left, ops, node.comparators)
+            if self._site(f"swap `{ast.unparse(node)}` to `{ast.unparse(swapped)}`"):
+                return swapped
         return node
 
 
-def mutants(source: str):
-    """(name, mutated source) for every mutation site, in order."""
-    walker = Mutator()
+def mutants(source: str, names):
+    """(name, mutated source) for every mutation site of the functions
+    `names` in source, in order."""
+    walker = Mutator(names)
     walker.visit(ast.parse(source))
     for i, name in enumerate(walker.sites):
-        tree = Mutator(i).visit(ast.parse(source))
+        tree = Mutator(names, i).visit(ast.parse(source))
         yield name, ast.unparse(ast.fix_missing_locations(tree)) + "\n"
 
 
@@ -132,25 +154,29 @@ def tests_pass(copy: Path) -> bool:
 
 def main() -> int:
     expected = read_survivors()
-    source = (ROOT / MODULE).read_text()
+    sources = {module: (ROOT / module).read_text() for module, _ in SCOPE}
+    unparsed = {module: ast.unparse(ast.parse(src)) + "\n" for module, src in sources.items()}
     ignore = shutil.ignore_patterns(
         ".git", "__pycache__", ".pytest_cache", ".hypothesis", ".perfbench_work"
     )
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp) / "repo"
         shutil.copytree(ROOT, copy, ignore=ignore)
-        (copy / MODULE).write_text(ast.unparse(ast.parse(source)) + "\n")
+        for module, text in unparsed.items():
+            (copy / module).write_text(text)
         if not tests_pass(copy):
             print("error: the tests fail on the unmutated copy", file=sys.stderr)
             return 1
         survivors, total = [], 0
-        for name, mutated in mutants(source):
-            total += 1
-            (copy / MODULE).write_text(mutated)
-            killed = not tests_pass(copy)
-            print(f"{'killed' if killed else 'SURVIVED'}  {name}", flush=True)
-            if not killed:
-                survivors.append(name)
+        for module, names in SCOPE:
+            for name, mutated in mutants(sources[module], names):
+                total += 1
+                (copy / module).write_text(mutated)
+                killed = not tests_pass(copy)
+                print(f"{'killed' if killed else 'SURVIVED'}  {name}", flush=True)
+                if not killed:
+                    survivors.append(name)
+            (copy / module).write_text(unparsed[module])
     bad = 0
     for name in survivors:
         if name not in expected:

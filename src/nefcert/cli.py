@@ -18,8 +18,12 @@ import argparse
 import json
 import sys
 
+from .cohomology import cartier_manin, cartier_nonsingular
+from .curves import Curve
 from .fields import field
-from .obstruction import MAX_Q, SearchExhausted, certificate_build, certificate_verify
+from .jacobian import frobenius_data
+from .obstruction import SearchExhausted, certificate_build, certificate_verify
+from .serialize import MAX_Q, CertificateFormatError, canonical_bytes, certificate_to_dict
 
 FAILURE_SCHEMA = "nefcert-failure/1"
 
@@ -72,8 +76,6 @@ def _emit(payload: bytes, out: str):
 
 
 def cmd_search(cfg: argparse.Namespace) -> int:
-    from . import serialize
-
     try:
         cert = certificate_build(cfg.p, cfg.seed)
     except ValueError as err:
@@ -86,12 +88,12 @@ def cmd_search(cfg: argparse.Namespace) -> int:
             "seed": cfg.seed,
             "stats": dict(sorted(err.stats.items())),
         }
-        _emit(serialize.canonical_bytes(report), cfg.out)
+        _emit(canonical_bytes(report), cfg.out)
         print("search exhausted; stage statistics:", file=sys.stderr)
         for key, val in sorted(err.stats.items()):
             print(f"  {key}: {val}", file=sys.stderr)
         return 1
-    _emit(serialize.canonical_bytes(serialize.certificate_to_dict(cert)), cfg.out)
+    _emit(canonical_bytes(certificate_to_dict(cert)), cfg.out)
     print(
         f"certificate found: p={cert.p} field=F({cert.p}^{cert.k})"
         f" obstruction={cert.obstruction} -> {cfg.out or '<stdout>'}",
@@ -101,8 +103,6 @@ def cmd_search(cfg: argparse.Namespace) -> int:
 
 
 def cmd_verify(cfg: argparse.Namespace) -> int:
-    from . import serialize
-
     try:
         with open(cfg.path, "rb") as fh:
             data = fh.read()
@@ -111,7 +111,7 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
         return 2
     try:
         report = certificate_verify(data)
-    except serialize.CertificateFormatError as err:
+    except CertificateFormatError as err:
         print(f"malformed certificate: {err}", file=sys.stderr)
         return 2
     if cfg.format == "json":
@@ -186,10 +186,6 @@ def cmd_lattice(cfg: argparse.Namespace) -> int:
 
 
 def cmd_curve_info(cfg: argparse.Namespace) -> int:
-    from .curves import Curve
-    from .cohomology import cartier_manin, cartier_nonsingular
-    from .jacobian import frobenius_data
-
     if cfg.p > MAX_Q:  # refused before field(p) tests p by trial division
         print(f"error: p above MAX_Q = {MAX_Q}", file=sys.stderr)
         return 1

@@ -7,10 +7,10 @@ local parameter, for the pole orders -e that sections cannot reach, are a
 basis.  The p-power (sigma-semilinear) Frobenius on H^1 used by the
 obstruction pipeline is read off Serre duality and the Cartier operator
 from one local expansion at a rational place (Tate, "Residues of
-differentials on curves", 1968); Cartier-Manin matrices and the torsion
-trivializations sit next to it.  The adelic classes and the Serre duality
-pairing, which the tests check the Frobenius matrices against, are in
-`oracles`.
+differentials on curves", 1968); Cartier-Manin matrices, the degree of the
+field of the p-torsion that they give, and the torsion trivializations sit
+next to it.  The adelic classes and the Serre duality pairing, which the
+tests check the Frobenius matrices against, are in `oracles`.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .curves import (
     rational_places,
 )
 from .fields import Field, Polynomial, hensel_sqrt
+from .jacobian import class_order, mumford_to_divisor
 
 
 def _sorted_polys(polys) -> list[Polynomial]:
@@ -252,6 +253,35 @@ def cartier_nonsingular(curve: Curve) -> bool:
     return linalg.rank(curve.field, [list(r) for r in m]) == 2
 
 
+def p_torsion_field_degree(curve: Curve, max_q: int) -> int | None:
+    """Least m with p-torsion rational over the degree-m extension, or None
+    when that extension has more than max_q elements.
+
+    By Manin's theorem the q-power Frobenius acts on the p-torsion of an
+    ordinary curve, mod p, with the eigenvalues of the Cartier-Manin norm
+    N = H^(sigma^(k-1)) ... H^sigma H (H itself over a prime field), so m
+    is the least one with N^m - I singular; the eigenvalues lie in F_(p^2),
+    so m < p^2.  Requires an ordinary curve.
+    """
+    F = curve.field
+    H = [list(r) for r in cartier_manin(curve)]
+    N = H
+    for _ in range(F.k - 1):
+        H = [[F.frob(c) for c in row] for row in H]
+        N = linalg.mat_mul(F, H, N)
+    if linalg.rank(F, N) < 2:
+        raise ValueError("expected ordinary")
+    A, m = N, 1
+    while F.q**m <= max_q:
+        # 1 is an eigenvalue of A = N^m: A - I is singular
+        (a, b), (c, d) = A
+        if linalg.rank(F, [[F.sub(a, 1), b], [c, F.sub(d, 1)]]) < 2:
+            return m
+        A = linalg.mat_mul(F, A, N)
+        m += 1
+    return None
+
+
 # --- semilinear Frobenius on H^1 --------------------------------------------
 
 
@@ -307,8 +337,6 @@ class PTorsionBundle(NamedTuple):
 
 def p_torsion_bundle(curve: Curve, cls) -> PTorsionBundle:
     """Package a Mumford class of exact order p with its trivialization."""
-    from .jacobian import class_order, mumford_to_divisor
-
     p = curve.field.p
     if class_order(cls) != p:
         raise ValueError("class order is not p")

@@ -329,12 +329,6 @@ class Differential:
     def is_zero(self) -> bool:
         return self.w.is_zero
 
-    def __eq__(self, other):
-        return isinstance(other, Differential) and self.curve == other.curve and self.w == other.w
-
-    def __hash__(self):
-        return hash((self.curve, self.w))
-
     def __repr__(self):
         return f"({self.w!r}) dx"
 

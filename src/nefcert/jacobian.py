@@ -13,8 +13,8 @@ Sums and negations are built without re-validation; pairs read from
 outside (`MumfordClass(...)`, `random_class`) are checked.
 Global invariants (order of the group, characteristic polynomial of
 Frobenius) come from point counts over the base field and its quadratic
-extension; the degree of the field of the p-torsion comes from the
-Cartier-Manin matrix.
+extension; the degree of the field of the p-torsion, read off the
+Cartier-Manin matrix, is in `cohomology`.
 """
 
 from __future__ import annotations
@@ -23,8 +23,6 @@ import functools
 import random
 from typing import NamedTuple
 
-from . import linalg
-from .cohomology import cartier_manin
 from .curves import Curve, Divisor, INERT, INFINITE, RAMIFIED, SPLIT
 from .fields import Polynomial, _factor_int, field, poly_factor
 
@@ -377,35 +375,6 @@ def _power_traces(data: FrobeniusData, m: int) -> tuple[int, int]:
 
 def jac_order(curve: Curve) -> int:
     return frobenius_data(curve).order
-
-
-def p_torsion_field_degree(curve: Curve, max_q: int) -> int | None:
-    """Least m with p-torsion rational over the degree-m extension, or None
-    when that extension has more than max_q elements.
-
-    By Manin's theorem the q-power Frobenius acts on the p-torsion of an
-    ordinary curve, mod p, with the eigenvalues of the Cartier-Manin norm
-    N = H^(sigma^(k-1)) ... H^sigma H (H itself over a prime field), so m
-    is the least one with N^m - I singular; the eigenvalues lie in F_(p^2),
-    so m < p^2.  Requires an ordinary curve.
-    """
-    F = curve.field
-    H = [list(r) for r in cartier_manin(curve)]
-    N = H
-    for _ in range(F.k - 1):
-        H = [[F.frob(c) for c in row] for row in H]
-        N = linalg.mat_mul(F, H, N)
-    if linalg.rank(F, N) < 2:
-        raise ValueError("expected ordinary")
-    A, m = N, 1
-    while F.q**m <= max_q:
-        # 1 is an eigenvalue of A = N^m: A - I is singular
-        (a, b), (c, d) = A
-        if linalg.rank(F, [[F.sub(a, 1), b], [c, F.sub(d, 1)]]) < 2:
-            return m
-        A = linalg.mat_mul(F, A, N)
-        m += 1
-    return None
 
 
 # --- sampling and torsion ------------------------------------------------------

@@ -31,11 +31,11 @@ from typing import NamedTuple
 
 from .cohomology import (
     PTorsionBundle,
-    SemilinearMap,
     cartier_manin,
     cartier_nonsingular,
     frobenius_h1,
     p_torsion_bundle,
+    p_torsion_field_degree,
     rr_space,
 )
 from .curves import (
@@ -48,24 +48,30 @@ from .curves import (
 )
 from .fields import field, poly_gcd
 from .jacobian import (
-    MumfordClass,
     _sum_codes,
     class_order,
     divisor_class_to_mumford,
     find_p_torsion,
     mumford_to_divisor,
-    p_torsion_field_degree,
+)
+from .serialize import (
+    MAX_Q,
+    SCHEMA_VERSION,
+    Certificate,
+    decode_divisor,
+    decode_fn,
+    decode_mumford,
+    decode_poly,
+    encode_fn,
+    encode_semilinear,
+    parse_certificate,
 )
 
-SCHEMA_VERSION = "nefcert-certificate/1"
-
-# Stage limits of the certificate search.  Search curves are defined over
-# F_p, so group orders come from point counts over F_p and F_{p^2}; MAX_Q
-# bounds the field F_q the search works in, whose own point count takes q
-# evaluations, and the certificate shape check reads it too.  MIN_POINTS is
-# the least number of rational places a search curve must have.
+# Stage limits of the certificate search, within fields of at most MAX_Q
+# elements.  Search curves are defined over F_p, so group orders come from
+# point counts over F_p and F_{p^2}.  MIN_POINTS is the least number of
+# rational places a search curve must have.
 CURVE_TRIES = 64
-MAX_Q = 3000
 TORSION_TRIES = 8
 PENCIL_TRIES = 12
 DELTA_ROUNDS = 4
@@ -417,27 +423,6 @@ class SearchExhausted(RuntimeError):
         self.stats = dict(stats)
 
 
-class Certificate(NamedTuple):
-    """Everything needed to recheck the seven hypotheses from scratch."""
-
-    schema: str
-    p: int
-    k: int
-    modulus: tuple | None
-    f: tuple
-    a_div: Divisor
-    l_cls: MumfordClass
-    g: FunctionElement
-    delta_coords: tuple
-    d_div: Divisor
-    gamma: Differential
-    alpha: FunctionElement
-    obstruction: int
-    frob: SemilinearMap
-    cartier: tuple
-    seed: int
-
-
 def _torsion_try(curve: Curve, seed: int, stats: dict):
     """find_p_torsion(curve, seed), or None, counted as a torsion miss."""
     try:
@@ -641,18 +626,19 @@ def _require_monic(fn: FunctionElement, name: str):
 def certificate_verify(data) -> VerifyReport:
     """Recompute the seven certificate hypotheses from its bytes (or str).
 
-    Input that `serialize.parse_certificate` refuses raises
-    CertificateFormatError; mathematical failures become failed checks,
-    and the report carries the parsed certificate.
+    Input that `parse_certificate` refuses raises CertificateFormatError;
+    mathematical failures become failed checks, and the report carries the
+    parsed certificate.  Only the witnesses (f, A, L, g, delta and D) are
+    decoded.  gamma, alpha and the Frobenius and Cartier-Manin matrices are
+    recomputed from them, and each must equal its stored field in that
+    field's encoding.
     The stages the checks share (the torsion divisor L, the embedding with
-    its normal divisor N, the decoded D and gamma, and g with
-    div(g) = p * L) are computed once, so each hypothesis is tested once.
+    its normal divisor N, the decoded D, g with div(g) = p * L, and
+    gamma = dg/g) are computed once, so each hypothesis is tested once.
     A check asks for its stages in the order it uses them, and fails with
     the reason of the first one that failed.
     """
-    from . import serialize
-
-    d = serialize.parse_certificate(data)
+    d = parse_certificate(data)
     p = d["p"]
     try:
         base = field(p, d["k"])
@@ -663,27 +649,31 @@ def certificate_verify(data) -> VerifyReport:
         modulus = None if base.modulus is None else list(base.modulus)
         if d["modulus"] != modulus:
             raise ValueError(f"modulus is not {modulus}, the modulus of F_{base.q}")
-        curve = Curve(base, serialize.decode_poly(base, d["f"]))
+        curve = Curve(base, decode_poly(base, d["f"]))
     except (ValueError, TypeError) as err:
         details = [str(err)] + ["no curve to check against"] * 6
         checks = [CheckResult(i, CHECK_NAMES[i - 1], False, details[i - 1]) for i in range(1, 8)]
         return VerifyReport(d, tuple(checks))
 
     def torsion_divisor():
-        l_cls = serialize.decode_mumford(curve, d["l_cls"])
+        l_cls = decode_mumford(curve, d["l_cls"])
         if class_order(l_cls) != p:
             raise ValueError("torsion class order differs from p")
         return mumford_to_divisor(l_cls)
 
     def embedding():
-        return embed_bidegree_2_3(curve, serialize.decode_divisor(curve, d["a_div"]))
+        return embed_bidegree_2_3(curve, decode_divisor(curve, d["a_div"]))
 
     def trivialization():
-        g_fn = serialize.decode_fn(curve, d["g"], "g")
+        g_fn = decode_fn(curve, d["g"], "g")
         # a zero g has no divisor, so it fails here too
         if not curve.has_divisor(g_fn, need("L") * p):
             raise ValueError("div(g) is not p * L")
         return g_fn
+
+    def log_derivative_of_g():
+        g_fn = need("g")
+        return Differential(curve, g_fn.derivative() * g_fn.inverse())
 
     def need(name: str):
         value, err = stages[name]
@@ -694,10 +684,10 @@ def certificate_verify(data) -> VerifyReport:
     stages = {"L": _stage(torsion_divisor)}  # first: the g stage reads it
     stages.update(
         embedding=_stage(embedding, "embedding failed: "),
-        D=_stage(lambda: serialize.decode_divisor(curve, d["d_div"])),
+        D=_stage(lambda: decode_divisor(curve, d["d_div"])),
         g=_stage(trivialization),
-        gamma=_stage(lambda: serialize.decode_differential(curve, d["gamma"], "gamma")),
     )
+    stages["gamma"] = _stage(log_derivative_of_g)  # last: it reads the g stage
 
     def n_minus_d():
         d_div, n0 = need("D"), need("embedding").n_div
@@ -709,14 +699,14 @@ def certificate_verify(data) -> VerifyReport:
         # dg/g is regular: div(g) = p * L puts each valuation of g in pZ, so
         # locally g = t^(pm) u with u a unit and dg/g = du/u.  It is nonzero:
         # dg = 0 makes g = h^p with div(h) = L principal, and L has order p.
-        return Differential(curve, g_fn.derivative() * g_fn.inverse()) == gamma
+        return encode_fn(gamma.w) == d["gamma"]
 
     def obstruction():
         emb, l_rep, gamma = need("embedding"), need("L"), need("gamma")
         n0 = emb.n_div
-        alpha = serialize.decode_fn(curve, d["alpha"], "alpha")
         # h0(K + L) = 1 by Riemann-Roch, L being nontrivial of degree 0
-        if alpha != rr_space(curve, curve.canonical_divisor() + l_rep).basis[0]:
+        alpha = rr_space(curve, curve.canonical_divisor() + l_rep).basis[0]
+        if encode_fn(alpha) != d["alpha"]:
             raise ValueError("alpha is not the generator of the adjoint torsion sections")
         dsp = rr_space(curve, n0 - l_rep)
         if dsp.dim != len(d["delta_coords"]):
@@ -733,11 +723,11 @@ def certificate_verify(data) -> VerifyReport:
 
     def frobenius():
         frob = frobenius_h1(curve, -need("L"), need("g"))
-        return frob.injective and frob == serialize.decode_semilinear(base, d["frob"])
+        return frob.injective and encode_semilinear(frob) == d["frob"]
 
     def cartier():
-        stored = tuple(tuple(row) for row in d["cartier"])
-        return cartier_manin(curve) == stored and cartier_nonsingular(curve)
+        matrix = [list(row) for row in cartier_manin(curve)]
+        return matrix == d["cartier"] and cartier_nonsingular(curve)
 
     def points():
         d_div = need("D")

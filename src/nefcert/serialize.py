@@ -1,24 +1,53 @@
-"""Canonical JSON encoding of certificates.
+"""The certificate format: `Certificate`, its canonical JSON, its decoders.
 
 Encoding is total and deterministic: the same certificate always produces
 the same bytes (sorted keys, no whitespace, trailing newline), and those are
 the only bytes that parse.  Decoding is split in two: `parse_certificate`
 only enforces the structural shape and the byte spelling and raises
-CertificateFormatError, while the field decoders (`decode_divisor`
+CertificateFormatError, while the witness decoders (`decode_divisor`
 etc.) reconstruct curve-level objects and raise ValueError when the data is
 shaped correctly but mathematically inconsistent.  The verifier treats the
-former as malformed input and the latter as failed checks.
+former as malformed input and the latter as failed checks.  The derived
+fields (gamma, alpha, frob, cartier) have no decoder: the verifier
+recomputes them and compares encodings.
 """
 
 from __future__ import annotations
 
 import json
+from typing import NamedTuple
 
 from .cohomology import SemilinearMap
 from .curves import INFINITE, Curve, Differential, Divisor, FunctionElement, Place
 from .fields import Field, Polynomial, poly_gcd
 from .jacobian import MumfordClass
-from .obstruction import MAX_Q, SCHEMA_VERSION, Certificate
+
+SCHEMA_VERSION = "nefcert-certificate/1"
+
+# the largest field a certificate may name: no search builds a larger one
+# (its point count takes q evaluations), and verify work grows with q
+MAX_Q = 3000
+
+
+class Certificate(NamedTuple):
+    """Everything needed to recheck the seven hypotheses from scratch."""
+
+    schema: str
+    p: int
+    k: int
+    modulus: tuple | None
+    f: tuple
+    a_div: Divisor
+    l_cls: MumfordClass
+    g: FunctionElement
+    delta_coords: tuple
+    d_div: Divisor
+    gamma: Differential
+    alpha: FunctionElement
+    obstruction: int
+    frob: SemilinearMap
+    cartier: tuple
+    seed: int
 
 
 class CertificateFormatError(ValueError):
@@ -174,7 +203,6 @@ def ensure_certificate_shape(d) -> dict:
     for key in ("p", "k", "obstruction", "seed"):
         _want(type(d[key]) is int, f"{key}: expected an integer")
     _want(d["p"] >= 2 and d["k"] >= 1, "bad field parameters")
-    # no search builds a field above MAX_Q, and verify work grows with q
     _want(
         not _below_power(MAX_Q, d["p"], d["k"]),
         f"field too large: p^k > {MAX_Q}",
@@ -243,7 +271,7 @@ def parse_certificate(data) -> dict:
     return d
 
 
-# --- curve-level decoders (semantic errors raise ValueError) -------------------
+# --- witness decoders (semantic errors raise ValueError) ----------------------
 
 
 def decode_poly(base: Field, coeffs) -> Polynomial:
@@ -273,10 +301,6 @@ def decode_fn(curve: Curve, data, key: str = "fn") -> FunctionElement:
     nb, db = decode_rational(curve.field, data["b"], key + ".b")
     h = da * (db // poly_gcd(da, db))
     return FunctionElement(curve, na * (h // da), nb * (h // db), h, reduce=False)
-
-
-def decode_differential(curve: Curve, data, key: str = "differential") -> Differential:
-    return Differential(curve, decode_fn(curve, data, key))
 
 
 def decode_place(curve: Curve, data) -> Place:
@@ -320,9 +344,3 @@ def decode_mumford(curve: Curve, data) -> MumfordClass:
         raise ValueError("Mumford pair not in canonical form")
     return cls
 
-
-def decode_semilinear(base: Field, data) -> SemilinearMap:
-    matrix = tuple(tuple(int(c) for c in row) for row in data["matrix"])
-    return SemilinearMap(
-        base, data["twist"], matrix, data["source_dim"], data["target_dim"]
-    )

@@ -96,11 +96,14 @@ def test_verify_exit_codes(tmp_path, capsys):
     # a fraction that is not in lowest terms is well formed, and fails the
     # check that decodes it
     spelled = json.loads(json.dumps(d))
-    spelled["alpha"]["a"] = {"num": [1, 1], "den": [1, 1]}
+    spelled["g"]["a"] = {"num": [1, 1], "den": [1, 1]}
     bad.write_bytes(serialize.canonical_bytes(spelled))
     code, out, _ = run(capsys, ["verify", str(bad)])
     assert code == 1
-    assert "[FAIL] check 4: the obstruction scalar is nonzero (alpha.a: fraction not in lowest terms)" in out
+    assert (
+        "[FAIL] check 3: div(g) = p * L and dg/g is regular and nonzero"
+        " (g.a: fraction not in lowest terms)" in out
+    )
 
     # and so is a place spelled otherwise than the encoder writes it: v set
     # on a ramified place, which the decoder used to overwrite
@@ -441,7 +444,7 @@ def test_run_search_keeps_the_file_a_rerun_disagrees_with(tmp_path, monkeypatch,
 
 # Source lines of the `nefcert` modules a cold `search` or `verify` loads,
 # as README.md states under "Start-up cost".
-COLD_IMPORT_LINES = 4517
+COLD_IMPORT_LINES = 4512
 
 
 def test_cold_import_path_is_lean():

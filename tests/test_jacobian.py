@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nefcert import jacobian, linalg
+from nefcert.cohomology import p_torsion_field_degree
 from nefcert.curves import Curve, Divisor
 from nefcert.fields import Polynomial, embedding, field, poly_gcd
 from nefcert.jacobian import (
@@ -17,7 +18,6 @@ from nefcert.jacobian import (
     frobenius_data,
     jac_order,
     mumford_to_divisor,
-    p_torsion_field_degree,
     random_class,
 )
 from nefcert.oracles import (

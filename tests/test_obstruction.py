@@ -1042,8 +1042,9 @@ ORDER = "torsion class order differs from p"
     [
         # the L stage: an order that divides p is not order p
         ("zero-class", {3: ORDER, 4: ORDER, 5: ORDER}),
-        # the zero function has no divisor: the g stage refuses it
-        ("zero-g", {3: "div(g) is not p * L", 5: "div(g) is not p * L"}),
+        # the zero function has no divisor: the g stage refuses it, and
+        # check 4 reads dg/g from that stage
+        ("zero-g", {3: "div(g) is not p * L", 4: "div(g) is not p * L", 5: "div(g) is not p * L"}),
         # without the length test a second byte string would verify
         ("extra-delta-coord", {4: "delta coordinate length mismatch"}),
         # the obstruction is read off delta, whose zeros must be D
@@ -1071,6 +1072,38 @@ def test_tampers_fail_the_guard_no_other_test_reaches(cert, case, expect):
     assert {i: failed.get(i) for i in expect} == expect
     if case in ("zero-class", "zero-g", "extra-delta-coord", "delta-off-d"):
         assert failed == expect
+
+
+def test_derived_fields_are_compared_and_check_4_reads_dg_over_g(cert):
+    """gamma and alpha are not decoded: each must equal the encoding of
+    what verify recomputes (dg/g and the generator of L(K + L)), and check
+    4 evaluates the obstruction on dg/g, not on the stored gamma.  So a
+    bumped gamma leaf fails check 3 alone, even with a code outside F_9;
+    alpha over (x + 1)/(x + 1) fails check 4 alone; and a g that fails the
+    g stage fails checks 3, 4 and 5, each with that stage's reason."""
+    sweep = _sweep()
+    d = serialize.certificate_to_dict(cert)
+    reached = 0
+    for path, _ in sweep.int_leaves(d["gamma"]):
+        m = sweep.mutated(d, ("gamma", *path), lambda v: v + 1)
+        try:
+            failed = _failed(m)
+        except serialize.CertificateFormatError:
+            continue  # the top of a denominator, no longer monic
+        assert failed == {3: ""}, path
+        reached += 1
+    assert reached == len(list(sweep.int_leaves(d["gamma"]))) - 2  # two denominators
+
+    m = copy.deepcopy(d)
+    frac = m["alpha"]["a"]
+    x1 = Polynomial(field(3, 2), (1, 1))
+    for name in ("num", "den"):
+        frac[name] = list((Polynomial(x1.field, frac[name]) * x1).coeffs)
+    assert _failed(m) == {4: "alpha is not the generator of the adjoint torsion sections"}
+
+    m = sweep.mutated(d, ("g", "a", "num", 0), lambda v: (v + 1) % 9)
+    reason = "div(g) is not p * L"
+    assert _failed(m) == {3: reason, 4: reason, 5: reason}
 
 
 def _stage_certificate(E, bundle, delta, d_div) -> dict:

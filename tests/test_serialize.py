@@ -162,7 +162,9 @@ def test_verify_raises_format_error_on_malformed_dict(cert_dict):
 )
 def test_fraction_not_in_lowest_terms_fails_its_check(cert_dict, key, check):
     """Multiplying num and den by x + 1 spells the same function another
-    way; the check that decodes the fraction fails with that reason."""
+    way.  g is decoded, and the checks that read it fail with that reason;
+    alpha and gamma are compared with the encoding of what verify
+    recomputes, and the check that compares them fails."""
     from nefcert.obstruction import certificate_verify
 
     d = copy.deepcopy(cert_dict)
@@ -173,7 +175,26 @@ def test_fraction_not_in_lowest_terms_fails_its_check(cert_dict, key, check):
         frac[name] = list((Polynomial(F, frac[name]) * Polynomial(F, (1, 1))).coeffs)
     report = certificate_verify(serialize.canonical_bytes(d))
     failed = {c.index: c.detail for c in report.checks if not c.passed}
-    assert failed.get(check) == f"{key}: fraction not in lowest terms", failed
+    detail = {
+        "alpha": "alpha is not the generator of the adjoint torsion sections",
+        "g": f"{key}: fraction not in lowest terms",
+        "gamma": "",
+    }[head]
+    assert failed.get(check) == detail, failed
+
+
+def test_finite_place_without_a_polynomial_fails_its_checks(cert_dict):
+    """The shape check lets u be null, as at infinity; on a finite place
+    every check that decodes the divisor fails with that reason, where
+    decoding null as a polynomial would raise a TypeError out of verify."""
+    from nefcert.obstruction import certificate_verify
+
+    d = copy.deepcopy(cert_dict)
+    assert d["d_div"][0][0]["kind"] == "split"
+    d["d_div"][0][0]["u"] = None
+    report = certificate_verify(serialize.canonical_bytes(d))
+    failed = {c.index: c.detail for c in report.checks if not c.passed}
+    assert failed == {i: "finite place needs a polynomial" for i in (2, 4, 7)}
 
 
 @pytest.mark.parametrize("key", ["a_div", "d_div"])
