@@ -16,7 +16,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from nefcert.obstruction import SearchExhausted, certificate_build, certificate_verify
-from nefcert.serialize import canonical_bytes, certificate_to_dict
+from nefcert.serialize import canonical_bytes
 
 
 def main() -> int:
@@ -41,7 +41,7 @@ def main() -> int:
                 failures += 1
                 print(f"p={p} seed={seed} EXHAUSTED {exc.stats}")
                 continue
-            blob = canonical_bytes(certificate_to_dict(cert))
+            blob = canonical_bytes(cert)
             built = time.monotonic() - t0
             report = certificate_verify(blob)
             verified = time.monotonic() - t0 - built
@@ -49,8 +49,8 @@ def main() -> int:
             if not report.ok:
                 failures += 1
             print(
-                f"p={p} seed={seed} q={p}^{cert.k} f={cert.f}"
-                f" obstruction={cert.obstruction} bytes={len(blob)}"
+                f"p={p} seed={seed} q={p}^{cert['k']} f={tuple(cert['f'])}"
+                f" obstruction={cert['obstruction']} bytes={len(blob)}"
                 f" build={built:.2f}s verify={verified:.2f}s {verdict}"
             )
             if out_dir is not None:

@@ -23,7 +23,7 @@ from .curves import Curve
 from .fields import field
 from .jacobian import frobenius_data
 from .obstruction import SearchExhausted, certificate_build, certificate_verify
-from .serialize import MAX_Q, CertificateFormatError, canonical_bytes, certificate_to_dict
+from .serialize import MAX_Q, CertificateFormatError, canonical_bytes
 
 FAILURE_SCHEMA = "nefcert-failure/1"
 
@@ -93,10 +93,10 @@ def cmd_search(cfg: argparse.Namespace) -> int:
         for key, val in sorted(err.stats.items()):
             print(f"  {key}: {val}", file=sys.stderr)
         return 1
-    _emit(canonical_bytes(certificate_to_dict(cert)), cfg.out)
+    _emit(canonical_bytes(cert), cfg.out)
     print(
-        f"certificate found: p={cert.p} field=F({cert.p}^{cert.k})"
-        f" obstruction={cert.obstruction} -> {cfg.out or '<stdout>'}",
+        f"certificate found: p={cert['p']} field=F({cert['p']}^{cert['k']})"
+        f" obstruction={cert['obstruction']} -> {cfg.out or '<stdout>'}",
         file=sys.stderr,
     )
     return 0

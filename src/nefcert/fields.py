@@ -27,19 +27,6 @@ from typing import Optional
 _FIELD_CACHE: dict[tuple, "Field"] = {}
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
-
-
 def _factor_int(n: int) -> list[int]:
     """Distinct prime divisors of n by trial division."""
     out = []
@@ -415,7 +402,7 @@ def _find_modulus(p: int, k: int) -> tuple[int, ...]:
 
 def field(p: int, k: int = 1) -> Field:
     """The field with p^k elements (shared instance per (p, k))."""
-    if not isinstance(p, int) or not _is_prime(p):
+    if not isinstance(p, int) or _factor_int(p) != [p]:
         raise ValueError(f"not prime: {p}")
     if p == 2:
         raise ValueError("characteristic two unsupported")

@@ -57,12 +57,13 @@ from .jacobian import (
 from .serialize import (
     MAX_Q,
     SCHEMA_VERSION,
-    Certificate,
     decode_divisor,
     decode_fn,
     decode_mumford,
     decode_poly,
+    encode_divisor,
     encode_fn,
+    encode_mumford,
     encode_semilinear,
     parse_certificate,
 )
@@ -451,13 +452,37 @@ def _torsion_candidates(curve: Curve, tries, stats: dict):
                     return
 
 
-def certificate_build(p: int, seed: int) -> Certificate:
+def _certificate(E, bundle, frob, gamma, alpha, delta, d_div, value: int, seed: int) -> dict:
+    """The certificate of these stage outputs, as `parse_certificate` reads it."""
+    curve, modulus = E.curve, E.curve.field.modulus
+    return {
+        "schema": SCHEMA_VERSION,
+        "p": curve.field.p,
+        "k": curve.field.k,
+        "modulus": None if modulus is None else list(modulus),
+        "f": list(curve.f.coeffs),
+        "a_div": encode_divisor(E.a_div),
+        "l_cls": encode_mumford(bundle.cls),
+        "g": encode_fn(bundle.g),
+        "delta_coords": list(rr_space(curve, E.n_div - bundle.rep).coords(delta)),
+        "d_div": encode_divisor(d_div),
+        "gamma": encode_fn(gamma.w),
+        "alpha": encode_fn(alpha),
+        "obstruction": value,
+        "frob": encode_semilinear(frob),
+        "cartier": [list(row) for row in cartier_manin(curve)],
+        "seed": seed,
+    }
+
+
+def certificate_build(p: int, seed: int) -> dict:
     """Seeded search for a full certificate at the prime p.
 
     Samples up to CURVE_TRIES ordinary curves, extends the field until
     rational p-torsion and enough rational points exist, then walks torsion
     classes, pencils and point configurations until the obstruction scalar
-    is nonzero, within the stage limits above.  Fully deterministic in
+    is nonzero, within the stage limits above.  Returns the dict that
+    `parse_certificate` gives for its canonical bytes, fully deterministic in
     (p, seed); raises ValueError unless p is an odd prime of at most MAX_Q,
     and SearchExhausted with stage statistics when the limits run out.
 
@@ -545,25 +570,7 @@ def certificate_build(p: int, seed: int) -> Certificate:
                     if value == 0:
                         stats["obstruction_zero"] += 1
                         continue
-                    delta_coords = rr_space(curve, emb.n_div - bundle.rep).coords(delta)
-                    return Certificate(
-                        schema=SCHEMA_VERSION,
-                        p=p,
-                        k=curve.field.k,
-                        modulus=curve.field.modulus,
-                        f=curve.f.coeffs,
-                        a_div=a_div,
-                        l_cls=bundle.cls,
-                        g=bundle.g,
-                        delta_coords=tuple(delta_coords),
-                        d_div=d_div,
-                        gamma=gamma,
-                        alpha=alpha,
-                        obstruction=value,
-                        frob=frob,
-                        cartier=cartier_manin(curve),
-                        seed=seed,
-                    )
+                    return _certificate(emb, bundle, frob, gamma, alpha, delta, d_div, value, seed)
         for try_seed in tries:  # tries no candidate needed still count their misses
             _torsion_try(curve, try_seed, stats)
     raise SearchExhausted(stats)

@@ -1,4 +1,4 @@
-"""The certificate format: `Certificate`, its canonical JSON, its decoders.
+"""The certificate format: its keys, its canonical JSON, its decoders.
 
 Encoding is total and deterministic: the same certificate always produces
 the same bytes (sorted keys, no whitespace, trailing newline), and those are
@@ -15,10 +15,8 @@ recomputes them and compares encodings.
 from __future__ import annotations
 
 import json
-from typing import NamedTuple
 
-from .cohomology import SemilinearMap
-from .curves import INFINITE, Curve, Differential, Divisor, FunctionElement, Place
+from .curves import INFINITE, Curve, Divisor, FunctionElement, Place
 from .fields import Field, Polynomial, poly_gcd
 from .jacobian import MumfordClass
 
@@ -27,27 +25,6 @@ SCHEMA_VERSION = "nefcert-certificate/1"
 # the largest field a certificate may name: no search builds a larger one
 # (its point count takes q evaluations), and verify work grows with q
 MAX_Q = 3000
-
-
-class Certificate(NamedTuple):
-    """Everything needed to recheck the seven hypotheses from scratch."""
-
-    schema: str
-    p: int
-    k: int
-    modulus: tuple | None
-    f: tuple
-    a_div: Divisor
-    l_cls: MumfordClass
-    g: FunctionElement
-    delta_coords: tuple
-    d_div: Divisor
-    gamma: Differential
-    alpha: FunctionElement
-    obstruction: int
-    frob: SemilinearMap
-    cartier: tuple
-    seed: int
 
 
 class CertificateFormatError(ValueError):
@@ -94,27 +71,6 @@ def encode_semilinear(sm: SemilinearMap) -> dict:
         "matrix": [list(row) for row in sm.matrix],
         "source_dim": sm.source_dim,
         "target_dim": sm.target_dim,
-    }
-
-
-def certificate_to_dict(cert: Certificate) -> dict:
-    return {
-        "schema": cert.schema,
-        "p": cert.p,
-        "k": cert.k,
-        "modulus": None if cert.modulus is None else list(cert.modulus),
-        "f": list(cert.f),
-        "a_div": encode_divisor(cert.a_div),
-        "l_cls": encode_mumford(cert.l_cls),
-        "g": encode_fn(cert.g),
-        "delta_coords": list(cert.delta_coords),
-        "d_div": encode_divisor(cert.d_div),
-        "gamma": encode_fn(cert.gamma.w),
-        "alpha": encode_fn(cert.alpha),
-        "obstruction": cert.obstruction,
-        "frob": encode_semilinear(cert.frob),
-        "cartier": [list(row) for row in cert.cartier],
-        "seed": cert.seed,
     }
 
 
@@ -192,13 +148,16 @@ def _check_divisor(v, key: str):
                 _check_poly(pl[part], f"{key}[{i}].{part}", "bad place polynomial")
 
 
-_CERT_KEYS = frozenset(Certificate._fields)
+_CERT_KEYS = (
+    "schema", "p", "k", "modulus", "f", "a_div", "l_cls", "g", "delta_coords",
+    "d_div", "gamma", "alpha", "obstruction", "frob", "cartier", "seed",
+)
 
 
 def ensure_certificate_shape(d) -> dict:
     """Validate plain-data structure; returns d unchanged on success."""
     _want(isinstance(d, dict), "certificate must be an object")
-    _want(set(d) == _CERT_KEYS, "wrong certificate key set")
+    _want(set(d) == set(_CERT_KEYS), "wrong certificate key set")
     _want(d["schema"] == SCHEMA_VERSION, "unsupported schema version")
     for key in ("p", "k", "obstruction", "seed"):
         _want(type(d[key]) is int, f"{key}: expected an integer")

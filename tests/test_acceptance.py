@@ -49,6 +49,7 @@ from nefcert.oracles import (
     enumerate_classes,
     serre_pairing,
 )
+from witnesses import decode_witnesses
 
 
 def _report(num: int, desc: str, ok: bool):
@@ -92,10 +93,9 @@ def cert3():
 
 @pytest.fixture(scope="module")
 def setting3(cert3):
-    curve = Curve(field(cert3.p, cert3.k), cert3.f)
-    emb = embed_bidegree_2_3(curve, cert3.a_div)
-    n0 = emb.n_div
-    return curve, emb, n0
+    w = decode_witnesses(cert3)
+    emb = embed_bidegree_2_3(w.curve, w.a_div)
+    return w.curve, emb, emb.n_div
 
 
 def test_criterion_01_riemann_roch_identity():
@@ -363,16 +363,17 @@ def test_criterion_09_search_verify_and_mutations(cert3):
     certs[5] = certificate_build(5, seed=0)
     timings[5] = time.monotonic() - t0
     for p, cert in certs.items():
-        report = certificate_verify(serialize.canonical_bytes(serialize.certificate_to_dict(cert)))
+        report = certificate_verify(serialize.canonical_bytes(cert))
         if not report.ok:
             _report(9, f"verification fails at p={p}", False)
 
-    d = serialize.certificate_to_dict(certs[3])
-    q = certs[3].p ** certs[3].k
+    d = certs[3]
+    q = d["p"] ** d["k"]
     # one point of D moved to a rational place outside D: the divisor stays
     # canonical, so it decodes and only the class of N - D changes
-    support = certs[3].d_div.support
-    outside = next(pl for pl in rational_places(certs[3].g.curve) if pl not in support)
+    w = decode_witnesses(d)
+    support = w.d_div.support
+    outside = next(pl for pl in rational_places(w.curve) if pl not in support)
     moved = Divisor([(outside, 1)] + [(pl, 1) for pl in support[1:]])
     mutations = [
         ("gamma", 3, lambda dd: _bump_constant(dd["gamma"]["a"], q)),
@@ -402,13 +403,9 @@ def test_criterion_09_search_verify_and_mutations(cert3):
 
 
 def test_criterion_10_byte_identical_reruns(cert3):
-    raw1 = serialize.canonical_bytes(serialize.certificate_to_dict(cert3))
-    raw2 = serialize.canonical_bytes(
-        serialize.certificate_to_dict(certificate_build(3, seed=0))
-    )
-    other = serialize.canonical_bytes(
-        serialize.certificate_to_dict(certificate_build(3, seed=12))
-    )
+    raw1 = serialize.canonical_bytes(cert3)
+    raw2 = serialize.canonical_bytes(certificate_build(3, seed=0))
+    other = serialize.canonical_bytes(certificate_build(3, seed=12))
     _report(
         10,
         "identical (prime, seed) reproduce certificates byte for byte",

@@ -40,8 +40,10 @@ def test_field_sizes():
 
 
 def test_field_rejects_composite():
-    with pytest.raises(ValueError, match="not prime"):
-        field(4, 1)
+    for n in (4, 6, 1, 0, -3, True):
+        with pytest.raises(ValueError) as exc:
+            field(n, 1)
+        assert str(exc.value) == f"not prime: {n}"
 
 
 def test_field_rejects_char_two():

@@ -63,6 +63,7 @@ from nefcert.oracles import (
     p_rank,
 )
 from nefcert.series import PrecisionError
+from witnesses import decode_witnesses
 
 
 @pytest.fixture(scope="module")
@@ -73,12 +74,9 @@ def cert():
 @pytest.fixture(scope="module")
 def setting(cert):
     """Curve, embedding and torsion data reconstructed from the certificate."""
-    base = field(cert.p, cert.k)
-    curve = Curve(base, cert.f)
-    emb = embed_bidegree_2_3(curve, cert.a_div)
-    n0 = emb.n_div
-    bundle = p_torsion_bundle(curve, cert.l_cls)
-    return curve, emb, n0, bundle
+    w = decode_witnesses(cert)
+    emb = embed_bidegree_2_3(w.curve, w.a_div)
+    return w.curve, emb, emb.n_div, p_torsion_bundle(w.curve, w.l_cls)
 
 
 @pytest.fixture(scope="module")
@@ -87,8 +85,8 @@ def cert25():
 
 
 def _embedding(cert):
-    curve = Curve(field(cert.p, cert.k), cert.f)
-    return curve, embed_bidegree_2_3(curve, cert.a_div)
+    w = decode_witnesses(cert)
+    return w.curve, embed_bidegree_2_3(w.curve, w.a_div)
 
 
 def _random_effective(curve, rng, degree):
@@ -363,13 +361,9 @@ def test_beta_value_is_the_coefficient_pairing(request, which, scalar):
     beta = beta_functional(emb)
     space = rr_space(curve, beta.space_div)
     values = beta_values(beta)
-    n0 = emb.n_div
-    l_rep = p_torsion_bundle(curve, cert.l_cls).rep
-    delta = curve.zero()
-    for c, phi in zip(cert.delta_coords, rr_space(curve, n0 - l_rep).basis):
-        delta = delta + phi.scale(c)
-    psi = delta * cert.alpha * (cert.gamma.w * curve.y())
-    assert beta.value(psi) == beta_by_coords(beta, values, psi) == cert.obstruction == scalar
+    w = decode_witnesses(cert)
+    psi = w.delta * w.alpha * (w.gamma.w * curve.y())
+    assert beta.value(psi) == beta_by_coords(beta, values, psi) == cert["obstruction"] == scalar
 
     rng = random.Random(41)
     mix = curve.zero()
@@ -492,7 +486,7 @@ def test_tail_factors_equal_the_exact_tails(cert):
     is the exact tail, at the same places, for three splitting choices,
     including places where two terms of u * vf of equal order cancel, so
     that u * vf has a higher order than either."""
-    curve = Curve(field(cert.p, cert.k), cert.f)
+    curve = decode_witnesses(cert).curve
     f = curve.fn(curve.f)
     rng = random.Random(17)
     pts, done, cancelled = rational_places(curve), 0, 0
@@ -622,7 +616,7 @@ def test_point_subtraction_matches_divisor_reduction(request, which):
     cert = request.getfixturevalue(which)
     curve, emb = _embedding(cert)
     n0 = emb.n_div
-    w_div = n0 - p_torsion_bundle(curve, cert.l_cls).rep
+    w_div = n0 - p_torsion_bundle(curve, decode_witnesses(cert).l_cls).rep
     inf = curve.infinite_place()
     pts = rational_places(curve)
     w_cls = divisor_class_to_mumford(curve, w_div - Divisor([(inf, 12)]))
@@ -682,14 +676,11 @@ def test_obstruction_scalar_is_multilinear(setting, cert):
     curve, emb, n0, bundle = setting
     beta = beta_functional(emb)
     dsp = rr_space(curve, n0 - bundle.rep)
-    delta = curve.zero()
-    for c, phi in zip(cert.delta_coords, dsp.basis):
-        delta = delta + phi.scale(c)
-    gamma = cert.gamma
-    alpha = cert.alpha
+    w = decode_witnesses(cert)
+    delta, gamma, alpha = w.delta, w.gamma, w.alpha
     base = curve.field
     v = obstruction_scalar(beta, delta, gamma, alpha)
-    assert v == cert.obstruction and v != 0
+    assert v == cert["obstruction"] and v != 0
     for c in range(2, 5):
         scaled = obstruction_scalar(beta, delta.scale(c % base.q), gamma, alpha)
         assert scaled == base.mul(v, c % base.q)
@@ -708,15 +699,14 @@ def test_obstruction_scalar_is_multilinear(setting, cert):
 
 
 def test_certificate_roundtrip_and_determinism(cert):
-    d = serialize.certificate_to_dict(cert)
-    raw = serialize.canonical_bytes(d)
+    raw = serialize.canonical_bytes(cert)
     report = certificate_verify(raw)
     assert report.ok, [c for c in report.checks if not c.passed]
     assert [c.passed for c in report.checks] == [True] * 7
-    assert report.cert == d
+    assert report.cert == cert
     assert certificate_verify(raw.decode()) == report
     again = certificate_build(3, seed=0)
-    assert serialize.canonical_bytes(serialize.certificate_to_dict(again)) == raw
+    assert serialize.canonical_bytes(again) == raw
 
 
 @pytest.fixture(scope="module")
@@ -750,7 +740,7 @@ def cert_p47_s1():
 
 
 def _sha256(cert) -> str:
-    return hashlib.sha256(serialize.canonical_bytes(serialize.certificate_to_dict(cert))).hexdigest()
+    return hashlib.sha256(serialize.canonical_bytes(cert)).hexdigest()
 
 
 PINNED = {
@@ -763,6 +753,19 @@ PINNED = {
     "cert_p43_s0": "65330fee30f21e266830e5d75cd6ce6d01fb9f2543f64c6cc6d4a154dc52cb40",
     "cert_p47_s1": "993b6b40ad007c7c25816cfe19b9b3df1fce6bb1befa73f4cbf8c13e16496758",
 }
+
+
+@pytest.mark.parametrize(
+    "which", ["cert", "cert25", "cert_p3_s6", "cert_p7_s0", "cert_p7_s4", "cert_p13_s0"]
+)
+def test_search_returns_the_dict_that_verify_parses(request, which):
+    """A certificate has one form in memory: search returns the dict that
+    `parse_certificate` gives for its canonical bytes, lists and all, and
+    the report of verify carries that same dict."""
+    d = request.getfixturevalue(which)
+    raw = serialize.canonical_bytes(d)
+    assert d == serialize.parse_certificate(raw)
+    assert certificate_verify(raw).cert == d
 
 
 @pytest.mark.parametrize("which,digest", list(PINNED.items()))
@@ -782,10 +785,11 @@ def test_stored_frobenius_matches_the_pairing_definition(request, which):
     """The certificate's Frobenius matrix, which check 5 recomputes, equals
     the one the residues at infinity of the pairing's definition give."""
     cert = request.getfixturevalue(which)
-    curve = Curve(field(cert.p, cert.k), cert.f)
-    source = -p_torsion_bundle(curve, cert.l_cls).rep
-    assert frobenius_by_residues(curve, source, cert.g) == cert.frob.matrix
-    assert frobenius_h1(curve, source, cert.g) == cert.frob
+    w = decode_witnesses(cert)
+    source = -p_torsion_bundle(w.curve, w.l_cls).rep
+    matrix = frobenius_by_residues(w.curve, source, w.g)
+    assert [list(row) for row in matrix] == cert["frob"]["matrix"]
+    assert serialize.encode_semilinear(frobenius_h1(w.curve, source, w.g)) == cert["frob"]
 
 
 @pytest.mark.parametrize("which", ["cert", "cert25", "cert_p7_s0", "cert_p7_s4", "cert_p13_s0"])
@@ -793,19 +797,15 @@ def test_certificates_satisfy_the_invariants_verify_leaves_implied(request, whic
     """What verify and search derive rather than test, checked by the full
     divisors of the oracles: dg/g is regular and nonzero, h0(K + L) = 1,
     h0(N - L) = 11, div(delta) = D - (N - L) and div(g) = p * L."""
-    cert = request.getfixturevalue(which)
-    curve = cert.g.curve
-    emb = embed_bidegree_2_3(curve, cert.a_div)
-    rep = p_torsion_bundle(curve, cert.l_cls).rep
-    assert not cert.gamma.is_zero and differential_divisor(cert.gamma).is_effective
+    w = decode_witnesses(request.getfixturevalue(which))
+    curve = w.curve
+    emb = embed_bidegree_2_3(curve, w.a_div)
+    rep = p_torsion_bundle(curve, w.l_cls).rep
+    assert not w.gamma.is_zero and differential_divisor(w.gamma).is_effective
     assert rr_space(curve, curve.canonical_divisor() + rep).dim == 1
-    dsp = rr_space(curve, emb.n_div - rep)
-    assert dsp.dim == 11
-    delta = curve.zero()
-    for c, phi in zip(cert.delta_coords, dsp.basis):
-        delta = delta + phi.scale(c)
-    assert curve.divisor(delta) == cert.d_div - (emb.n_div - rep)
-    assert curve.divisor(cert.g) == rep * cert.p
+    assert rr_space(curve, emb.n_div - rep).dim == 11
+    assert curve.divisor(w.delta) == w.d_div - (emb.n_div - rep)
+    assert curve.divisor(w.g) == rep * curve.field.p
 
 
 def _has_divisor_cases(curve, div):
@@ -834,15 +834,13 @@ def test_has_divisor_matches_the_principal_divisor(request, which):
     """Curve.has_divisor(phi, E) is div(phi) == E with Curve.divisor as the
     oracle: for delta and g of the certificate, against the divisors the
     verifier states for them, and for functions with finite poles."""
-    cert = request.getfixturevalue(which)
-    curve, emb = _embedding(cert)
-    n0 = emb.n_div
-    l_rep = p_torsion_bundle(curve, cert.l_cls).rep
-    delta = curve.zero()
-    for c, phi in zip(cert.delta_coords, rr_space(curve, n0 - l_rep).basis):
-        delta = delta + phi.scale(c)
-    assert curve.has_divisor(delta, cert.d_div - (n0 - l_rep))
-    assert curve.has_divisor(cert.g, l_rep * cert.p)
+    w = decode_witnesses(request.getfixturevalue(which))
+    curve = w.curve
+    n0 = embed_bidegree_2_3(curve, w.a_div).n_div
+    l_rep = p_torsion_bundle(curve, w.l_cls).rep
+    delta = w.delta
+    assert curve.has_divisor(delta, w.d_div - (n0 - l_rep))
+    assert curve.has_divisor(w.g, l_rep * curve.field.p)
 
     x, y = curve.x(), curve.y()
     a, b = (curve.fn(Polynomial(curve.field, (c, 1))) for c in (1, 2))
@@ -852,7 +850,7 @@ def test_has_divisor_matches_the_principal_divisor(request, which):
     poles = [(y + x) * (a * a * b).inverse(), (y - x * x * x) * (a * b).inverse() ** 3, ratio]
     for phi in poles:
         assert any(m < 0 and pl.kind != "infinite" for pl, m in curve.divisor(phi).items)
-    for phi in [delta, cert.g] + poles:
+    for phi in [delta, w.g] + poles:
         div = curve.divisor(phi)
         for E, expected in _has_divisor_cases(curve, div):
             assert curve.has_divisor(phi, E) is expected, (phi, E)
@@ -933,11 +931,12 @@ def test_torsion_misses_count_every_try_of_an_exhausted_search(monkeypatch):
 
 
 def test_certificate_fields(cert):
-    assert cert.p == 3 and cert.obstruction != 0
-    assert len(cert.delta_coords) == 11
-    assert cert.d_div.degree == 12
-    assert cert.a_div.degree == 3 and cert.a_div.is_effective
-    assert cert.seed == 0
+    w = decode_witnesses(cert)
+    assert cert["p"] == 3 and cert["obstruction"] != 0
+    assert len(cert["delta_coords"]) == 11
+    assert w.d_div.degree == 12
+    assert w.a_div.degree == 3 and w.a_div.is_effective
+    assert cert["seed"] == 0
 
 
 @pytest.mark.parametrize(
@@ -953,9 +952,8 @@ def test_certificate_fields(cert):
     ],
 )
 def test_certificate_mutations_fail_at_the_intended_check(cert, mutate, expect):
-    d = serialize.certificate_to_dict(cert)
-    dd = copy.deepcopy(d)
-    q = cert.p**cert.k
+    dd = copy.deepcopy(cert)
+    q = cert["p"] ** cert["k"]
     if mutate == "gamma":
         num = dd["gamma"]["a"]["num"] or [0]
         num[0] = (num[0] + 1) % q
@@ -969,8 +967,9 @@ def test_certificate_mutations_fail_at_the_intended_check(cert, mutate, expect):
     elif mutate == "d_div":
         # one point of D moved to a rational place outside D: the list stays
         # canonical, so it decodes and only the class of N - D changes
-        support = cert.d_div.support
-        outside = next(pl for pl in rational_places(cert.g.curve) if pl not in support)
+        w = decode_witnesses(cert)
+        support = w.d_div.support
+        outside = next(pl for pl in rational_places(w.curve) if pl not in support)
         moved = Divisor([(outside, 1)] + [(pl, 1) for pl in support[1:]])
         dd["d_div"] = serialize.encode_divisor(moved)
     else:
@@ -998,25 +997,26 @@ def _failed(d) -> dict:
 P_RANK_1_F = (0, 1, 1, 1, 1, 1)
 
 
-def _tamper(cert, d, case):
+def _tamper(d, case):
     """The q = 9 certificate dict d, changed as `case` says."""
-    curve = cert.g.curve
+    w = decode_witnesses(d)
+    curve = w.curve
     if case == "zero-class":
-        d["l_cls"] = serialize.encode_mumford(cert.l_cls * 0)
+        d["l_cls"] = serialize.encode_mumford(w.l_cls * 0)
     elif case == "zero-g":
         d["g"] = serialize.encode_fn(curve.zero())
     elif case == "extra-delta-coord":
         d["delta_coords"].append(0)
     elif case == "delta-off-d":
         # the first basis section of N - L, monic, with its own obstruction
-        emb = embed_bidegree_2_3(curve, cert.a_div)
-        rep = p_torsion_bundle(curve, cert.l_cls).rep
+        emb = embed_bidegree_2_3(curve, w.a_div)
+        rep = p_torsion_bundle(curve, w.l_cls).rep
         first = rr_space(curve, emb.n_div - rep).basis[0]
         d["delta_coords"] = [1] + [0] * 10
-        d["obstruction"] = obstruction_scalar(beta_functional(emb), first, cert.gamma, cert.alpha)
+        d["obstruction"] = obstruction_scalar(beta_functional(emb), first, w.gamma, w.alpha)
         assert d["obstruction"] != 0
     elif case == "eleven-points":
-        d["d_div"] = serialize.encode_divisor(Divisor([(pl, 1) for pl in cert.d_div.support[1:]]))
+        d["d_div"] = serialize.encode_divisor(Divisor([(pl, 1) for pl in w.d_div.support[1:]]))
     elif case == "negative-multiplicities":
         # degree 6 * 3 - 6 = 12 on 12 distinct rational places
         pts = rational_places(curve)[:12]
@@ -1028,7 +1028,7 @@ def _tamper(cert, d, case):
         d["f"] = list(P_RANK_1_F)
         d["cartier"] = [list(row) for row in cartier_manin(other)]
     else:  # D in |N|: the section delta of N - L for the trivial L
-        emb = embed_bidegree_2_3(curve, cert.a_div)
+        emb = embed_bidegree_2_3(curve, w.a_div)
         _, d_div = choose_delta(emb, PTorsionBundle(None, Divisor(), curve.one()), 0)
         assert class_order(divisor_class_to_mumford(curve, emb.n_div - d_div)) == 1
         d["d_div"] = serialize.encode_divisor(d_div)
@@ -1066,8 +1066,8 @@ def test_tampers_fail_the_guard_no_other_test_reaches(cert, case, expect):
     mutant of `scripts/mutate_verify.py` that drops or weakens it survives
     without the case, except zero-g, which pins the reason that a zero g
     gets from the g stage now that no guard of its own tests it."""
-    d = serialize.certificate_to_dict(cert)
-    _tamper(cert, d, case)
+    d = copy.deepcopy(cert)
+    _tamper(d, case)
     failed = _failed(d)
     assert {i: failed.get(i) for i in expect} == expect
     if case in ("zero-class", "zero-g", "extra-delta-coord", "delta-off-d"):
@@ -1082,7 +1082,7 @@ def test_derived_fields_are_compared_and_check_4_reads_dg_over_g(cert):
     alpha over (x + 1)/(x + 1) fails check 4 alone; and a g that fails the
     g stage fails checks 3, 4 and 5, each with that stage's reason."""
     sweep = _sweep()
-    d = serialize.certificate_to_dict(cert)
+    d = cert
     reached = 0
     for path, _ in sweep.int_leaves(d["gamma"]):
         m = sweep.mutated(d, ("gamma", *path), lambda v: v + 1)
@@ -1112,36 +1112,16 @@ def _stage_certificate(E, bundle, delta, d_div) -> dict:
     curve = E.curve
     gamma = Differential(curve, bundle.g.derivative() * bundle.g.inverse())
     alpha = rr_space(curve, curve.canonical_divisor() + bundle.rep).basis[0]
-    cert = obstruction.Certificate(
-        schema=obstruction.SCHEMA_VERSION,
-        p=curve.field.p,
-        k=curve.field.k,
-        modulus=curve.field.modulus,
-        f=curve.f.coeffs,
-        a_div=E.a_div,
-        l_cls=bundle.cls,
-        g=bundle.g,
-        delta_coords=rr_space(curve, E.n_div - bundle.rep).coords(delta),
-        d_div=d_div,
-        gamma=gamma,
-        alpha=alpha,
-        obstruction=obstruction_scalar(beta_functional(E), delta, gamma, alpha),
-        frob=frobenius_h1(curve, -bundle.rep, bundle.g),
-        cartier=cartier_manin(curve),
-        seed=0,
-    )
-    return serialize.certificate_to_dict(cert)
+    value = obstruction_scalar(beta_functional(E), delta, gamma, alpha)
+    frob = frobenius_h1(curve, -bundle.rep, bundle.g)
+    return obstruction._certificate(E, bundle, frob, gamma, alpha, delta, d_div, value, seed=0)
 
 
 def test_stage_certificate_rebuilds_the_search_certificate(cert):
-    curve, emb = _embedding(cert)
-    bundle = p_torsion_bundle(curve, cert.l_cls)
-    dsp = rr_space(curve, emb.n_div - bundle.rep)
-    delta = curve.zero()
-    for c, phi in zip(cert.delta_coords, dsp.basis):
-        delta = delta + phi.scale(c)
-    d = _stage_certificate(emb, bundle, delta, cert.d_div)
-    assert d == serialize.certificate_to_dict(cert)
+    w = decode_witnesses(cert)
+    emb = embed_bidegree_2_3(w.curve, w.a_div)
+    bundle = p_torsion_bundle(w.curve, w.l_cls)
+    assert _stage_certificate(emb, bundle, w.delta, w.d_div) == cert
 
 
 def test_a_zero_obstruction_from_search_fails_only_check_4(monkeypatch):
@@ -1175,11 +1155,11 @@ def test_a_frobenius_rejected_class_from_search_fails_only_check_5(monkeypatch, 
         return bundles[-1]
 
     monkeypatch.setattr(obstruction, "p_torsion_bundle", recording)
-    cert = certificate_build(5, seed)
-    curve = cert.g.curve
-    emb = embed_bidegree_2_3(curve, cert.a_div)
+    w = decode_witnesses(certificate_build(5, seed))
+    curve = w.curve
+    emb = embed_bidegree_2_3(curve, w.a_div)
     rejected = [b for b in bundles if not frobenius_h1(curve, -b.rep, b.g).injective]
-    assert len(rejected) == 1 and rejected[0].g.curve is curve
+    assert len(rejected) == 1 and rejected[0].g.curve == curve
     for delta_seed in itertools.count():
         try:
             delta, d_div = choose_delta(emb, rejected[0], delta_seed)
@@ -1218,14 +1198,13 @@ def test_verify_rejects_a_noncanonical_modulus(request, which, modulus):
     """F_q has one modulus, the one `field(p, k)` is built with (none at
     k = 1).  Any other value, whatever its length, codes or top, is well
     formed and fails check 1, and no other check runs: `verify` exits 1."""
-    cert = request.getfixturevalue(which)
-    d = serialize.certificate_to_dict(cert)
-    own = None if cert.k == 1 else [1, 0, 1]
+    d = copy.deepcopy(request.getfixturevalue(which))
+    own = None if d["k"] == 1 else [1, 0, 1]
     assert d["modulus"] == own
     d["modulus"] = modulus
     report = certificate_verify(serialize.canonical_bytes(d))
     assert [c.detail for c in report.checks] == (
-        [f"modulus is not {own}, the modulus of F_{cert.p**cert.k}"]
+        [f"modulus is not {own}, the modulus of F_{d['p'] ** d['k']}"]
         + ["no curve to check against"] * 6
     )
     assert not any(c.passed for c in report.checks)
@@ -1247,7 +1226,7 @@ def test_verify_is_total_on_single_leaf_mutations(cert):
     F_9 (1000, -1) fail check 1 with a reason instead of indexing the field
     tables out of range, and so does any modulus other than x^2 + 1."""
     sweep = _sweep()
-    d = serialize.certificate_to_dict(cert)
+    d = cert
     cases = sweep.cases(d)
     reports, passed = 0, []
     for path, op, change in cases:
@@ -1279,19 +1258,20 @@ def test_one_dimensional_data_have_one_scale(cert, datum):
     twice each, with the obstruction or the Frobenius matrix rescaled to
     match, spells the same certificate another way, and only the check
     that reads the datum fails, with that reason."""
-    d = serialize.certificate_to_dict(cert)
-    F = field(cert.p, cert.k)
+    d = copy.deepcopy(cert)
+    w = decode_witnesses(cert)
+    F = w.curve.field
     scale = 2
     if datum == "delta":
         d["delta_coords"] = [F.mul(x, scale) for x in d["delta_coords"]]
         d["obstruction"] = F.mul(d["obstruction"], scale)
         expect, reason = 4, "delta is not scaled to a monic leading coefficient"
     elif datum == "alpha":
-        d["alpha"] = serialize.encode_fn(cert.alpha.scale(scale))
+        d["alpha"] = serialize.encode_fn(w.alpha.scale(scale))
         d["obstruction"] = F.mul(d["obstruction"], scale)
         expect, reason = 4, "alpha is not the generator of the adjoint torsion sections"
     else:
-        d["g"] = serialize.encode_fn(cert.g.scale(scale))
+        d["g"] = serialize.encode_fn(w.g.scale(scale))
         inv = F.inv(scale)
         d["frob"]["matrix"] = [[F.mul(x, inv) for x in row] for row in d["frob"]["matrix"]]
         expect, reason = 3, "g is not scaled to a monic leading coefficient"
@@ -1307,7 +1287,7 @@ def test_verify_is_total_on_any_integer_leaf(cert, cert_p13_s0):
     another prime with p^k <= MAX_Q keeps the shape valid, and the checks
     would then count points over fields of up to MAX_Q^2 elements."""
     sweep = _sweep()
-    dicts = [serialize.certificate_to_dict(c) for c in (cert, cert_p13_s0)]
+    dicts = [cert, cert_p13_s0]
     leaves = [
         (d, path) for d in dicts for path, _ in sweep.int_leaves(d) if path != ("p",)
     ]
@@ -1330,11 +1310,10 @@ def test_verify_is_total_on_any_integer_leaf(cert, cert_p13_s0):
 
 def test_verify_output_is_the_same_under_optimize(cert, tmp_path):
     """No check lives in an assert: `python -O` verifies exactly alike."""
-    d = serialize.certificate_to_dict(cert)
     good = tmp_path / "good.json"
-    good.write_bytes(serialize.canonical_bytes(d))
-    dd = copy.deepcopy(d)
-    dd["delta_coords"][0] = (dd["delta_coords"][0] + 1) % (cert.p**cert.k)
+    good.write_bytes(serialize.canonical_bytes(cert))
+    dd = copy.deepcopy(cert)
+    dd["delta_coords"][0] = (dd["delta_coords"][0] + 1) % (cert["p"] ** cert["k"])
     bad = tmp_path / "bad.json"
     bad.write_bytes(serialize.canonical_bytes(dd))
     env = dict(os.environ, PYTHONPATH=str(Path(nefcert.__file__).parents[1]))

@@ -12,7 +12,7 @@ from nefcert.serialize import CertificateFormatError
 
 @pytest.fixture(scope="module")
 def cert_dict():
-    return serialize.certificate_to_dict(certificate_build(3, seed=0))
+    return certificate_build(3, seed=0)
 
 
 def test_canonical_bytes_are_stable(cert_dict):
