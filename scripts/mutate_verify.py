@@ -3,9 +3,12 @@
 
     python3 scripts/mutate_verify.py
 
-Each mutant is one edit of a function in SCOPE: `certificate_verify` in
-src/nefcert/obstruction.py (its body and its closures, the g stage
-included) and `_require_monic`, and the witness decoders of
+Each mutant is one edit of a function in SCOPE: in
+src/nefcert/obstruction.py, `certificate_verify` (its body and its
+closures, the g stage included), `_require_monic`, and the mathematics
+verify shares with search (the embedding `embed_bidegree_2_3`, the chart
+fields `_charts`, the tails `_splitting_tails`, `beta_functional`, its
+`value`, and `obstruction_scalar`); and the witness decoders of
 src/nefcert/serialize.py:
 
 - drop one operand of a returned `and`;
@@ -38,7 +41,19 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = Path("src") / "nefcert"
 SCOPE = (  # (module, the functions of it that are mutated)
-    (PACKAGE / "obstruction.py", ("certificate_verify", "_require_monic")),
+    (
+        PACKAGE / "obstruction.py",
+        (
+            "certificate_verify",
+            "_require_monic",
+            "embed_bidegree_2_3",
+            "_charts",
+            "_splitting_tails",
+            "beta_functional",
+            "value",
+            "obstruction_scalar",
+        ),
+    ),
     (
         PACKAGE / "serialize.py",
         ("decode_poly", "decode_rational", "decode_place", "decode_divisor", "decode_mumford"),

@@ -23,7 +23,7 @@ from .curves import Curve
 from .fields import field
 from .jacobian import frobenius_data
 from .obstruction import SearchExhausted, certificate_build, certificate_verify
-from .serialize import MAX_Q, CertificateFormatError, canonical_bytes
+from .serialize import MAX_Q, CertificateFormatError, canonical_bytes, decode_poly
 
 FAILURE_SCHEMA = "nefcert-failure/1"
 
@@ -190,7 +190,8 @@ def cmd_curve_info(cfg: argparse.Namespace) -> int:
         print(f"error: p above MAX_Q = {MAX_Q}", file=sys.stderr)
         return 1
     try:
-        curve = Curve(field(cfg.p), cfg.f)
+        base = field(cfg.p)
+        curve = Curve(base, decode_poly(base, cfg.f))
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -8,7 +8,8 @@ gcd(A, B, h) = 1, its one form; valuations, divisors and local expansions
 read that denominator as it stands.  Places are represented by irreducible
 polynomials plus splitting data, valuations come from closed formulas, and
 residues are computed through truncated local expansions with rigorous
-precision tracking.
+precision tracking, over one of two rings (the base field, or F_q[x]/(u)
+at a place of higher degree); inert places are never expanded.
 """
 
 from __future__ import annotations
@@ -27,14 +28,7 @@ from .fields import (
     poly_ord,
     poly_ord_cofactor,
 )
-from .series import (
-    PolyModRing,
-    PrecisionError,
-    QuadModRing,
-    rf_series,
-    series_finite,
-    series_infinite,
-)
+from .series import PolyModRing, PrecisionError, rf_series, series_finite, series_infinite
 
 SPLIT = "split"
 INERT = "inert"
@@ -401,10 +395,7 @@ def _frames(curve: "Curve", place: Place, prec: int):
         if place.kind == INFINITE:
             frames = series_infinite(ring, curve.f, prec)
         else:
-            if place.kind == SPLIT:
-                y0 = ring.embed_poly(place.v % place.u)
-            else:
-                y0 = ring.root if place.kind == INERT else None
+            y0 = ring.embed_poly(place.v % place.u) if place.kind == SPLIT else None
             frames = series_finite(ring, curve.f, place.u, y0, prec)
         cell[:] = prec, frames
     cut = cell[0] - prec
@@ -476,12 +467,14 @@ class Curve:
         """Coefficient ring of local expansions at the place.
 
         The only code that chooses a ring: the curve's field itself at
-        places of degree 1 and at infinity, F_q[x]/(u) for split and
-        ramified places of higher degree, its quadratic extension by a root
-        of f at inert places.  The series constructors take the ring from
-        here."""
+        places of degree 1 and at infinity, and F_q[x]/(u) for split and
+        ramified places of higher degree.  The series constructors take the
+        ring from here.  Nothing is expanded at an inert place: beta's tail
+        places (the support of N, infinity, the zeros of F_s, the ramified
+        places) are never inert, and `frobenius_h1` expands at rational
+        places and at infinity only."""
         if place.kind == INERT:
-            return QuadModRing(self.field, place.u, self.f % place.u)
+            raise ValueError("no local expansion at an inert place")
         if place.kind != INFINITE and place.u.degree > 1:
             return PolyModRing(self.field, place.u)
         return self.field

@@ -2,17 +2,16 @@
 
 Local computations at a place of a hyperelliptic curve happen in the
 completed local ring, which is a power series ring over the residue field.
-The residue field is either the base field itself, a quotient
-kappa = F_q[x]/(u), or a quadratic extension of such a quotient.  The three
-share one element interface (zero, one, embed, add, mul, inv, trace,
-series_mul, ...), so one series engine serves all of them: a `Field` is its
-own ring, `PolyModRing` holds the arithmetic of kappa, square roots
-included, and `QuadModRing` builds on a `PolyModRing`.
+The residue field is either the base field itself or a quotient
+kappa = F_q[x]/(u).  The two share one element interface (zero, one, embed,
+add, mul, inv, trace, series_mul, ...), so one series engine serves both: a
+`Field` is its own ring, and `PolyModRing` holds the arithmetic of kappa,
+square roots included.  Inert places, whose residue field is quadratic
+over kappa, are never expanded.
 `Curve.residue_ring` is the only code that chooses the ring of a place.
 Products of series run on the field's code kernel: over the base field
-as one `Field.poly_mul`, over F_q[x]/(u) as one `Field.poly_mul` of
-Kronecker-packed codes, and over the quadratic extension as three such
-products (Karatsuba on the two coordinates).
+as one `Field.poly_mul`, and over F_q[x]/(u) as one `Field.poly_mul` of
+Kronecker-packed codes.
 `rf_series` gives the series of a function (A + B y) / h along the frames
 of a place, with one inversion, that of the series of h.
 Both frame builders, `series_finite` at every finite place and
@@ -162,99 +161,6 @@ class PolyModRing:
                 block = F.poly_divmod(block, u)[1]
             out.append(Polynomial(F, block))
         return out
-
-
-class QuadModRing:
-    """Coefficients in the quadratic extension of F_q[x]/(u) by a square
-    root of fbar, stored as pairs (a, b) meaning a + b*root."""
-
-    __slots__ = ("field", "u", "fbar", "_half")
-
-    def __init__(self, field: Field, u: Polynomial, fbar: Polynomial):
-        self.field = field
-        self.u = u
-        self.fbar = fbar % u
-        self._half = PolyModRing(field, u)
-
-    def __eq__(self, other):
-        return (
-            type(other) is QuadModRing
-            and other.u == self.u
-            and other.fbar == self.fbar
-        )
-
-    def __hash__(self):
-        return hash(("quadmod", self.u, self.fbar))
-
-    def __repr__(self):
-        return f"QuadModRing({self.u}, {self.fbar})"
-
-    @property
-    def zero(self):
-        z = Polynomial.zero(self.field)
-        return (z, z)
-
-    @property
-    def one(self):
-        return (Polynomial.one(self.field), Polynomial.zero(self.field))
-
-    @property
-    def root(self):
-        return (Polynomial.zero(self.field), Polynomial.one(self.field))
-
-    def embed(self, code: int):
-        return (Polynomial.const(self.field, code), Polynomial.zero(self.field))
-
-    def embed_int(self, n: int):
-        return self.embed(n % self.field.p)
-
-    def embed_poly(self, a: Polynomial):
-        return (a, Polynomial.zero(self.field))
-
-    def add(self, a, b):
-        return (a[0] + b[0], a[1] + b[1])
-
-    def neg(self, a):
-        return (-a[0], -a[1])
-
-    def mul(self, a, b):
-        u = self.u
-        return (
-            (a[0] * b[0] + a[1] * b[1] * self.fbar) % u,
-            (a[0] * b[1] + a[1] * b[0]) % u,
-        )
-
-    def inv(self, a):
-        u = self.u
-        n = (a[0] * a[0] - a[1] * a[1] * self.fbar) % u
-        ni = self._half.inv(n)
-        return ((a[0] * ni) % u, (-a[1] * ni) % u)
-
-    def trace(self, a) -> int:
-        # Tr down to F_q factors through the degree-2 step, which sends
-        # a + b*root to 2a.
-        return self._half.trace(a[0] + a[0])
-
-    def is_zero(self, a) -> bool:
-        return a[0].is_zero and a[1].is_zero
-
-    def series_mul(self, a: list, b: list, n: int) -> list:
-        """The first n coefficients of the product, from three products over
-        F_q[x]/(u) (Karatsuba): with a = a0 + a1 root and b = b0 + b1 root,
-        P = a0 b0, Q = a1 b1 and R = (a0 + a1)(b0 + b1) give
-        a b = (P + fbar Q) + (R - P - Q) root."""
-        mul = self._half.series_mul
-        a0, a1 = [c[0] for c in a], [c[1] for c in a]
-        b0, b1 = [c[0] for c in b], [c[1] for c in b]
-        zero = Polynomial.zero(self.field)
-
-        def full(cs):
-            return cs + [zero] * (n - len(cs))
-
-        P, Q = full(mul(a0, b0, n)), full(mul(a1, b1, n))
-        R = full(mul([x + y for x, y in zip(a0, a1)], [x + y for x, y in zip(b0, b1)], n))
-        fQ = full(mul([self.fbar], Q, n))
-        return [(p + fq, r - p - q) for p, q, r, fq in zip(P, Q, R, fQ)]
 
 
 class TruncSeries:

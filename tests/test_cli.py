@@ -273,7 +273,20 @@ def test_search_failure_report(tmp_path, capsys, monkeypatch):
     assert "search exhausted" in err
     report = json.loads(path.read_text())
     assert report["schema"] == "nefcert-failure/1"
-    assert report["stats"]["curves_sampled"] == 0
+    assert report["stats"] == {
+        key: 0
+        for key in (
+            "curves_sampled",
+            "singular",
+            "non_ordinary",
+            "no_field",
+            "torsion_misses",
+            "frobenius_rejections",
+            "excluded_pencils",
+            "delta_exhausted",
+            "obstruction_zero",
+        )
+    }
 
 
 def test_search_rejects_bad_prime(capsys):
@@ -355,6 +368,17 @@ def test_curve_info_rejects_singular_model(capsys):
     code, _, err = run(capsys, ["curve-info", "--p", "3", "--f", "0,0,0,0,0,1"])
     assert code == 1
     assert "singular" in err
+
+
+@pytest.mark.parametrize("bad", [7, 8, -1])
+def test_curve_info_rejects_codes_outside_the_field(capsys, bad):
+    """A coefficient code outside 0..p-1 is refused as verify refuses it,
+    not read as another code: 7 at p = 7 once ended in a traceback, and 8
+    once gave a Jacobian order for the curve with 1 in its place."""
+    code, out, err = run(capsys, ["curve-info", "--p", "7", f"--f=1,2,3,4,5,{bad}"])
+    assert code == 1
+    assert out == ""
+    assert err.splitlines()[-1] == "error: coefficient out of field range"
 
 
 def test_config_echo_is_pinned(capsys, monkeypatch):
@@ -444,7 +468,7 @@ def test_run_search_keeps_the_file_a_rerun_disagrees_with(tmp_path, monkeypatch,
 
 # Source lines of the `nefcert` modules a cold `search` or `verify` loads,
 # as README.md states under "Start-up cost".
-COLD_IMPORT_LINES = 4465
+COLD_IMPORT_LINES = 4349
 
 
 def test_cold_import_path_is_lean():

@@ -26,7 +26,7 @@ from nefcert.fields import (
     poly_ord,
 )
 from nefcert.oracles import differential_divisor
-from nefcert.series import PolyModRing, QuadModRing, TruncSeries, _newton, poly_series
+from nefcert.series import PolyModRing, TruncSeries, _newton, poly_series
 
 F3 = field(3)
 F5 = field(5)
@@ -250,7 +250,8 @@ def test_divisor_algebra():
 
 
 def _one_place_per_model(C: Curve) -> dict:
-    """(kind, degree of the support) -> one such place, support degree <= 2."""
+    """(kind, degree of the support) -> one such place, support degree <= 2;
+    inert places, which are never expanded, are left out."""
     found: dict = {(INFINITE, 1): C.infinite_place()}
     for d in (1, 2):
         for code in range(C.field.q**d):
@@ -262,14 +263,15 @@ def _one_place_per_model(C: Curve) -> dict:
             if not is_irreducible(u):
                 continue
             for pl in C.places_above(u):
-                found.setdefault((pl.kind, d), pl)
+                if pl.kind != INERT:
+                    found.setdefault((pl.kind, d), pl)
     return found
 
 
 def _frame_curves():
-    """Curves whose places of support degree <= 2 cover every kind; the third
-    is (x^2 + 1)(x^3 + 2x + 1) over F_3, with a ramified place of degree 2
-    whose ring is F_3[x]/(x^2 + 1)."""
+    """Curves whose places of support degree <= 2 cover every expanded kind;
+    the third is (x^2 + 1)(x^3 + 2x + 1) over F_3, with a ramified place of
+    degree 2 whose ring is F_3[x]/(x^2 + 1)."""
     return (curve35(), Curve(F5, (1, 2, 0, 0, 0, 1)), Curve(F3, (1, 2, 1, 0, 0, 1)))
 
 
@@ -293,13 +295,10 @@ def test_local_expansions_satisfy_curve_equation():
             else:
                 # u(x) is the parameter, and ys(0) is the residue of y
                 _, ts = C.expand(C.fn(pl.u), pl, 14)
-                if pl.kind == SPLIT:
-                    _, dy = C.expand(C.y() - C.fn(pl.v), pl, 14)
-                    assert dy.offset >= 1
-                else:
-                    assert sy.coeff_at(0) == ring.root
+                _, dy = C.expand(C.y() - C.fn(pl.v), pl, 14)
+                assert dy.offset >= 1
             assert ts == TruncSeries.t_power(ring, 1, ts.prec)
-    kinds = (SPLIT, INERT, RAMIFIED)
+    kinds = (SPLIT, RAMIFIED)
     assert covered == {(INFINITE, 1)} | {(k, d) for k in kinds for d in (1, 2)}
 
 
@@ -339,8 +338,8 @@ def _reference_frames(C: Curve, pl, prec: int):
         return ring, xs, TruncSeries.t_power(ring, 1, prec)
     fs = poly_series(ring, f, xs)
     half = TruncSeries.const(ring, ring.inv(ring.embed_int(2)), prec)
-    y0 = ring.embed_poly(pl.v) if pl.kind == SPLIT else ring.root
-    ys = _fixed_point(TruncSeries.const(ring, y0, prec), lambda y: (y + fs * y.invert()) * half)
+    y0 = TruncSeries.const(ring, ring.embed_poly(pl.v), prec)
+    ys = _fixed_point(y0, lambda y: (y + fs * y.invert()) * half)
     return ring, xs, ys
 
 
@@ -353,7 +352,7 @@ def _frame_places() -> dict:
     for C in _frame_curves():
         for key, pl in _one_place_per_model(C).items():
             found.setdefault(key, (C, pl))
-    kinds = (SPLIT, INERT, RAMIFIED)
+    kinds = (SPLIT, RAMIFIED)
     assert set(found) == {(INFINITE, 1)} | {(k, d) for k in kinds for d in (1, 2)}
     return found
 
@@ -392,8 +391,8 @@ def test_frame_requests_in_either_order_agree(monkeypatch):
 
 def test_series_products_match_the_schoolbook_product():
     """Each ring's series product (the field kernel, Kronecker packing over
-    F_q[x]/(u), sparse terms over the quadratic extension) equals the sum of
-    ring products c_i d_j over i + j < n, with zeros among the inputs."""
+    F_q[x]/(u)) equals the sum of ring products c_i d_j over i + j < n, with
+    zeros among the inputs."""
     rng = random.Random(5)
     F9, F7 = field(3, 2), field(7)
     u2 = next(u for c in F9.elements() if is_irreducible(u := Polynomial(F9, (c, 0, 1))))
@@ -408,7 +407,6 @@ def test_series_products_match_the_schoolbook_product():
         (F9, lambda: F9.random(rng)),
         (PolyModRing(F9, u2), lambda: poly(F9, 2)),
         (PolyModRing(F7, u3), lambda: poly(F7, 3)),
-        (QuadModRing(F7, u3, Polynomial(F7, (3,))), lambda: (poly(F7, 3), poly(F7, 3))),
     ]
     for ring, draw in rings:
 
@@ -426,52 +424,6 @@ def test_series_products_match_the_schoolbook_product():
                         want[i + j] = ring.add(want[i + j], ring.mul(c, e))
             got = ring.series_mul(a, b, n)
             assert got + [ring.zero] * (n - len(got)) == want
-
-
-def _quad_series_mul_reference(ring: QuadModRing, a: list, b: list, n: int) -> list:
-    """The first n coefficients of the product, coefficient by coefficient
-    through `QuadModRing.mul`, visiting only the nonzero terms of b."""
-    terms = [(j, c) for j, c in enumerate(b) if not ring.is_zero(c)]
-    out = [ring.zero] * n
-    for i, c in enumerate(a):
-        if ring.is_zero(c):
-            continue
-        for j, d in terms:
-            if i + j >= n:
-                break
-            out[i + j] = ring.add(out[i + j], ring.mul(c, d))
-    return out
-
-
-@pytest.mark.parametrize("p,k,du", [(3, 1, 1), (3, 1, 2), (7, 1, 3), (3, 2, 2)])
-def test_inert_series_products_match_the_coefficient_loop(p, k, du):
-    """The three-product (Karatsuba) series product at inert places gives
-    the coefficient loop's result on random series, zeros and an x-only or
-    root-only operand included."""
-    F = field(p, k)
-    rng = random.Random(100 * p + 10 * k + du)
-    while True:
-        u = Polynomial(F, [F.random(rng) for _ in range(du)] + [1])
-        if is_irreducible(u):
-            break
-    ring = QuadModRing(F, u, Polynomial(F, [F.random(rng) for _ in range(du)]))
-
-    def part():
-        if rng.random() < 0.3:
-            return Polynomial.zero(F)
-        return Polynomial(F, [F.random(rng) for _ in range(du)])
-
-    def elem(kind):
-        a, b = part(), part()
-        return {"both": (a, b), "x": (a, Polynomial.zero(F)), "root": (Polynomial.zero(F), b)}[kind]
-
-    for trial in range(30):
-        kinds = ("both", "x", "root")
-        a = [elem(kinds[trial % 3]) for _ in range(rng.randrange(1, 12))]
-        b = [elem(kinds[(trial // 3) % 3]) for _ in range(rng.randrange(1, 12))]
-        n = rng.randrange(1, len(a) + len(b))
-        got = ring.series_mul(a, b, n)
-        assert got + [ring.zero] * (n - len(got)) == _quad_series_mul_reference(ring, a, b, n)
 
 
 def test_expanding_a_shared_denominator_inverts_one_series(monkeypatch):
@@ -535,23 +487,38 @@ def _random_fn(C: Curve, rng: random.Random, deg: int = 2):
 
 
 def test_residue_theorem_on_random_differentials():
+    """25 random differentials, drawn in turn on three curves, whose poles
+    avoid the inert places, where nothing is expanded."""
     rng = random.Random(7)
     curves = [curve35(), curve3x(), Curve(F5, (1, 2, 0, 0, 0, 1))]
     checked = 0
-    for C in curves:
-        F = C.field
-        for _ in range(10):
-            phi = _random_fn(C, rng)
-            if phi.is_zero:
-                continue
-            omega = phi.dx()
-            total = 0
-            # the poles of phi dx lie over the denominator of phi and at infinity
-            for pl in C.places_over(phi.h) + [C.infinite_place()]:
-                total = F.add(total, C.residue(omega, pl))
-            assert total == 0
-            checked += 1
-    assert checked >= 25
+    while checked < 25:
+        C = curves[checked % len(curves)]
+        phi = _random_fn(C, rng)
+        if phi.is_zero:
+            continue
+        # the poles of phi dx lie over the denominator of phi and at infinity
+        poles = C.places_over(phi.h) + [C.infinite_place()]
+        if any(pl.kind == INERT for pl in poles):
+            continue
+        omega = phi.dx()
+        total = 0
+        for pl in poles:
+            total = C.field.add(total, C.residue(omega, pl))
+        assert total == 0
+        checked += 1
+
+
+def test_inert_places_have_no_residue_ring():
+    """Nothing is expanded at an inert place, so it has no ring: asking for
+    one, or for a residue there, raises."""
+    C = curve35()
+    (pl,) = C.places_above(Polynomial(F3, (1, 0, 1)))  # x^2 + 1
+    assert pl.kind == INERT
+    with pytest.raises(ValueError, match="no local expansion at an inert place"):
+        C.residue_ring(pl)
+    with pytest.raises(ValueError, match="no local expansion at an inert place"):
+        C.residue((C.one() / C.fn(pl.u)).dx(), pl)
 
 
 def test_point_counts():

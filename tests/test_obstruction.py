@@ -23,6 +23,7 @@ from nefcert.cohomology import (
     rr_space,
 )
 from nefcert.curves import (
+    INERT,
     RAMIFIED,
     SPLIT,
     Curve,
@@ -153,6 +154,65 @@ def test_embed_validates_the_pencil(setting):
     assert bad.degree == 3
     with pytest.raises(ValueError, match="excluded pencil"):
         embed_bidegree_2_3(curve, bad)
+
+
+def _random_pencil(curve, rng):
+    """An effective divisor of degree 3 from random places over monic
+    irreducibles of degree <= 3: rational places (infinity included) and
+    places of degree 2 and 3, inert ones of degree 2 among them."""
+    base, a_div = curve.field, Divisor()
+    while a_div.degree < 3:
+        if rng.random() < 0.1:
+            pl = curve.infinite_place()
+        else:
+            d = rng.choice((1, 1, 1, 2, 3))
+            u = Polynomial(base, [base.random(rng) for _ in range(d)] + [1])
+            if not is_irreducible(u):
+                continue
+            pl = rng.choice(curve.places_above(u))
+        if a_div.degree + pl.degree <= 3:
+            a_div = a_div + Divisor([(pl, 1)])
+    return a_div
+
+
+def test_embedding_facts_hold_on_random_pencils():
+    """What the degree argument of `embed_bidegree_2_3` proves, and no code
+    rechecks, on random pencils over prime and extension fields: a pencil
+    is embedded or is the excluded shape K + P, which every pencil through
+    an inert place is; the rows have x-degree 3, s has polar degree 3,
+    F_s != 0, h0(2K + N) = 15, and no tail place of any choice is inert."""
+    rng = random.Random(29)
+    outcomes = {"embedded": 0, "excluded": 0, "inert": 0, "embedded_higher": 0}
+    for q in (3, 5, 7, 11, 9, 25, 27):
+        F = field(*{9: (3, 2), 25: (5, 2), 27: (3, 3)}.get(q, (q, 1)))
+        while True:
+            try:
+                curve = Curve(F, [F.random(rng) for _ in range(5)] + [1])
+                break
+            except ValueError:
+                continue
+        for _ in range(60):
+            a_div = _random_pencil(curve, rng)
+            inert = any(pl.kind == INERT for pl in a_div.support)
+            try:
+                emb = embed_bidegree_2_3(curve, a_div)
+            except ValueError as err:
+                assert str(err) == "excluded pencil"
+                outcomes["excluded"] += 1
+                outcomes["inert"] += inert
+                continue
+            assert not inert, a_div
+            outcomes["embedded"] += 1
+            outcomes["embedded_higher"] += any(pl.degree > 1 for pl in a_div.support)
+            assert max(r.degree for r in emb.rows) == 3 and not emb.rows[2].is_zero
+            assert obstruction._polar(curve, emb.s_fn).degree == 3
+            fs = _charts(emb)[0]
+            assert not fs.is_zero
+            space = rr_space(curve, emb.n_div + curve.canonical_divisor() * 2)
+            assert space.dim == 15
+            for choice in range(4):
+                assert all(pl.kind != INERT for pl, *_ in _splitting_tails(emb, choice))
+    assert min(outcomes.values()) > 0, outcomes
 
 
 def test_embedding_shape(setting):
@@ -502,16 +562,6 @@ def test_tail_factors_equal_the_exact_tails(cert):
         cancelled += _cancelling_ties(emb)
         done += 1
     assert cancelled > 0
-
-
-def test_beta_value_rejects_foreign_sections(setting):
-    curve, emb, n0, bundle = setting
-    beta = beta_functional(emb)
-    # a function with a pole pattern outside the section space
-    outside = curve.x() ** 9
-    if rr_space(curve, beta.space_div).coords(outside) is None:
-        with pytest.raises(ValueError, match="bookkeeping"):
-            beta.value(outside)
 
 
 # --- torsion sections and the obstruction scalar --------------------------------
