@@ -8,11 +8,13 @@ src/nefcert/obstruction.py, `certificate_verify` (its body and its
 closures, the g stage included), `_require_monic`, and the mathematics
 verify shares with search (the embedding `embed_bidegree_2_3`, the chart
 fields `_charts`, the tails `_splitting_tails`, `beta_functional`, its
-`value`, and `obstruction_scalar`); and the witness decoders of
-src/nefcert/serialize.py:
+`value`, and `obstruction_scalar`); and, in src/nefcert/serialize.py, the
+witness decoders and the shape check (`parse_certificate`,
+`ensure_certificate_shape` and its helpers):
 
 - drop one operand of a returned `and`;
 - drop one `if ...: raise` guard;
+- drop one expression statement that calls `_want` or a `_check_*` helper;
 - weaken an order test `X == p` or `X != p` to divisibility, `p % X == 0`
   or `p % X != 0`;
 - swap one comparison `<` with `<=`, or `>` with `>=`.
@@ -56,14 +58,29 @@ SCOPE = (  # (module, the functions of it that are mutated)
     ),
     (
         PACKAGE / "serialize.py",
-        ("decode_poly", "decode_rational", "decode_place", "decode_divisor", "decode_mumford"),
+        (
+            "decode_poly",
+            "decode_rational",
+            "decode_place",
+            "decode_divisor",
+            "decode_mumford",
+            "ensure_certificate_shape",
+            "_check_poly",
+            "_check_codes",
+            "_check_rational",
+            "_check_fn",
+            "_check_divisor",
+            "_is_int_list",
+            "_below_power",
+            "parse_certificate",
+        ),
     ),
 )
-TEST_FILES = (
+TEST_FILES = (  # the quick shape tests first: -x stops at the first failure
+    "tests/test_serialize.py",
     "tests/test_obstruction.py",
     "tests/test_acceptance.py",
     "tests/test_cli.py",
-    "tests/test_serialize.py",
 )
 SURVIVORS = Path(__file__).resolve().parent / "mutate_verify_survivors.txt"
 TIMEOUT = 600  # seconds per test run; a run past it counts as a kill
@@ -110,6 +127,18 @@ class Mutator(ast.NodeTransformer):
         self.generic_visit(node)
         guard = len(node.body) == 1 and isinstance(node.body[0], ast.Raise) and not node.orelse
         if self.scope and guard and self._site(f"drop guard `if {ast.unparse(node.test)}: raise`"):
+            return ast.Pass()
+        return node
+
+    def visit_Expr(self, node):
+        self.generic_visit(node)
+        call = node.value
+        shape = (
+            isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Name)
+            and (call.func.id == "_want" or call.func.id.startswith("_check_"))
+        )
+        if self.scope and shape and self._site(f"drop `{ast.unparse(call)}`"):
             return ast.Pass()
         return node
 

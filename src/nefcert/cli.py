@@ -9,7 +9,7 @@ parsed to stderr, and file outputs depend only on (command, flags, seed),
 byte for byte.
 
 Exit codes: 0 success / certificate passes, 1 failure / certificate fails,
-2 malformed input or bad flags.
+2 malformed input, bad flags, or a file that cannot be read or written.
 """
 
 from __future__ import annotations
@@ -82,24 +82,24 @@ def cmd_search(cfg: argparse.Namespace) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except SearchExhausted as err:
-        report = {
-            "schema": FAILURE_SCHEMA,
-            "p": cfg.p,
-            "seed": cfg.seed,
-            "stats": dict(sorted(err.stats.items())),
-        }
-        _emit(canonical_bytes(report), cfg.out)
-        print("search exhausted; stage statistics:", file=sys.stderr)
-        for key, val in sorted(err.stats.items()):
-            print(f"  {key}: {val}", file=sys.stderr)
-        return 1
-    _emit(canonical_bytes(cert), cfg.out)
-    print(
-        f"certificate found: p={cert['p']} field=F({cert['p']}^{cert['k']})"
-        f" obstruction={cert['obstruction']} -> {cfg.out or '<stdout>'}",
-        file=sys.stderr,
-    )
-    return 0
+        stats = dict(sorted(err.stats.items()))
+        payload = {"schema": FAILURE_SCHEMA, "p": cfg.p, "seed": cfg.seed, "stats": stats}
+        code = 1
+        summary = ["search exhausted; stage statistics:"]
+        summary += [f"  {key}: {val}" for key, val in stats.items()]
+    else:
+        payload, code = cert, 0
+        summary = [
+            f"certificate found: p={cert['p']} field=F({cert['p']}^{cert['k']})"
+            f" obstruction={cert['obstruction']} -> {cfg.out or '<stdout>'}"
+        ]
+    try:
+        _emit(canonical_bytes(payload), cfg.out)
+    except OSError as err:  # an unwritable --out: exit 2, as verify's unreadable path
+        print(f"error: {err}", file=sys.stderr)
+        return 2
+    print("\n".join(summary), file=sys.stderr)
+    return code
 
 
 def cmd_verify(cfg: argparse.Namespace) -> int:

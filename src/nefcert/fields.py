@@ -397,7 +397,7 @@ def _find_modulus(p: int, k: int) -> tuple[int, ...]:
         coeffs.append(1)
         if is_irreducible(Polynomial(base, tuple(coeffs))):
             return tuple(coeffs)
-    raise AssertionError("no irreducible polynomial found")  # unreachable
+    # not reached: a monic irreducible of every degree k exists over F_p
 
 
 def field(p: int, k: int = 1) -> Field:
@@ -794,11 +794,10 @@ def poly_factor(f: Polynomial, seed: int = 0) -> list[tuple[Polynomial, int]]:
     """Factor f into monic irreducibles, sorted by (degree, coefficients).
 
     The product of the factors (with multiplicity) times the leading
-    coefficient of f re-multiplies exactly to f; this is asserted.
+    coefficient of f is f; `test_factor_remultiplies` checks it.
     """
     if f.is_zero:
         raise ValueError("zero polynomial")
-    field = f.field
     rng = random.Random(seed)
     out: list[tuple[Polynomial, int]] = []
     if f.degree > 0:
@@ -807,11 +806,6 @@ def poly_factor(f: Polynomial, seed: int = 0) -> list[tuple[Polynomial, int]]:
                 for irr in _equal_degree(prod, d, rng):
                     out.append((irr, m))
     out.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
-    check = Polynomial.const(field, f.lc()) if f.degree >= 0 else f
-    for g, m in out:
-        check = check * g**m
-    if check != f:
-        raise RuntimeError("factorization failed to re-multiply")
     return out
 
 
@@ -857,22 +851,18 @@ def embedding(src: Field, dst: Field):
 def hensel_sqrt(f: Polynomial, u: Polynomial, v: Polynomial, m: int) -> Polynomial:
     """Y with Y^2 = f mod u^m and Y = v mod u, by Newton lifting.
 
-    Requires v^2 = f mod u and v invertible mod u (non-ramified place).
+    Requires v^2 = f mod u and v invertible mod u (the v of a split place);
+    `test_hensel_sqrt` checks Y^2 = f mod u^m.
     """
     field = f.field
-    if not ((v * v - f) % u).is_zero:
-        raise RuntimeError("hensel_sqrt: v^2 differs from f mod u")
     inv2 = Polynomial.const(field, field.inv(2 % field.p))
     y = v % u
     t = 1
     while t < m:
         t = min(2 * t, m)
         mod = u**t
-        g, s, _ = poly_xgcd(y, mod)
-        if g.degree != 0 or g.coeffs[0] != 1:
-            raise RuntimeError("hensel_sqrt: y is not invertible mod u^t")
+        # y = v mod u and u does not divide f, so y is a unit mod u^t: s = 1/y
+        _, s, _ = poly_xgcd(y, mod)
         y = ((y + f * s) * inv2) % mod
-    if not ((y * y - f) % (u**m)).is_zero:
-        raise RuntimeError("hensel_sqrt: the lift is not a square root mod u^m")
     return y
 

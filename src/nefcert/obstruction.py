@@ -373,11 +373,9 @@ def choose_delta(E: EmbeddingData, L: PTorsionBundle, seed: int):
         if last is None or last in chosen:
             continue
         d_div = Divisor([(pts[i], 1) for i in chosen] + [(pts[last], 1)])
-        dsp = rr_space(curve, w_div - d_div)
-        if dsp.dim != 1:
-            continue
-        # div(delta) >= D - W, and both sides have degree 0: they are equal
-        return dsp.basis[0], d_div
+        # a hit makes W - D principal, so h0(W - D) = 1; div(delta) >= D - W,
+        # and both sides have degree 0: they are equal
+        return rr_space(curve, w_div - d_div).basis[0], d_div
     raise ExtendFieldError("extend field")
 
 
@@ -417,7 +415,7 @@ def _torsion_try(curve: Curve, seed: int, stats: dict):
     """find_p_torsion(curve, seed), or None, counted as a torsion miss."""
     try:
         return find_p_torsion(curve, seed)
-    except (RuntimeError, ValueError):
+    except RuntimeError:
         stats["torsion_misses"] += 1
         return None
 

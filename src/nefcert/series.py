@@ -101,9 +101,7 @@ class PolyModRing:
         for _ in range(u.degree):
             acc = acc + b
             b = b.pow_mod(q, u)
-        if acc.degree > 0:
-            raise RuntimeError("trace did not land in the base field")
-        return acc[0]
+        return acc[0]  # a sum over a Frobenius orbit lies in F_q
 
     def sqrt(self, a) -> Polynomial | None:
         """The canonical square root of a in kappa, or None for non-squares:

@@ -289,6 +289,18 @@ def test_search_failure_report(tmp_path, capsys, monkeypatch):
     }
 
 
+def test_search_to_an_unwritable_path_exits_2(tmp_path, capsys, monkeypatch):
+    """A certificate or a failure report that cannot be written ends in
+    exit 2 and one error line, as an unreadable path does for verify."""
+    path = tmp_path / "missing" / "x.json"
+    for tries in (obstruction.CURVE_TRIES, 0):  # a certificate, then a report
+        monkeypatch.setattr(obstruction, "CURVE_TRIES", tries)
+        code, out, err = run(capsys, ["search", "--p", "3", "--seed", "0", "--out", str(path)])
+        assert code == 2 and out == ""
+        assert err.splitlines()[1:] == [f"error: [Errno 2] No such file or directory: '{path}'"]
+    assert not path.parent.exists()
+
+
 def test_search_rejects_bad_prime(capsys):
     code, _, err = run(capsys, ["search", "--p", "6"])
     assert code == 2
@@ -468,7 +480,7 @@ def test_run_search_keeps_the_file_a_rerun_disagrees_with(tmp_path, monkeypatch,
 
 # Source lines of the `nefcert` modules a cold `search` or `verify` loads,
 # as README.md states under "Start-up cost".
-COLD_IMPORT_LINES = 4349
+COLD_IMPORT_LINES = 4311
 
 
 def test_cold_import_path_is_lean():

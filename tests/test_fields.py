@@ -466,10 +466,13 @@ def test_factor_remultiplies(fi, seed, d):
     f = poly_random(F, d, rng)
     if f.is_zero:
         return
-    fac = poly_factor(f)  # has an internal re-multiplication assert
+    fac = poly_factor(f)
+    prod = Polynomial.const(F, f.lc())
     for g, m in fac:
         assert g.is_monic() and is_irreducible(g) and m >= 1
         assert poly_ord(f, g) == m
+        prod = prod * g**m
+    assert prod == f
     assert fac == sorted(fac, key=lambda fm: (fm[0].degree, fm[0].coeffs))
 
 

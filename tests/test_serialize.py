@@ -55,6 +55,17 @@ def test_shape_validation_catches_each_field(cert_dict):
         (lambda d: d.update(frob={"twist": 1}), "frob"),
         (lambda d: d.update(cartier=[[1, 2, 3]]), "cartier"),
         (lambda d: d["d_div"][0].__setitem__(1, "one"), "multiplicity"),
+        # values that every other rule lets through: an empty container, a
+        # list that iterates like the right key set, a float
+        (lambda d: d.update(p=1), "bad field parameters"),
+        (lambda d: d.update(f={}), "f: expected coefficients"),
+        (lambda d: d.update(a_div={}), "a_div: expected a list"),
+        (lambda d: d["a_div"][0][0].update(kind=1), r"a_div\[0\]: bad place kind"),
+        (lambda d: d.update(g=["a", "b"]), "g: expected an object"),
+        (lambda d: d["g"].update(a=["den", "num"]), "g.a: expected an object"),
+        (lambda d: d["g"]["a"].update(x=[]), "g.a: expected num/den"),
+        (lambda d: d["frob"].update(twist="1"), "frob: bad dimensions"),
+        (lambda d: d["frob"].update(matrix=[[0.5]]), "frob: bad matrix"),
         # the modulus is null or integers; check 1 compares its value
         (lambda d: d.update(modulus=[1, 0, "1"]), "modulus: expected null or coefficients"),
         # a zero on top of a coefficient list would spell the same
@@ -79,6 +90,17 @@ def test_shape_validation_catches_each_field(cert_dict):
     for fn, msg in cases:
         with pytest.raises(CertificateFormatError, match=msg):
             serialize.ensure_certificate_shape(broken(fn))
+
+
+def test_characteristic_two_is_well_formed_and_fails_its_checks(cert_dict):
+    """p = 2 passes the shape check (p >= 2), and check 1 refuses it; at
+    k = 4 the codes of the F_9 certificate still name elements of F_16."""
+    from nefcert.obstruction import certificate_verify
+
+    d = dict(cert_dict, p=2, k=4)
+    report = certificate_verify(serialize.canonical_bytes(d))
+    assert report.checks[0].detail == "characteristic two unsupported"
+    assert not any(c.passed for c in report.checks)
 
 
 def test_roundtrip_of_curve_level_objects():
