@@ -256,19 +256,15 @@ def p_torsion_field_degree(curve: Curve, max_q: int) -> int | None:
     """Least m with p-torsion rational over the degree-m extension, or None
     when that extension has more than max_q elements.
 
-    By Manin's theorem the q-power Frobenius acts on the p-torsion of an
-    ordinary curve, mod p, with the eigenvalues of the Cartier-Manin norm
-    N = H^(sigma^(k-1)) ... H^sigma H (H itself over a prime field), so m
-    is the least one with N^m - I singular; the eigenvalues lie in F_(p^2),
-    so m < p^2.  Requires an ordinary curve.
+    By Manin's theorem the p-power Frobenius acts on the p-torsion of an
+    ordinary curve over a prime field, mod p, with the eigenvalues of the
+    Cartier-Manin matrix N = H, so m is the least one with N^m - I
+    singular; the eigenvalues lie in F_(p^2), so m < p^2.  Requires an
+    ordinary curve over a prime field.
     """
     F = curve.field
-    H = [list(r) for r in cartier_manin(curve)]
-    N = H
-    for _ in range(F.k - 1):
-        H = [[F.frob(c) for c in row] for row in H]
-        N = linalg.mat_mul(F, H, N)
-    # search calls this only on curves that passed `cartier_nonsingular`
+    N = [list(r) for r in cartier_manin(curve)]
+    # search calls this only on curves over F_p that passed `cartier_nonsingular`
     A, m = N, 1
     while F.q**m <= max_q:
         # 1 is an eigenvalue of A = N^m: A - I is singular

@@ -20,7 +20,6 @@ from typing import Iterable, Optional
 from .fields import (
     Field,
     Polynomial,
-    embedding,
     field,
     is_irreducible,
     poly_factor,
@@ -579,17 +578,17 @@ class Curve:
     # --- point counting --------------------------------------------------------
 
     def point_count(self, m: int = 1) -> int:
-        """Number of points of the smooth model over the degree-m extension."""
+        """Number of points of the smooth model over the degree-m extension.
+        For m > 1, f must be defined over F_p, whose codes name the same
+        elements in every extension."""
         q = self.field.q
         if q**m > 10**7:
             raise ValueError("field too large")
         ext = self.field if m == 1 else field(self.field.p, self.field.k * m)
-        emb = embedding(self.field, ext)
-        fc = [emb(c) for c in self.f.coeffs]
         n = 1
         for a in range(ext.q):
             acc = 0
-            for c in reversed(fc):
+            for c in reversed(self.f.coeffs):
                 acc = ext.add(ext.mul(acc, a), c)
             ls = ext.legendre(acc)
             if ls == 1:

@@ -46,7 +46,7 @@ class Field:
     """Finite field F_{p^k}; elements are integer codes in range(q).
 
     Subclasses implement the code-level arithmetic (add, sub, neg, mul, inv,
-    pow, decode); zero is code 0 and one is code 1 in every field.  Their
+    pow); zero is code 0 and one is code 1 in every field.  Their
     coefficient kernels are poly_mul(a, b), the product of two nonempty
     coefficient sequences (low to high), and poly_divmod(a, b), the
     (quotient, remainder) lists for len(a) >= len(b) and b[-1] != 0.
@@ -189,9 +189,6 @@ class PrimeField(Field):
             return pow(self.inv(a), -e, self.p)
         return pow(a, e, self.p)
 
-    def decode(self, a):
-        return (a,)
-
     def poly_mul(self, a, b):
         p = self.p
         out = [0] * (len(a) + len(b) - 1)
@@ -333,9 +330,6 @@ class ExtensionField(Field):
                 raise ZeroDivisionError("inverse of zero")
             return 0 if e else 1
         return self._exp[self._log[a] * e % (self.q - 1)]
-
-    def decode(self, a):
-        return self._digits[a]
 
     def poly_mul(self, a, b):
         log, exp, zech = self._log, self._exp, self._zech
@@ -807,45 +801,6 @@ def poly_factor(f: Polynomial, seed: int = 0) -> list[tuple[Polynomial, int]]:
                     out.append((irr, m))
     out.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
     return out
-
-
-def poly_roots(f: Polynomial) -> list[int]:
-    """Roots in the coefficient field, sorted by code, without multiplicity."""
-    if f.is_zero:
-        raise ValueError("zero polynomial")
-    roots = []
-    for g, _ in poly_factor(f):
-        if g.degree == 1:
-            roots.append(f.field.neg(g.coeffs[0]))
-    return sorted(roots)
-
-
-_EMBED_CACHE: dict[tuple, list[int]] = {}
-
-
-def embedding(src: Field, dst: Field):
-    """The chosen inclusion of src into dst, as a code-to-code callable.
-
-    Requires equal characteristic and src.k dividing dst.k.  Among the
-    conjugate embeddings the one sending the generator of src to the root
-    with the smallest code is used, so the map is deterministic.
-    """
-    if src.p != dst.p or dst.k % src.k:
-        raise ValueError("no embedding between these fields")
-    if src == dst or src.k == 1:
-        return lambda c: c
-    key = (src.p, src.k, src.modulus, dst.k, dst.modulus)
-    table = _EMBED_CACHE.get(key)
-    if table is None:
-        root = poly_roots(Polynomial(dst, src.modulus))[0]
-        table = []
-        for code in range(src.q):
-            acc = 0
-            for d in reversed(src.decode(code)):
-                acc = dst.add(dst.mul(acc, root), d)
-            table.append(acc)
-        _EMBED_CACHE[key] = table
-    return table.__getitem__
 
 
 def hensel_sqrt(f: Polynomial, u: Polynomial, v: Polynomial, m: int) -> Polynomial:

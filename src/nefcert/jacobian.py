@@ -327,15 +327,15 @@ class FrobeniusData(NamedTuple):
 
 @functools.lru_cache(maxsize=None)
 def frobenius_data(curve: Curve) -> FrobeniusData:
+    """Zeta data of a curve whose f is defined over F_p: point counts over
+    F_p and F_(p^2) at k = 1, the prime-field model's traces powered exactly
+    above.  Verify refuses any other curve at check 1, and search and
+    curve-info build theirs over F_p."""
     q = curve.field.q
     p, k = curve.field.p, curve.field.k
-    if k > 1 and all(c < p for c in curve.f.coeffs):
-        # base change of a prime-field model: power the eigenvalues exactly
-        # instead of counting points over huge extensions
+    if k > 1:
         t1, t2 = _power_traces(frobenius_data(Curve(field(p), curve.f.coeffs)), k)
     else:
-        if q * q > 10**7:
-            raise ValueError("field too large")
         t1 = q + 1 - curve.point_count(1)
         t2 = q * q + 1 - curve.point_count(2)
     return _zeta_data(q, t1, t2)
@@ -484,7 +484,7 @@ def find_p_torsion(curve: Curve, seed: int = 0) -> MumfordClass:
     Requires an ordinary curve whose group order is divisible by p: search
     passes a curve that passed `cartier_nonsingular`, over a field whose
     degree is a multiple of `p_torsion_field_degree`, where by Manin 1 is an
-    eigenvalue of the Hasse-Witt norm and so p divides the order.
+    eigenvalue of that power of the Hasse-Witt matrix: p divides the order.
     """
     p = curve.field.p
     h = frobenius_data(curve).order

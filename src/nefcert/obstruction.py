@@ -639,6 +639,10 @@ def certificate_verify(data) -> VerifyReport:
         if d["modulus"] != modulus:
             raise ValueError(f"modulus is not {modulus}, the modulus of F_{base.q}")
         curve = Curve(base, decode_poly(base, d["f"]))
+        # the codes below p name F_p in every F_(p^k), and search samples f
+        # over F_p: the group orders come from the prime-field model
+        if any(c >= p for c in d["f"]):
+            raise ValueError("f is not defined over F_p")
     except (ValueError, TypeError) as err:
         details = [str(err)] + ["no curve to check against"] * 6
         checks = [CheckResult(i, CHECK_NAMES[i - 1], False, details[i - 1]) for i in range(1, 8)]

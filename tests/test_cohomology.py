@@ -263,7 +263,8 @@ def test_frobenius_h1_on_torsion_bundle():
 
 
 def _torsion_pairs(per_field: int = 3):
-    """Seeded (curve, p-torsion bundle) pairs over fields from F_9 to F_49."""
+    """Seeded (curve, p-torsion bundle) pairs over fields from F_9 to F_49,
+    each curve defined over F_p."""
     out = []
     for p, k in ((3, 2), (5, 2), (3, 3), (7, 2), (11, 1), (13, 1), (17, 1)):
         F = field(p, k)
@@ -271,7 +272,7 @@ def _torsion_pairs(per_field: int = 3):
         start = len(out)
         while len(out) < start + per_field:
             try:
-                C = Curve(F, tuple(rng.randrange(F.q) for _ in range(5)) + (1,))
+                C = Curve(F, tuple(rng.randrange(p) for _ in range(5)) + (1,))
             except ValueError:
                 continue
             if not is_ordinary(C) or frobenius_data(C).order % p:

@@ -19,7 +19,6 @@ from nefcert.curves import (
 )
 from nefcert.fields import (
     Polynomial,
-    embedding,
     field,
     hensel_sqrt,
     is_irreducible,
@@ -527,33 +526,19 @@ def test_point_counts():
     # x -> x^5 permutes F_9, so x^5 + 1 hits every value once and the affine
     # count is exactly 9; one more point sits at infinity
     assert curve35().point_count(2) == 10
-    # independent tally over F_9 through the canonical embedding
+    # independent tally over F_9, where the codes of F_3 name the same elements
     F9 = field(3, 2)
-    emb = embedding(F3, F9)
     for C in (curve35(), curve3x()):
-        fc = [emb(c) for c in C.f.coeffs]
         n = 1
         for a in range(9):
             v = 0
-            for c in reversed(fc):
+            for c in reversed(C.f.coeffs):
                 v = F9.add(F9.mul(v, a), c)
             ls = F9.legendre(v)
             n += 2 if ls == 1 else (1 if ls == 0 else 0)
         assert C.point_count(2) == n
     with pytest.raises(ValueError, match="field too large"):
         curve35().point_count(20)
-
-
-def test_embedding_is_a_homomorphism():
-    F9, F81 = field(3, 2), field(3, 4)
-    emb = embedding(F9, F81)
-    assert emb(0) == 0 and emb(1) == 1
-    for a in range(9):
-        for b in range(9):
-            assert emb(F9.add(a, b)) == F81.add(emb(a), emb(b))
-            assert emb(F9.mul(a, b)) == F81.mul(emb(a), emb(b))
-    with pytest.raises(ValueError, match="no embedding"):
-        embedding(field(3, 2), field(3, 3))
 
 
 @settings(max_examples=40, deadline=None)

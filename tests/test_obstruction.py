@@ -24,6 +24,7 @@ from nefcert.cohomology import (
 )
 from nefcert.curves import (
     INERT,
+    INFINITE,
     RAMIFIED,
     SPLIT,
     Curve,
@@ -1356,6 +1357,58 @@ def test_verify_is_total_on_any_integer_leaf(cert, cert_p13_s0):
             assert m == d or path == ("seed",), (path, value)
 
     case()
+
+
+def test_a_curve_not_defined_over_f_p_fails_check_1(cert):
+    """f must be defined over F_p, whose elements are the codes below p in
+    every F_(p^k): the group orders verify needs are those of the prime-field
+    model.  An f holding the code p itself (the generator of F_243) fails
+    check 1 before any point is counted, and no other check runs."""
+    d = copy.deepcopy(cert)
+    d.update(k=5, modulus=list(field(3, 5).modulus), f=[3, 1, 0, 0, 0, 1])
+    d["l_cls"] = {"u": [1], "v": []}  # the zero class
+    report = certificate_verify(serialize.canonical_bytes(d))
+    assert [c.detail for c in report.checks] == (
+        ["f is not defined over F_p"] + ["no curve to check against"] * 6
+    )
+    assert not any(c.passed for c in report.checks)
+
+
+def _values(node, path=()):
+    """(path, value) for every value below the root, in document order."""
+    items = sorted(node.items()) if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield path + (key,), value
+        if isinstance(value, (dict, list)):
+            yield from _values(value, path + (key,))
+
+
+def test_verify_is_total_on_non_integer_leaves(cert):
+    """Each of null, a bool, a float, a string, a list and an object in
+    place of any value of the q = 9 certificate (leaf or not, unless it is
+    that value already), and each other kind in place of a place's kind,
+    ends in a format error or a report whose checks all ran; no report
+    passes."""
+    sweep = _sweep()
+    kinds = (SPLIT, INERT, RAMIFIED, INFINITE)
+    cases = []
+    for path, old in _values(cert):
+        for new in (None, True, 0.5, "x", [], {}):
+            if not (type(new) is type(old) and new == old):
+                cases.append((path, new))
+        if path[-1] == "kind":
+            cases += [(path, kind) for kind in kinds if kind != old]
+    formats, reports = 0, 0
+    for path, new in cases:
+        m = sweep.mutated(cert, path, lambda _: new)
+        try:
+            report = certificate_verify(serialize.canonical_bytes(m))
+        except serialize.CertificateFormatError:
+            formats += 1
+            continue
+        reports += 1
+        assert len(report.checks) == 7 and not report.ok, (path, new)
+    assert (len(cases), formats, reports) == (1397, 1264, 133)
 
 
 def test_verify_output_is_the_same_under_optimize(cert, tmp_path):
