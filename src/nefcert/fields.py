@@ -10,8 +10,9 @@ The remainder loops (`%`, `//`, `poly_gcd`, `Polynomial.pow_mod`,
 `poly_ord_cofactor`) run `poly_divmod` on lists of codes and build a
 `Polynomial` only for what they return.
 
-Also provides univariate polynomials over such fields (gcd, xgcd, factoring,
-irreducibility testing, Hensel lifting of square roots) and the one
+Also provides univariate polynomials over such fields (gcd, xgcd, Hensel
+lifting of square roots, and factoring by one distinct-degree pass over f
+itself, from which `is_irreducible` reads its answer) and the one
 Tonelli-Shanks loop, which `Field.sqrt` and `series.PolyModRing.sqrt` share.
 A field is also the coefficient ring of local expansions at its rational
 places; the residue fields F_q[x]/(u) of the other places are
@@ -67,16 +68,12 @@ class Field:
 
     # --- generic ------------------------------------------------------------
     def frob(self, a: int) -> int:
-        """Absolute Frobenius a -> a^p."""
-        if self.k == 1:
-            return a
+        """Absolute Frobenius a -> a^p (the identity on F_p, by Fermat)."""
         return self.pow(a, self.p)
 
     def frob_inv(self, a: int) -> int:
-        """Inverse of the absolute Frobenius: a -> a^(p^(k-1))."""
-        if self.k == 1:
-            return a
-        return self.pow(a, self.p ** (self.k - 1))
+        """Inverse of the absolute Frobenius: a -> a^(q/p)."""
+        return self.pow(a, self.q // self.p)
 
     def elements(self) -> range:
         return range(self.q)
@@ -677,92 +674,6 @@ def poly_random(f: Field, degree: int, rng: random.Random) -> Polynomial:
     return Polynomial(f, [rng.randrange(f.q) for _ in range(degree + 1)])
 
 
-def is_irreducible(f: Polynomial) -> bool:
-    """Rabin's irreducibility test."""
-    n = f.degree
-    if n <= 0:
-        return False
-    if n == 1:
-        return True
-    field = f.field
-    q = field.q
-    f = f.monic()
-    x = Polynomial.x(field)
-    if x.pow_mod(q**n, f) != x % f:
-        return False
-    for r in _factor_int(n):
-        h = x.pow_mod(q ** (n // r), f) - x
-        if poly_gcd(h, f).degree != 0:
-            return False
-    return True
-
-
-def _pth_root(f: Polynomial) -> Polynomial:
-    """g with g^p = f, valid when f' = 0 (all exponents divisible by p)."""
-    field = f.field
-    p = field.p
-    e = field.p ** (field.k - 1)  # c -> c^(q/p) inverts the Frobenius
-    out = []
-    for i in range(0, len(f.coeffs), p):
-        out.append(field.pow(f.coeffs[i], e))
-    return Polynomial(field, out)
-
-
-def _squarefree_decomposition(f: Polynomial) -> list[tuple[Polynomial, int]]:
-    """[(g, m)] with f = prod g^m up to the leading unit, g monic squarefree,
-    pairwise coprime, m distinct."""
-    field = f.field
-    p = field.p
-    acc: dict[int, Polynomial] = {}
-
-    def rec(g: Polynomial, mult: int) -> None:
-        if g.degree <= 0:
-            return
-        gp = g.derivative()
-        if gp.is_zero:
-            rec(_pth_root(g), mult * p)
-            return
-        c = poly_gcd(g, gp)
-        w = g // c
-        i = 1
-        while w.degree > 0:
-            y = poly_gcd(w, c)
-            fac = w // y
-            if fac.degree > 0:
-                key = mult * i
-                acc[key] = acc[key] * fac if key in acc else fac
-            w = y
-            c = c // y
-            i += 1
-        if c.degree > 0:
-            rec(_pth_root(c), mult * p)
-
-    rec(f.monic(), 1)
-    return [(g, m) for m, g in sorted(acc.items())]
-
-
-def _distinct_degree(f: Polynomial) -> list[tuple[Polynomial, int]]:
-    """[(g, d)]: g = product of the degree-d irreducible factors of monic
-    squarefree f."""
-    field = f.field
-    q = field.q
-    out = []
-    x = Polynomial.x(field)
-    h = x % f
-    d = 0
-    while f.degree >= 2 * (d + 1):
-        d += 1
-        h = h.pow_mod(q, f)
-        g = poly_gcd(h - x, f)
-        if g.degree > 0:
-            out.append((g, d))
-            f = f // g
-            h = h % f
-    if f.degree > 0:
-        out.append((f, f.degree))
-    return out
-
-
 def _equal_degree(f: Polynomial, d: int, rng: random.Random) -> list[Polynomial]:
     """Cantor-Zassenhaus split of monic squarefree f with all factors of
     degree d (odd q)."""
@@ -784,23 +695,42 @@ def _equal_degree(f: Polynomial, d: int, rng: random.Random) -> list[Polynomial]
     return _equal_degree(g, d, rng) + _equal_degree(f // g, d, rng)
 
 
-def poly_factor(f: Polynomial, seed: int = 0) -> list[tuple[Polynomial, int]]:
+def poly_factor(f: Polynomial) -> list[tuple[Polynomial, int]]:
     """Factor f into monic irreducibles, sorted by (degree, coefficients).
 
-    The product of the factors (with multiplicity) times the leading
-    coefficient of f is f; `test_factor_remultiplies` checks it.
+    One distinct-degree pass over f: with the factors of degree below d
+    divided out, gcd(x^(q^d) - x, f) is the product of the distinct factors
+    of degree d, which `_equal_degree` splits and `poly_ord_cofactor` strips
+    with their multiplicities; a rest of degree below 2(d + 1) is
+    irreducible.  `test_factor_remultiplies` checks that the factors, times
+    the leading coefficient of f, multiply back to f.
     """
     if f.is_zero:
         raise ValueError("zero polynomial")
-    rng = random.Random(seed)
+    field = f.field
+    rng = random.Random(0)  # the sorted output does not depend on it
     out: list[tuple[Polynomial, int]] = []
+    f = f.monic()
+    x = h = Polynomial.x(field)
+    d = 0
+    while f.degree >= 2 * (d + 1):
+        d += 1
+        h = h.pow_mod(field.q, f)  # x^(q^d) mod f
+        g = poly_gcd(h - x, f)
+        if g.degree > 0:
+            for irr in _equal_degree(g, d, rng):
+                m, f = poly_ord_cofactor(f, irr)
+                out.append((irr, m))
+            h = h % f
     if f.degree > 0:
-        for g, m in _squarefree_decomposition(f):
-            for prod, d in _distinct_degree(g):
-                for irr in _equal_degree(prod, d, rng):
-                    out.append((irr, m))
+        out.append((f, 1))
     out.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
     return out
+
+
+def is_irreducible(f: Polynomial) -> bool:
+    """Whether f has positive degree and one irreducible factor, once."""
+    return f.degree > 0 and [m for _, m in poly_factor(f)] == [1]
 
 
 def hensel_sqrt(f: Polynomial, u: Polynomial, v: Polynomial, m: int) -> Polynomial:

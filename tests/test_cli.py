@@ -480,7 +480,7 @@ def test_run_search_keeps_the_file_a_rerun_disagrees_with(tmp_path, monkeypatch,
 
 # Source lines of the `nefcert` modules a cold `search` or `verify` loads,
 # as README.md states under "Start-up cost".
-COLD_IMPORT_LINES = 4265
+COLD_IMPORT_LINES = 4195
 
 
 def test_cold_import_path_is_lean():

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import random
 
@@ -20,6 +21,7 @@ from nefcert.fields import (
     poly_xgcd,
 )
 from nefcert.oracles import poly_random_monic
+from nefcert.serialize import MAX_Q
 from nefcert.series import PolyModRing
 
 FIELDS = [field(3), field(5), field(11), field(3, 2), field(5, 2), field(3, 3)]
@@ -54,10 +56,49 @@ def test_field_instances_shared():
     assert field(3, 2) is field(3, 2)
 
 
+# the first irreducible in the deterministic scan order, for every extension
+# field within MAX_Q: each code of a field depends on its modulus
+FROZEN_MODULI = {
+    (3, 2): (1, 0, 1),  # x^2 + 1
+    (3, 3): (1, 2, 0, 1),  # x^3 + 2x + 1
+    (3, 4): (2, 1, 0, 0, 1),
+    (3, 5): (1, 2, 0, 0, 0, 1),
+    (3, 6): (2, 1, 0, 0, 0, 0, 1),
+    (3, 7): (2, 0, 1, 0, 0, 0, 0, 1),
+    (5, 2): (2, 0, 1),
+    (5, 3): (1, 1, 0, 1),
+    (5, 4): (2, 0, 0, 0, 1),
+    (7, 2): (1, 0, 1),
+    (7, 3): (2, 0, 0, 1),
+    (7, 4): (1, 1, 0, 0, 1),
+    (11, 2): (1, 0, 1),
+    (11, 3): (4, 1, 0, 1),
+    (13, 2): (2, 0, 1),
+    (13, 3): (2, 0, 0, 1),
+    (17, 2): (3, 0, 1),
+    (19, 2): (1, 0, 1),
+    (23, 2): (1, 0, 1),
+    (29, 2): (2, 0, 1),
+    (31, 2): (1, 0, 1),
+    (37, 2): (2, 0, 1),
+    (41, 2): (3, 0, 1),
+    (43, 2): (1, 0, 1),
+    (47, 2): (1, 0, 1),
+    (53, 2): (2, 0, 1),
+}
+
+
 def test_frozen_moduli():
-    # first irreducibles in the deterministic scan order
-    assert field(3, 2).modulus == (1, 0, 1)  # x^2 + 1
-    assert field(3, 3).modulus == (1, 2, 0, 1)  # x^3 + 2x + 1
+    within = {
+        (p, k)
+        for p in range(3, 60)
+        if all(p % r for r in range(2, p))
+        for k in range(2, 8)
+        if p**k <= MAX_Q
+    }
+    assert set(FROZEN_MODULI) == within
+    for (p, k), modulus in FROZEN_MODULI.items():
+        assert field(p, k).modulus == modulus, (p, k)
 
 
 @pytest.mark.parametrize(
@@ -454,6 +495,65 @@ def test_factor_pth_power_multiplicities():
         (P(F, 2, 1), 2),
         (P(F, 1, 0, 1), 1),
     ]
+
+
+def _random_irreducible(F, d, rng):
+    """A random monic irreducible of degree 1 <= d <= 3 over F, found
+    without factoring: at these degrees, irreducible means without a root."""
+    while True:
+        u = Polynomial(F, [rng.randrange(F.q) for _ in range(d)] + [1])
+        if d == 1 or all(u.eval(a) for a in F.elements()):
+            return u
+
+
+@pytest.mark.parametrize("p,k", [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3)])
+def test_factor_exact_on_products_with_multiplicities(p, k):
+    """Products of distinct irreducibles raised to multiplicities that p
+    divides or not, times a unit, factor back to exactly their factors."""
+    F = field(p, k)
+    rng = random.Random(p * 100 + k)
+    for _ in range(40):
+        n = rng.randint(1, 3)
+        factors = {_random_irreducible(F, rng.randint(1, 3), rng) for _ in range(n)}
+        expected = sorted(
+            ((u, rng.choice((1, 2, p, p + 1, 2 * p))) for u in factors),
+            key=lambda fm: (fm[0].degree, fm[0].coeffs),
+        )
+        f = Polynomial.const(F, rng.randrange(1, F.q))
+        for u, m in expected:
+            f = f * u**m
+        assert poly_factor(f) == expected
+
+
+def _gauss_count(q, n):
+    """The number of monic irreducibles of degree n over F_q,
+    (1/n) sum over d | n of mu(d) q^(n/d)."""
+
+    def mu(d):
+        sign, r = 1, 2
+        while d > 1:
+            if d % r == 0:
+                d //= r
+                if d % r == 0:
+                    return 0
+                sign = -sign
+            r += 1
+        return sign
+
+    return sum(mu(d) * q ** (n // d) for d in range(1, n + 1) if n % d == 0) // n
+
+
+@pytest.mark.parametrize(
+    "p,k,top", [(3, 1, 5), (5, 1, 3), (7, 1, 3), (3, 2, 2), (5, 2, 2), (3, 3, 2)]
+)
+def test_is_irreducible_matches_gauss_count(p, k, top):
+    F = field(p, k)
+    for n in range(1, top + 1):
+        monics = itertools.product(F.elements(), repeat=n)
+        count = sum(is_irreducible(Polynomial(F, c + (1,))) for c in monics)
+        assert count == _gauss_count(F.q, n), (F, n)
+    assert not is_irreducible(Polynomial.const(F, 1))
+    assert not is_irreducible(Polynomial.zero(F))
 
 
 @settings(max_examples=100, deadline=None)
