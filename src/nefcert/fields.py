@@ -250,9 +250,11 @@ class ExtensionField(Field):
         while any(Polynomial(base, digits[g]).pow_mod(n // r, mod) == one for r in primes):
             g += 1
         exp, x = [1], g
-        while x != 1:
+        while x != 1 and len(exp) < n:
             exp.append(x)
             x = self._raw_mul(x, g)
+        if x != 1 or len(exp) < n:  # no g has order n over a reducible modulus
+            raise ValueError(f"modulus {modulus} is reducible over F_{p}")
         log = [0] * q
         for i, v in enumerate(exp):
             log[v] = i

@@ -54,19 +54,7 @@ from .jacobian import (
     find_p_torsion,
     mumford_to_divisor,
 )
-from .serialize import (
-    MAX_Q,
-    SCHEMA_VERSION,
-    decode_divisor,
-    decode_fn,
-    decode_mumford,
-    decode_poly,
-    encode_divisor,
-    encode_fn,
-    encode_mumford,
-    encode_semilinear,
-    parse_certificate,
-)
+from .serialize import MAX_Q, decode, encode, encode_certificate, parse_certificate
 
 # Stage limits of the certificate search, within fields of at most MAX_Q
 # elements.  Search curves are defined over F_p, so group orders come from
@@ -441,25 +429,24 @@ def _torsion_candidates(curve: Curve, tries, stats: dict):
 
 def _certificate(E, bundle, frob, gamma, alpha, delta, d_div, value: int, seed: int) -> dict:
     """The certificate of these stage outputs, as `parse_certificate` reads it."""
-    curve, modulus = E.curve, E.curve.field.modulus
-    return {
-        "schema": SCHEMA_VERSION,
-        "p": curve.field.p,
-        "k": curve.field.k,
-        "modulus": None if modulus is None else list(modulus),
-        "f": list(curve.f.coeffs),
-        "a_div": encode_divisor(E.a_div),
-        "l_cls": encode_mumford(bundle.cls),
-        "g": encode_fn(bundle.g),
-        "delta_coords": list(rr_space(curve, E.n_div - bundle.rep).coords(delta)),
-        "d_div": encode_divisor(d_div),
-        "gamma": encode_fn(gamma.w),
-        "alpha": encode_fn(alpha),
-        "obstruction": value,
-        "frob": encode_semilinear(frob),
-        "cartier": [list(row) for row in cartier_manin(curve)],
-        "seed": seed,
-    }
+    curve = E.curve
+    return encode_certificate(
+        p=curve.field.p,
+        k=curve.field.k,
+        modulus=curve.field.modulus,
+        f=curve.f,
+        a_div=E.a_div,
+        l_cls=bundle.cls,
+        g=bundle.g,
+        delta_coords=rr_space(curve, E.n_div - bundle.rep).coords(delta),
+        d_div=d_div,
+        gamma=gamma.w,
+        alpha=alpha,
+        obstruction=value,
+        frob=frob,
+        cartier=cartier_manin(curve),
+        seed=seed,
+    )
 
 
 def certificate_build(p: int, seed: int) -> dict:
@@ -617,10 +604,10 @@ def certificate_verify(data) -> VerifyReport:
 
     Input that `parse_certificate` refuses raises CertificateFormatError;
     mathematical failures become failed checks, and the report carries the
-    parsed certificate.  Only the witnesses (f, A, L, g, delta and D) are
-    decoded.  gamma, alpha and the Frobenius and Cartier-Manin matrices are
-    recomputed from them, and each must equal its stored field in that
-    field's encoding.
+    parsed certificate.  Only the witnesses (f, A, L, g and D) are read with
+    `decode`, and delta from its coordinates.  gamma, alpha and the
+    Frobenius and Cartier-Manin matrices are recomputed from them, and each
+    must equal its stored field as `encode` writes it.
     The stages the checks share (the torsion divisor L, the embedding with
     its normal divisor N, the decoded D, g with div(g) = p * L, and
     gamma = dg/g) are computed once, so each hypothesis is tested once.
@@ -635,10 +622,10 @@ def certificate_verify(data) -> VerifyReport:
         # any other value (another irreducible modulus, a reducible or
         # non-monic list, a list at k = 1, null above) would spell the same
         # certificate another way, or no field
-        modulus = None if base.modulus is None else list(base.modulus)
+        modulus = encode("modulus", base.modulus)
         if d["modulus"] != modulus:
             raise ValueError(f"modulus is not {modulus}, the modulus of F_{base.q}")
-        curve = Curve(base, decode_poly(base, d["f"]))
+        curve = Curve(base, decode(base, d, "f"))
         # the codes below p name F_p in every F_(p^k), and search samples f
         # over F_p: the group orders come from the prime-field model
         if any(c >= p for c in d["f"]):
@@ -649,16 +636,16 @@ def certificate_verify(data) -> VerifyReport:
         return VerifyReport(d, tuple(checks))
 
     def torsion_divisor():
-        l_cls = decode_mumford(curve, d["l_cls"])
+        l_cls = decode(curve, d, "l_cls")
         if class_order(l_cls) != p:
             raise ValueError("torsion class order differs from p")
         return mumford_to_divisor(l_cls)
 
     def embedding():
-        return embed_bidegree_2_3(curve, decode_divisor(curve, d["a_div"]))
+        return embed_bidegree_2_3(curve, decode(curve, d, "a_div"))
 
     def trivialization():
-        g_fn = decode_fn(curve, d["g"], "g")
+        g_fn = decode(curve, d, "g")
         # a zero g has no divisor, so it fails here too
         if not curve.has_divisor(g_fn, need("L") * p):
             raise ValueError("div(g) is not p * L")
@@ -677,7 +664,7 @@ def certificate_verify(data) -> VerifyReport:
     stages = {"L": _stage(torsion_divisor)}  # first: the g stage reads it
     stages.update(
         embedding=_stage(embedding, "embedding failed: "),
-        D=_stage(lambda: decode_divisor(curve, d["d_div"])),
+        D=_stage(lambda: decode(curve, d, "d_div")),
         g=_stage(trivialization),
     )
     stages["gamma"] = _stage(log_derivative_of_g)  # last: it reads the g stage
@@ -692,14 +679,14 @@ def certificate_verify(data) -> VerifyReport:
         # dg/g is regular: div(g) = p * L puts each valuation of g in pZ, so
         # locally g = t^(pm) u with u a unit and dg/g = du/u.  It is nonzero:
         # dg = 0 makes g = h^p with div(h) = L principal, and L has order p.
-        return encode_fn(gamma.w) == d["gamma"]
+        return encode("gamma", gamma.w) == d["gamma"]
 
     def obstruction():
         emb, l_rep, gamma = need("embedding"), need("L"), need("gamma")
         n0 = emb.n_div
         # h0(K + L) = 1 by Riemann-Roch, L being nontrivial of degree 0
         alpha = rr_space(curve, curve.canonical_divisor() + l_rep).basis[0]
-        if encode_fn(alpha) != d["alpha"]:
+        if encode("alpha", alpha) != d["alpha"]:
             raise ValueError("alpha is not the generator of the adjoint torsion sections")
         dsp = rr_space(curve, n0 - l_rep)
         if dsp.dim != len(d["delta_coords"]):
@@ -716,10 +703,10 @@ def certificate_verify(data) -> VerifyReport:
 
     def frobenius():
         frob = frobenius_h1(curve, -need("L"), need("g"))
-        return frob.injective and encode_semilinear(frob) == d["frob"]
+        return frob.injective and encode("frob", frob) == d["frob"]
 
     def cartier():
-        matrix = [list(row) for row in cartier_manin(curve)]
+        matrix = encode("cartier", cartier_manin(curve))
         return matrix == d["cartier"] and cartier_nonsingular(curve)
 
     def points():

@@ -1,20 +1,22 @@
-"""The certificate format: its keys, its canonical JSON, its decoders.
+"""The certificate format: `FORMAT`, one table that gives each key its shape
+check, the decoder of its witness and its encoder; and its canonical JSON.
 
 Encoding is total and deterministic: the same certificate always produces
 the same bytes (sorted keys, no whitespace, trailing newline), and those are
 the only bytes that parse.  Decoding is split in two: `parse_certificate`
 only enforces the structural shape and the byte spelling and raises
-CertificateFormatError, while the witness decoders (`decode_divisor`
-etc.) reconstruct curve-level objects and raise ValueError when the data is
-shaped correctly but mathematically inconsistent.  The verifier treats the
-former as malformed input and the latter as failed checks.  The derived
-fields (gamma, alpha, frob, cartier) have no decoder: the verifier
-recomputes them and compares encodings.
+CertificateFormatError, while `decode` reconstructs a witness as a
+curve-level object and raises ValueError when the data is shaped correctly
+but mathematically inconsistent.  The verifier treats the former as
+malformed input and the latter as failed checks.  It decodes none of the
+derived fields (gamma, alpha, frob, cartier): it recomputes them and
+compares their `encode`.
 """
 
 from __future__ import annotations
 
 import json
+from typing import Callable, NamedTuple
 
 from .curves import INFINITE, Curve, Divisor, FunctionElement, Place
 from .fields import Field, Polynomial, poly_gcd
@@ -68,17 +70,27 @@ def encode_mumford(cls: MumfordClass) -> dict:
 def encode_semilinear(sm: SemilinearMap) -> dict:
     return {
         "twist": sm.twist,
-        "matrix": [list(row) for row in sm.matrix],
+        "matrix": encode_matrix(sm.matrix),
         "source_dim": sm.source_dim,
         "target_dim": sm.target_dim,
     }
+
+
+def encode_modulus(modulus) -> list | None:
+    return None if modulus is None else list(modulus)
+
+
+def encode_matrix(matrix) -> list:
+    return [list(row) for row in matrix]
 
 
 def canonical_bytes(d: dict) -> bytes:
     return json.dumps(d, sort_keys=True, separators=(",", ":")).encode() + b"\n"
 
 
-# --- shape validation ----------------------------------------------------------
+# --- shape checks ---------------------------------------------------------------
+# a table check takes the value, its key and the certificate, whose p and k
+# FORMAT checks before any check that reads them
 
 
 def _want(cond: bool, msg: str):
@@ -105,10 +117,11 @@ def _below_power(n: int, p: int, k: int) -> bool:
     return n == 0
 
 
-def _check_codes(codes: list, key: str, p: int, k: int):
-    """Every integer in codes names an element of the field of p^k elements."""
+def _check_codes(codes, key: str, d: dict):
+    """Integers that each name an element of the field of p^k elements."""
+    _want(_is_int_list(codes), f"{key}: expected integers")
     _want(
-        all(c >= 0 for c in codes) and _below_power(max(codes, default=0), p, k),
+        all(c >= 0 for c in codes) and _below_power(max(codes, default=0), d["p"], d["k"]),
         f"{key}: code outside the field of p^k elements",
     )
 
@@ -123,14 +136,32 @@ def _check_rational(v, key: str):
     _want(v["den"][-1:] == [1], f"{key}.den: denominator not monic")
 
 
-def _check_fn(v, key: str):
-    _want(isinstance(v, dict), f"{key}: expected an object")
-    _want(set(v) == {"a", "b"}, f"{key}: expected a/b parts")
-    _check_rational(v["a"], key + ".a")
-    _check_rational(v["b"], key + ".b")
+def _check_schema(v, key: str, d: dict):
+    _want(v == SCHEMA_VERSION, "unsupported schema version")
 
 
-def _check_divisor(v, key: str):
+def _check_int(v, key: str, d: dict):
+    _want(type(v) is int, f"{key}: expected an integer")
+
+
+def _check_code(v, key: str, d: dict):
+    _check_int(v, key, d)
+    _check_codes([v], key, d)
+
+
+def _check_field(v, key: str, d: dict):
+    """p and k name a field of at most MAX_Q elements, and the modulus is
+    null or integers: check 1 requires the modulus of field(p, k) itself."""
+    _want(d["p"] >= 2 and d["k"] >= 1, "bad field parameters")
+    _want(not _below_power(MAX_Q, d["p"], d["k"]), f"field too large: p^k > {MAX_Q}")
+    _want(v is None or _is_int_list(v), f"{key}: expected null or coefficients")
+
+
+def _check_coefficients(v, key: str, d: dict):
+    _check_poly(v, key, "expected coefficients")
+
+
+def _check_divisor(v, key: str, d: dict):
     _want(isinstance(v, list), f"{key}: expected a list")
     for i, item in enumerate(v):
         _want(
@@ -148,92 +179,50 @@ def _check_divisor(v, key: str):
                 _check_poly(pl[part], f"{key}[{i}].{part}", "bad place polynomial")
 
 
-_CERT_KEYS = (
-    "schema", "p", "k", "modulus", "f", "a_div", "l_cls", "g", "delta_coords",
-    "d_div", "gamma", "alpha", "obstruction", "frob", "cartier", "seed",
-)
+def _check_mumford(v, key: str, d: dict):
+    _want(isinstance(v, dict) and set(v) == {"u", "v"}, f"{key}: bad pair")
+    _check_poly(v["u"], key + ".u")
+    _check_poly(v["v"], key + ".v")
 
 
-def ensure_certificate_shape(d) -> dict:
-    """Validate plain-data structure; returns d unchanged on success."""
-    _want(isinstance(d, dict), "certificate must be an object")
-    _want(set(d) == set(_CERT_KEYS), "wrong certificate key set")
-    _want(d["schema"] == SCHEMA_VERSION, "unsupported schema version")
-    for key in ("p", "k", "obstruction", "seed"):
-        _want(type(d[key]) is int, f"{key}: expected an integer")
-    _want(d["p"] >= 2 and d["k"] >= 1, "bad field parameters")
-    _want(
-        not _below_power(MAX_Q, d["p"], d["k"]),
-        f"field too large: p^k > {MAX_Q}",
-    )
-    # check 1 requires the modulus of field(p, k) itself
-    _want(
-        d["modulus"] is None or _is_int_list(d["modulus"]),
-        "modulus: expected null or coefficients",
-    )
-    _check_poly(d["f"], "f", "expected coefficients")
-    _check_divisor(d["a_div"], "a_div")
-    _check_divisor(d["d_div"], "d_div")
-    _want(isinstance(d["l_cls"], dict) and set(d["l_cls"]) == {"u", "v"}, "l_cls: bad pair")
-    _check_poly(d["l_cls"]["u"], "l_cls.u")
-    _check_poly(d["l_cls"]["v"], "l_cls.v")
-    _check_fn(d["g"], "g")
-    _check_fn(d["gamma"], "gamma")
-    _check_fn(d["alpha"], "alpha")
-    _want(_is_int_list(d["delta_coords"]), "delta_coords: expected integers")
-    _check_codes(d["delta_coords"], "delta_coords", d["p"], d["k"])
-    _check_codes([d["obstruction"]], "obstruction", d["p"], d["k"])
-    fr = d["frob"]
-    _want(
-        isinstance(fr, dict) and set(fr) == {"twist", "matrix", "source_dim", "target_dim"},
-        "frob: bad map",
-    )
-    _want(
-        type(fr["twist"]) is int
-        and type(fr["source_dim"]) is int
-        and type(fr["target_dim"]) is int,
-        "frob: bad dimensions",
-    )
-    _want(
-        isinstance(fr["matrix"], list) and all(_is_int_list(r) for r in fr["matrix"]),
-        "frob: bad matrix",
-    )
-    _check_codes([c for r in fr["matrix"] for c in r], "frob.matrix", d["p"], d["k"])
-    _want(
-        isinstance(d["cartier"], list)
-        and len(d["cartier"]) == 2
-        and all(_is_int_list(r) and len(r) == 2 for r in d["cartier"]),
-        "cartier: expected a 2x2 matrix",
-    )
-    _check_codes(d["cartier"][0] + d["cartier"][1], "cartier", d["p"], d["k"])
-    return d
+def _check_fn(v, key: str, d: dict):
+    _want(isinstance(v, dict), f"{key}: expected an object")
+    _want(set(v) == {"a", "b"}, f"{key}: expected a/b parts")
+    _check_rational(v["a"], key + ".a")
+    _check_rational(v["b"], key + ".b")
 
 
-def parse_certificate(data) -> dict:
-    """bytes/str -> shape-checked dict; malformed input raises
-    CertificateFormatError.  Only the canonical bytes of the dict parse:
-    indentation, another key order or a missing final newline would spell
-    the same certificate another way."""
-    if isinstance(data, bytes):
-        try:
-            data = data.decode("utf-8")
-        except UnicodeDecodeError as err:
-            raise CertificateFormatError(f"not UTF-8: {err}") from err
-    try:
-        d = json.loads(data)
-    except (ValueError, RecursionError) as err:
-        # besides JSONDecodeError (a ValueError): an integer literal past
-        # CPython's digit limit, and nesting past the recursion limit
-        raise CertificateFormatError(f"invalid JSON: {err}") from err
-    ensure_certificate_shape(d)
-    _want(data == canonical_bytes(d).decode(), "not in canonical form")
-    return d
+def _check_semilinear(v, key: str, d: dict):
+    _want(
+        isinstance(v, dict) and set(v) == {"twist", "matrix", "source_dim", "target_dim"},
+        f"{key}: bad map",
+    )
+    _want(
+        type(v["twist"]) is int
+        and type(v["source_dim"]) is int
+        and type(v["target_dim"]) is int,
+        f"{key}: bad dimensions",
+    )
+    _want(
+        isinstance(v["matrix"], list) and all(_is_int_list(r) for r in v["matrix"]),
+        f"{key}: bad matrix",
+    )
+    _check_codes([c for r in v["matrix"] for c in r], key + ".matrix", d)
+
+
+def _check_matrix(v, key: str, d: dict):
+    _want(
+        isinstance(v, list) and len(v) == 2 and all(_is_int_list(r) and len(r) == 2 for r in v),
+        f"{key}: expected a 2x2 matrix",
+    )
+    _check_codes(v[0] + v[1], key, d)
 
 
 # --- witness decoders (semantic errors raise ValueError) ----------------------
+# a table decoder takes the field (for f) or the curve, the data and its key
 
 
-def decode_poly(base: Field, coeffs) -> Polynomial:
+def decode_poly(base: Field, coeffs, key: str = "") -> Polynomial:
     co = tuple(int(c) for c in coeffs)
     if any(not 0 <= c < base.q for c in co):
         raise ValueError("coefficient out of field range")
@@ -282,7 +271,7 @@ def decode_place(curve: Curve, data) -> Place:
     return pl
 
 
-def decode_divisor(curve: Curve, data) -> Divisor:
+def decode_divisor(curve: Curve, data, key: str = "") -> Divisor:
     """The divisor, which must be stored as `encode_divisor` writes it:
     `Divisor` sorts its places, merges a repeated place and drops a zero
     multiplicity, so any other list would spell the same certificate
@@ -293,7 +282,7 @@ def decode_divisor(curve: Curve, data) -> Divisor:
     return div
 
 
-def decode_mumford(curve: Curve, data) -> MumfordClass:
+def decode_mumford(curve: Curve, data, key: str = "") -> MumfordClass:
     """The class, which must be stored as `encode_mumford` writes it:
     `MumfordClass` reduces v mod u, so v + u would spell it another way."""
     cls = MumfordClass(
@@ -303,3 +292,83 @@ def decode_mumford(curve: Curve, data) -> MumfordClass:
         raise ValueError("Mumford pair not in canonical form")
     return cls
 
+
+# --- the format ------------------------------------------------------------------
+
+
+class Kind(NamedTuple):
+    """A key's shape check, witness decoder (None: verify recomputes the
+    value) and encoder."""
+
+    check: Callable
+    decode: Callable | None
+    encode: Callable
+
+
+# every key of a certificate, in the order the shape check reports faults
+FORMAT = {
+    "schema": Kind(_check_schema, None, str),
+    "p": Kind(_check_int, None, int),
+    "k": Kind(_check_int, None, int),
+    "seed": Kind(_check_int, None, int),
+    "modulus": Kind(_check_field, None, encode_modulus),
+    "f": Kind(_check_coefficients, decode_poly, encode_poly),
+    "a_div": Kind(_check_divisor, decode_divisor, encode_divisor),
+    "d_div": Kind(_check_divisor, decode_divisor, encode_divisor),
+    "l_cls": Kind(_check_mumford, decode_mumford, encode_mumford),
+    "g": Kind(_check_fn, decode_fn, encode_fn),
+    "gamma": Kind(_check_fn, decode_fn, encode_fn),
+    "alpha": Kind(_check_fn, decode_fn, encode_fn),
+    "delta_coords": Kind(_check_codes, None, list),
+    "obstruction": Kind(_check_code, None, int),
+    "frob": Kind(_check_semilinear, None, encode_semilinear),
+    "cartier": Kind(_check_matrix, None, encode_matrix),
+}
+
+
+def encode(key: str, obj):
+    """obj as the certificate stores it under key."""
+    return FORMAT[key].encode(obj)
+
+
+def encode_certificate(**values) -> dict:
+    """The certificate of one object per key of FORMAT but schema, as
+    `parse_certificate` gives it for its canonical bytes."""
+    values["schema"] = SCHEMA_VERSION
+    return {key: kind.encode(values[key]) for key, kind in FORMAT.items()}
+
+
+def decode(at, d: dict, key: str):
+    """The witness under key of a shape-checked d, on `at`: the field for f,
+    the curve for the others."""
+    return FORMAT[key].decode(at, d[key], key)
+
+
+def ensure_certificate_shape(d) -> dict:
+    """Validate plain-data structure by FORMAT; returns d unchanged."""
+    _want(isinstance(d, dict), "certificate must be an object")
+    _want(set(d) == set(FORMAT), "wrong certificate key set")
+    for key, kind in FORMAT.items():
+        kind.check(d[key], key, d)
+    return d
+
+
+def parse_certificate(data) -> dict:
+    """bytes/str -> shape-checked dict; malformed input raises
+    CertificateFormatError.  Only the canonical bytes of the dict parse:
+    indentation, another key order or a missing final newline would spell
+    the same certificate another way."""
+    if isinstance(data, bytes):
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as err:
+            raise CertificateFormatError(f"not UTF-8: {err}") from err
+    try:
+        d = json.loads(data)
+    except (ValueError, RecursionError) as err:
+        # besides JSONDecodeError (a ValueError): an integer literal past
+        # CPython's digit limit, and nesting past the recursion limit
+        raise CertificateFormatError(f"invalid JSON: {err}") from err
+    ensure_certificate_shape(d)
+    _want(data == canonical_bytes(d).decode(), "not in canonical form")
+    return d

@@ -265,6 +265,66 @@ def test_verify_json_format(tmp_path, capsys):
     assert [c["index"] for c in payload["checks"]] == list(range(1, 8))
 
 
+BENCH_CHECK_NAMES = (
+    "the sextic model is a smooth genus-2 curve",
+    "the class of N - D has order exactly p",
+    "div(g) = p * L and dg/g is regular and nonzero",
+    "the obstruction scalar is nonzero",
+    "Frobenius is injective on H^1(-L)",
+    "the Cartier-Manin matrix is nonsingular",
+    "D consists of 12 distinct rational points",
+)
+NO_CURVE = "no curve to check against"
+# input file -> (exit code, the failed checks by index with their details,
+# or the stderr line when the input is malformed)
+BENCH_VERDICTS = {
+    "cert-p3-s0.json": (0, {}),
+    "cert-p5-s1.json": (0, {}),
+    "cert-p7-s0.json": (0, {}),
+    "cert-p7-s4.json": (0, {}),
+    "reject-check1-f.json": (1, {1: "singular model", **{i: NO_CURVE for i in range(2, 8)}}),
+    "reject-check2-a-div.json": (
+        1,
+        {i: "embedding failed: divisor not in canonical form" for i in (2, 4)},
+    ),
+    "reject-check3-g.json": (1, {i: "div(g) is not p * L" for i in (3, 4, 5)}),
+    "reject-check4-obstruction.json": (1, {4: ""}),
+    "reject-check5-frob-matrix.json": (1, {5: ""}),
+    "reject-check6-cartier.json": (1, {6: ""}),
+    "reject-check7-d-div.json": (1, {i: "divisor not in canonical form" for i in (2, 4, 7)}),
+    "reject-delta-code-9.json": (
+        2,
+        "malformed certificate: delta_coords: code outside the field of p^k elements",
+    ),
+    "reject-frob-twist-2.json": (1, {5: ""}),
+    "reject-truncated.json": (
+        2,
+        "malformed certificate: invalid JSON: Expecting property name enclosed in"
+        " double quotes: line 1 column 539 (char 538)",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_VERDICTS))
+def test_verify_json_of_each_bench_input(capsys, name):
+    """`verify --format json` on each benchmark input, read in place: the
+    exit code and the whole of stdout, and for a malformed input the last
+    line of stderr, as pinned."""
+    path = Path(nefcert.__file__).parents[2] / "perfbench" / "inputs" / name
+    code, out, err = run(capsys, ["verify", str(path), "--format", "json"])
+    want_code, verdict = BENCH_VERDICTS[name]
+    assert code == want_code
+    if code == 2:
+        assert out == ""
+        assert err.splitlines()[-1] == verdict
+        return
+    checks = [
+        {"detail": verdict.get(i, ""), "index": i, "name": check, "passed": i not in verdict}
+        for i, check in enumerate(BENCH_CHECK_NAMES, start=1)
+    ]
+    assert out == json.dumps({"checks": checks, "ok": not verdict}, sort_keys=True) + "\n"
+
+
 def test_search_failure_report(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(obstruction, "CURVE_TRIES", 0)
     path = tmp_path / "fail.json"
@@ -480,7 +540,7 @@ def test_run_search_keeps_the_file_a_rerun_disagrees_with(tmp_path, monkeypatch,
 
 # Source lines of the `nefcert` modules a cold `search` or `verify` loads,
 # as README.md states under "Start-up cost".
-COLD_IMPORT_LINES = 4195
+COLD_IMPORT_LINES = 4157
 
 
 def test_cold_import_path_is_lean():

@@ -1,12 +1,18 @@
 import functools
 import itertools
 import math
+import os
 import random
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nefcert
 from nefcert.curves import Curve, FunctionElement
 from nefcert.fields import (
     Polynomial,
@@ -86,6 +92,34 @@ FROZEN_MODULI = {
     (47, 2): (1, 0, 1),
     (53, 2): (2, 0, 1),
 }
+
+
+def _half_a_gigabyte():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))
+
+
+@pytest.mark.parametrize("modulus", [(2, 0, 1), (0, 0, 1)])
+def test_extension_field_refuses_a_reducible_modulus(modulus):
+    """x^2 - 1 and x^2 over F_3 are reducible: no power of the code chosen
+    as generator returns to 1 within q - 1 steps, and the constructor raises
+    ValueError there.  It runs in a child capped in address space and time,
+    so a loop that kept appending powers fails the test instead of taking
+    the machine's memory."""
+    probe = (
+        "from nefcert.fields import ExtensionField\n"
+        f"try:\n    ExtensionField(3, 2, {modulus})\n"
+        "except ValueError as err:\n    print(err)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(nefcert.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        env=env,
+        timeout=20,
+        preexec_fn=_half_a_gigabyte,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.decode() == f"modulus {modulus} is reducible over F_3\n"
 
 
 def test_frozen_moduli():

@@ -1270,6 +1270,11 @@ def _sweep():
     return module
 
 
+# sha256 of the 437 outcomes below, in order: each format message, or each
+# check's (index, passed, detail)
+SWEEP_OUTCOMES = "fa2b50dfa0c0f4bfb90885331055fda1551783a257183960315458a7e455a616"
+
+
 def test_verify_is_total_on_single_leaf_mutations(cert):
     """Every single-leaf mutation of the q = 9 certificate, all 437 cases of
     the sweep (each changes its leaf), ends in a report or a format error.
@@ -1280,13 +1285,17 @@ def test_verify_is_total_on_single_leaf_mutations(cert):
     d = cert
     cases = sweep.cases(d)
     reports, passed = 0, []
+    outcomes = hashlib.sha256()
     for path, op, change in cases:
         m = sweep.mutated(d, path, change)
         assert m != d, (path, op)
         try:
             report = certificate_verify(serialize.canonical_bytes(m))
-        except serialize.CertificateFormatError:
+        except serialize.CertificateFormatError as err:
+            outcomes.update(f"format: {err}\n".encode())
             continue
+        checks = [(c.index, c.passed, c.detail) for c in report.checks]
+        outcomes.update(repr(checks).encode() + b"\n")
         reports += 1
         assert len(report.checks) == 7, path
         if report.ok:
@@ -1301,6 +1310,7 @@ def test_verify_is_total_on_single_leaf_mutations(cert):
             assert not first.passed and first.detail.startswith("modulus is not [1, 0, 1]")
     assert (len(cases), reports) == (437, 341)
     assert len(passed) == 3
+    assert outcomes.hexdigest() == SWEEP_OUTCOMES
 
 
 @pytest.mark.parametrize("datum", ["delta", "alpha", "g"])

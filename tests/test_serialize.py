@@ -43,6 +43,9 @@ def test_shape_validation_catches_each_field(cert_dict):
     cases = [
         (lambda d: d.pop("p"), "key set"),
         (lambda d: d.update(p="3"), "expected an integer"),
+        (lambda d: d.update(k="2"), "k: expected an integer"),
+        (lambda d: d.update(seed=0.5), "seed: expected an integer"),
+        (lambda d: d.update(obstruction="1"), "obstruction: expected an integer"),
         (lambda d: d.update(schema="bogus/9"), "unsupported schema"),
         (lambda d: d.update(k=20), "field too large"),
         (lambda d: d.update(p=3001, k=1, modulus=None), "field too large"),

@@ -1,5 +1,5 @@
 """The witnesses of a certificate dict as curve-level objects, decoded with
-`serialize`'s decoders as verify decodes them, for tests that read a
+`serialize.decode` as verify decodes them, for tests that read a
 certificate that search returned."""
 
 from typing import NamedTuple
@@ -9,7 +9,7 @@ from nefcert.curves import Curve, Differential, Divisor, FunctionElement
 from nefcert.fields import field
 from nefcert.jacobian import MumfordClass, mumford_to_divisor
 from nefcert.obstruction import embed_bidegree_2_3
-from nefcert.serialize import decode_divisor, decode_fn, decode_mumford, decode_poly
+from nefcert.serialize import decode
 
 
 class Witnesses(NamedTuple):
@@ -25,9 +25,9 @@ class Witnesses(NamedTuple):
 
 def decode_witnesses(d: dict) -> Witnesses:
     base = field(d["p"], d["k"])
-    curve = Curve(base, decode_poly(base, d["f"]))
-    a_div = decode_divisor(curve, d["a_div"])
-    l_cls = decode_mumford(curve, d["l_cls"])
+    curve = Curve(base, decode(base, d, "f"))
+    a_div = decode(curve, d, "a_div")
+    l_cls = decode(curve, d, "l_cls")
     n_minus_l = embed_bidegree_2_3(curve, a_div).n_div - mumford_to_divisor(l_cls)
     delta = curve.zero()
     for c, phi in zip(d["delta_coords"], rr_space(curve, n_minus_l).basis):
@@ -36,9 +36,9 @@ def decode_witnesses(d: dict) -> Witnesses:
         curve,
         a_div,
         l_cls,
-        decode_fn(curve, d["g"], "g"),
-        decode_divisor(curve, d["d_div"]),
+        decode(curve, d, "g"),
+        decode(curve, d, "d_div"),
         delta,
-        Differential(curve, decode_fn(curve, d["gamma"], "gamma")),
-        decode_fn(curve, d["alpha"], "alpha"),
+        Differential(curve, decode(curve, d, "gamma")),
+        decode(curve, d, "alpha"),
     )
