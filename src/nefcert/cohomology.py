@@ -205,7 +205,6 @@ class H1Space(NamedTuple):
         return len(self.gaps)
 
 
-@functools.lru_cache(maxsize=256)
 def h1_space(curve: Curve, bundle: Divisor) -> H1Space:
     inf = curve.infinite_place()
     n_inf = bundle.mult(inf)

@@ -585,12 +585,10 @@ class Curve:
         if q**m > 10**7:
             raise ValueError("field too large")
         ext = self.field if m == 1 else field(self.field.p, self.field.k * m)
+        f = Polynomial(ext, self.f.coeffs)
         n = 1
         for a in range(ext.q):
-            acc = 0
-            for c in reversed(self.f.coeffs):
-                acc = ext.add(ext.mul(acc, a), c)
-            ls = ext.legendre(acc)
+            ls = ext.legendre(f.eval(a))
             if ls == 1:
                 n += 2
             elif ls == 0:

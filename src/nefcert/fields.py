@@ -1,11 +1,14 @@
 """Exact arithmetic over odd finite fields F_{p^k} and their polynomial rings.
 
 Elements are integer codes in range(p**k): the element sum(c_i * t^i), with t
-the class of x modulo the field modulus, has code sum(c_i * p**i).  Each
-field type has one arithmetic kernel, for elements and for coefficient
+the class of x modulo the field modulus, has code sum(c_i * p**i), and
+`to_digits`/`from_digits` are the one codec between a code and its digits.
+Each field type has one arithmetic kernel, for elements and for coefficient
 tuples (`poly_mul`, `poly_divmod`) alike: prime fields compute directly mod
 p; extensions build exp/log/Zech-log tables over a fixed generator (every
 field used here is tiny), so each operation is one or two table lookups.
+The tables come from the generator's cycle, walked with F_p's own kernels
+on digit lists.
 The remainder loops (`%`, `//`, `poly_gcd`, `Polynomial.pow_mod`,
 `poly_ord_cofactor`) run `poly_divmod` on lists of codes and build a
 `Polynomial` only for what they return.
@@ -41,6 +44,25 @@ def _factor_int(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
+
+
+def to_digits(code: int, base: int, n: int) -> list[int]:
+    """The n lowest base-`base` digits of code, lowest first: the
+    coefficients of the element of F_(p^k) (base p), or of the polynomial
+    over F_q (base q), that code numbers."""
+    out = []
+    for _ in range(n):
+        code, r = divmod(code, base)
+        out.append(r)
+    return out
+
+
+def from_digits(digits, base: int) -> int:
+    """The code whose base-`base` digits, lowest first, are digits."""
+    code = 0
+    for d in reversed(digits):
+        code = code * base + d
+    return code
 
 
 class Field:
@@ -226,36 +248,32 @@ class ExtensionField(Field):
     IndexError instead of reading a table silently.
     """
 
-    __slots__ = ("_digits", "_exp", "_log", "_zech", "_half")
+    __slots__ = ("_exp", "_log", "_zech", "_half")
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...]):
         self.p = p
         self.k = k
         self.q = p**k
         self.modulus = modulus
-        q = self.q
-        digits = []
-        for code in range(q):
-            c, row = code, []
-            for _ in range(k):
-                c, r = divmod(c, p)
-                row.append(r)
-            digits.append(tuple(row))
-        self._digits = digits
-        n = q - 1
+        n = self.q - 1
         # the first g of multiplicative order n: g^(n/r) != 1 for each prime r | n
         base, primes = field(p), _factor_int(n)
         mod, one = Polynomial(base, modulus), Polynomial.one(base)
         g = 2
-        while any(Polynomial(base, digits[g]).pow_mod(n // r, mod) == one for r in primes):
+        while any(Polynomial(base, to_digits(g, p, k)).pow_mod(n // r, mod) == one for r in primes):
             g += 1
-        exp, x = [1], g
+        # g's cycle on digit lists: each step is one F_p product with g and
+        # one reduction by the modulus (two lists of length k >= 2 have a
+        # product of 2k - 1 >= len(modulus) entries, as poly_divmod asks)
+        gd = to_digits(g, p, k)
+        exp, x, xd = [1], g, gd
         while x != 1 and len(exp) < n:
             exp.append(x)
-            x = self._raw_mul(x, g)
+            xd = base.poly_divmod(base.poly_mul(xd, gd), modulus)[1]
+            x = from_digits(xd, p)
         if x != 1 or len(exp) < n:  # no g has order n over a reducible modulus
             raise ValueError(f"modulus {modulus} is reducible over F_{p}")
-        log = [0] * q
+        log = [0] * self.q
         for i, v in enumerate(exp):
             log[v] = i
         zech = [-1] * n
@@ -267,26 +285,6 @@ class ExtensionField(Field):
         self._log = log
         self._zech = zech + zech
         self._half = n // 2  # -1 = g^(n/2)
-
-    def _raw_mul(self, a: int, b: int) -> int:
-        # schoolbook product of digit vectors, reduced by the monic modulus
-        p, k = self.p, self.k
-        da, db = self._digits[a], self._digits[b]
-        prod = [0] * (2 * k - 1)
-        for i, ca in enumerate(da):
-            if ca:
-                for j, cb in enumerate(db):
-                    prod[i + j] += ca * cb
-        mod = self.modulus
-        for i in range(2 * k - 2, k - 1, -1):
-            c = prod[i] % p
-            if c:
-                for j in range(k):
-                    prod[i - k + j] -= c * mod[j]
-        code = 0
-        for i in range(k - 1, -1, -1):
-            code = code * p + prod[i] % p
-        return code
 
     def add(self, a, b):
         log = self._log
@@ -383,13 +381,9 @@ def _find_modulus(p: int, k: int) -> tuple[int, ...]:
     """
     base = field(p)
     for n in range(p**k):
-        c, coeffs = n, []
-        for _ in range(k):
-            c, r = divmod(c, p)
-            coeffs.append(r)
-        coeffs.append(1)
-        if is_irreducible(Polynomial(base, tuple(coeffs))):
-            return tuple(coeffs)
+        coeffs = tuple(to_digits(n, p, k)) + (1,)
+        if is_irreducible(Polynomial(base, coeffs)):
+            return coeffs
     # not reached: a monic irreducible of every degree k exists over F_p
 
 

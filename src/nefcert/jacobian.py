@@ -12,8 +12,9 @@ reduction also brings places of degree above 2 to reduced pairs
 Sums and negations are built without re-validation; pairs read from
 outside (`MumfordClass(...)`, `random_class`) are checked.
 Global invariants (order of the group, characteristic polynomial of
-Frobenius) come from point counts over the base field and its quadratic
-extension; the degree of the field of the p-torsion, read off the
+Frobenius) come from one path at every k: point counts of the prime-field
+model over F_p and F_(p^2), raised to the field's degree by Newton's
+identities; the degree of the field of the p-torsion, read off the
 Cartier-Manin matrix, is in `cohomology`.
 """
 
@@ -327,18 +328,15 @@ class FrobeniusData(NamedTuple):
 
 @functools.lru_cache(maxsize=None)
 def frobenius_data(curve: Curve) -> FrobeniusData:
-    """Zeta data of a curve whose f is defined over F_p: point counts over
-    F_p and F_(p^2) at k = 1, the prime-field model's traces powered exactly
-    above.  Verify refuses any other curve at check 1, and search and
-    curve-info build theirs over F_p."""
-    q = curve.field.q
+    """Zeta data of a curve over F_(p^k) whose f is defined over F_p: the
+    point counts of the prime-field model over F_p and F_(p^2), whose traces
+    `_power_traces` raises to the k-th power of Frobenius (at k = 1 they come
+    back unchanged).  Verify refuses any other curve at check 1, and search
+    and curve-info build theirs over F_p."""
     p, k = curve.field.p, curve.field.k
-    if k > 1:
-        t1, t2 = _power_traces(frobenius_data(Curve(field(p), curve.f.coeffs)), k)
-    else:
-        t1 = q + 1 - curve.point_count(1)
-        t2 = q * q + 1 - curve.point_count(2)
-    return _zeta_data(q, t1, t2)
+    model = Curve(field(p), curve.f.coeffs)
+    data = _zeta_data(p, p + 1 - model.point_count(1), p * p + 1 - model.point_count(2))
+    return _zeta_data(p**k, *_power_traces(data, k))
 
 
 def _zeta_data(q: int, t1: int, t2: int) -> FrobeniusData:

@@ -645,9 +645,11 @@ def certificate_verify(data) -> VerifyReport:
         return embed_bidegree_2_3(curve, decode(curve, d, "a_div"))
 
     def trivialization():
-        g_fn = decode(curve, d, "g")
-        # a zero g has no divisor, so it fails here too
-        if not curve.has_divisor(g_fn, need("L") * p):
+        g_fn, p_l = decode(curve, d, "g"), need("L") * p
+        # L's finite part is effective, so p * L has no finite pole, and g in
+        # its one form has a pole over each prime factor of h: a g with a
+        # denominator fails before h is factored.  A zero g has no divisor.
+        if g_fn.h.degree > 0 or not curve.has_divisor(g_fn, p_l):
             raise ValueError("div(g) is not p * L")
         return g_fn
 

@@ -19,7 +19,7 @@ import random
 from . import linalg
 from .cohomology import cartier_manin, differential_space, h1_space, rr_space
 from .curves import Curve, Differential, Divisor
-from .fields import Field, Polynomial, poly_xgcd
+from .fields import Field, Polynomial, poly_xgcd, to_digits
 from .jacobian import MumfordClass, _power_traces, _zeta_data, frobenius_data
 
 
@@ -54,17 +54,9 @@ def enumerate_classes(curve: Curve) -> list[MumfordClass]:
     out = [MumfordClass.zero(curve)]
     for deg in (1, 2):
         for ucode in range(q**deg):
-            digits, c = [], ucode
-            for _ in range(deg):
-                c, r = divmod(c, q)
-                digits.append(r)
-            u = Polynomial(F, digits + [1])
+            u = Polynomial(F, to_digits(ucode, q, deg) + [1])
             for vcode in range(q**deg):
-                digits, c = [], vcode
-                for _ in range(deg):
-                    c, r = divmod(c, q)
-                    digits.append(r)
-                v = Polynomial(F, digits)
+                v = Polynomial(F, to_digits(vcode, q, deg))
                 if ((curve.f - v * v) % u).is_zero:
                     out.append(MumfordClass(curve, u, v))
     return out

@@ -28,6 +28,10 @@ SCHEMA_VERSION = "nefcert-certificate/1"
 # (its point count takes q evaluations), and verify work grows with q
 MAX_Q = 3000
 
+# the largest degree of a place a certificate may name: a_div has degree 3
+# and D is 12 rational points, so no valid divisor holds a larger place
+MAX_PLACE_DEGREE = 12
+
 
 class CertificateFormatError(ValueError):
     """The input is not a structurally well-formed certificate."""
@@ -264,6 +268,9 @@ def decode_place(curve: Curve, data) -> Place:
         u = decode_poly(curve.field, data["u"])
         v = None if data["v"] is None else decode_poly(curve.field, data["v"])
         pl = Place(kind, u, v)
+        # refused before places_above tests u for irreducibility
+        if pl.degree > MAX_PLACE_DEGREE:
+            raise ValueError(f"place of degree above {MAX_PLACE_DEGREE}")
         if pl not in curve.places_above(u):
             raise ValueError("place does not lie on the curve")
     if encode_place(pl) != data:

@@ -6,7 +6,8 @@ The residue field is either the base field itself or a quotient
 kappa = F_q[x]/(u).  The two share one element interface (zero, one, embed,
 add, mul, inv, trace, series_mul, ...), so one series engine serves both: a
 `Field` is its own ring, and `PolyModRing` holds the arithmetic of kappa,
-square roots included.  Inert places, whose residue field is quadratic
+square roots included (their non-residue scan numbers polynomials by
+`fields.to_digits`).  Inert places, whose residue field is quadratic
 over kappa, are never expanded.
 `Curve.residue_ring` is the only code that chooses the ring of a place.
 Products of series run on the field's code kernel: over the base field
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from .fields import Field, Polynomial, poly_xgcd, tonelli_shanks
+from .fields import Field, Polynomial, poly_xgcd, to_digits, tonelli_shanks
 
 
 class PrecisionError(Exception):
@@ -121,11 +122,7 @@ class PolyModRing:
         def nonresidue():
             # by code; for even deg(u) every constant is a square in kappa
             for code in range(F.q if u.degree % 2 == 0 else 1, Q):
-                c, digits = code, []
-                while c:
-                    c, d = divmod(c, F.q)
-                    digits.append(d)
-                z = Polynomial(F, digits)
+                z = Polynomial(F, to_digits(code, F.q, u.degree))
                 if not is_sq(z):
                     return z
 

@@ -325,6 +325,49 @@ def test_verify_json_of_each_bench_input(capsys, name):
     assert out == json.dumps({"checks": checks, "ok": not verdict}, sort_keys=True) + "\n"
 
 
+ABOVE_12 = "place of degree above 12"
+# (key, n) -> the failed checks by index with their details, for the pinned
+# q = 9 certificate with x^n + 2 put under key: as the denominator of g's a
+# part, or as the u of a split place appended to a divisor
+COSTLY_VERDICTS = {
+    ("g", 401): {i: "div(g) is not p * L" for i in (3, 4, 5)},
+    ("a_div", 401): {i: "embedding failed: " + ABOVE_12 for i in (2, 4)},
+    ("d_div", 401): {i: ABOVE_12 for i in (2, 4, 7)},
+    ("a_div", 12): {i: "embedding failed: support must be monic irreducible" for i in (2, 4)},
+    ("a_div", 13): {i: "embedding failed: " + ABOVE_12 for i in (2, 4)},
+}
+
+
+@pytest.mark.parametrize("key,n", sorted(COSTLY_VERDICTS))
+def test_verify_refuses_a_costly_polynomial_at_once(tmp_path, key, n):
+    """A g with the denominator x^401 + 2 fails the g stage before h is
+    factored, and a place over x^401 + 2 in a_div or D is refused by its
+    degree before its u is tested for irreducibility; either test took
+    over 90 s.  Each input, built from the pinned q = 9 certificate (read
+    only), ends in a fresh process within 10 s, with exit 1, no traceback
+    and the details pinned; the places of degree 12 and 13 pin the bound."""
+    root = Path(nefcert.__file__).parents[2]
+    d = json.loads((root / "perfbench/inputs/cert-p3-s0.json").read_text())
+    u = [2] + [0] * (n - 1) + [1]
+    if key == "g":
+        d["g"]["a"]["den"] = u
+    else:
+        d[key].append([{"kind": "split", "u": u, "v": [1]}, 1])
+    path = tmp_path / "costly.json"
+    path.write_bytes(serialize.canonical_bytes(d))
+    env = dict(os.environ, PYTHONPATH=str(Path(nefcert.__file__).parents[1]))
+    cmd = [sys.executable, "-m", "nefcert.cli", "verify", str(path), "--format", "json"]
+    out = subprocess.run(cmd, capture_output=True, env=env, timeout=10)
+    assert out.returncode == 1
+    assert b"Traceback" not in out.stderr
+    verdict = COSTLY_VERDICTS[key, n]
+    checks = [
+        {"detail": verdict.get(i, ""), "index": i, "name": check, "passed": i not in verdict}
+        for i, check in enumerate(BENCH_CHECK_NAMES, start=1)
+    ]
+    assert out.stdout.decode() == json.dumps({"checks": checks, "ok": False}, sort_keys=True) + "\n"
+
+
 def test_search_failure_report(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(obstruction, "CURVE_TRIES", 0)
     path = tmp_path / "fail.json"
@@ -540,7 +583,7 @@ def test_run_search_keeps_the_file_a_rerun_disagrees_with(tmp_path, monkeypatch,
 
 # Source lines of the `nefcert` modules a cold `search` or `verify` loads,
 # as README.md states under "Start-up cost".
-COLD_IMPORT_LINES = 4157
+COLD_IMPORT_LINES = 4152
 
 
 def test_cold_import_path_is_lean():

@@ -80,7 +80,7 @@ def base_change_f9(C: Curve) -> Curve:
 
 
 def test_enumeration_matches_charpoly_order():
-    # the F_9 base changes take the trace-formula branch of frobenius_data
+    # at the F_9 base changes frobenius_data squares the traces over F_3
     for C in (curve35(), curve3x(), base_change_f9(curve35()), base_change_f9(curve3x())):
         classes = enumerate_classes(C)
         assert len(classes) == jac_order(C)
