@@ -7,8 +7,8 @@ Each field type has one arithmetic kernel, for elements and for coefficient
 tuples (`poly_mul`, `poly_divmod`) alike: prime fields compute directly mod
 p; extensions build exp/log/Zech-log tables over a fixed generator (every
 field used here is tiny), so each operation is one or two table lookups.
-The tables come from the generator's cycle, walked with F_p's own kernels
-on digit lists.
+The tables come from the generator's cycle, walked on digit lists by the
+matrix of multiplication by the generator, which F_p's own kernels compute.
 The remainder loops (`%`, `//`, `poly_gcd`, `Polynomial.pow_mod`,
 `poly_ord_cofactor`) run `poly_divmod` on lists of codes and build a
 `Polynomial` only for what they return.
@@ -25,6 +25,7 @@ places; the residue fields F_q[x]/(u) of the other places are
 
 from __future__ import annotations
 
+import operator
 import random
 from typing import Optional
 
@@ -262,14 +263,16 @@ class ExtensionField(Field):
         g = 2
         while any(Polynomial(base, to_digits(g, p, k)).pow_mod(n // r, mod) == one for r in primes):
             g += 1
-        # g's cycle on digit lists: each step is one F_p product with g and
-        # one reduction by the modulus (two lists of length k >= 2 have a
-        # product of 2k - 1 >= len(modulus) entries, as poly_divmod asks)
+        # g's cycle on digit lists, by the F_p-matrix of multiplication by g:
+        # row j is t^j * g from F_p's kernels (a product of 2k - 1 >=
+        # len(modulus) entries, as poly_divmod asks)
         gd = to_digits(g, p, k)
+        rows = [base.poly_mul(to_digits(p**j, p, k), gd) for j in range(k)]
+        cols = list(zip(*(base.poly_divmod(r, modulus)[1] for r in rows)))
         exp, x, xd = [1], g, gd
         while x != 1 and len(exp) < n:
             exp.append(x)
-            xd = base.poly_divmod(base.poly_mul(xd, gd), modulus)[1]
+            xd = [sum(map(operator.mul, xd, c)) % p for c in cols]
             x = from_digits(xd, p)
         if x != 1 or len(exp) < n:  # no g has order n over a reducible modulus
             raise ValueError(f"modulus {modulus} is reducible over F_{p}")
